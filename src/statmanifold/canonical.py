@@ -42,7 +42,7 @@ from .ergodic import (
     mvn_upper_bound,
 )
 from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, pdf_2d
-from .quadrature import DEFAULT_ORDER, IntegrationSpec, integrate
+from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def phase_space_spec(h: QuadraticHamiltonian, bath: HeatBath,
                      order: int | None = None, rule: str = "gauss_hermite") -> IntegrationSpec:
     """Quadrature description covering the canonical density of ``h``."""
     g = canonical_to_gaussian(h, bath)
-    order = order or (DEFAULT_ORDER if h.phase_dim <= 2 else 20)
+    order = order or default_order(h.phase_dim)
     if rule == "gauss_hermite":
         return IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
     return IntegrationSpec.axes(g.mean, np.sqrt(np.diag(g.covariance)), order, rule)

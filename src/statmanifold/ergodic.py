@@ -53,7 +53,7 @@ from .models import (
     mvn_pdf,
     pdf_2d,
 )
-from .quadrature import DEFAULT_ORDER, IntegrationSpec, integrate
+from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 NORM_SPOT_TOL = 1e-6
@@ -356,10 +356,6 @@ def classify(trace: CorrelationTrace, tol: float = 1e-6,
     return IgehClass(level, evidence)
 
 
-def _default_mvn_order(dim: int) -> int:
-    return DEFAULT_ORDER if dim <= 2 else 20
-
-
 def mvn_ig_correlation(g: MultivariateGaussian, fs: TestFunctionSet,
                        order: int | None = None, check: bool = False) -> float:
     """IG correlation for a multivariate Gaussian joint (desk scale: dim <= 4)."""
@@ -367,7 +363,7 @@ def mvn_ig_correlation(g: MultivariateGaussian, fs: TestFunctionSet,
         raise ValueError("need one test function per coordinate")
     if g.dim > 4:
         raise ValueError("quadrature path supports dimension <= 4 (desk scale)")
-    order = order or _default_mvn_order(g.dim)
+    order = order or default_order(g.dim)
     spec = IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
     marginals = [mvn_marginal(g, i) for i in range(g.dim)]
     return ig_correlation(lambda x: mvn_pdf(x, g), marginals, fs, spec, check=check)

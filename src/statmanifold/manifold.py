@@ -189,15 +189,34 @@ def _fd_steps(theta: np.ndarray) -> np.ndarray:
     return np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(theta))
 
 
-def _check_stencil(field: MetricField, theta: np.ndarray, reach: np.ndarray) -> None:
-    for k in range(theta.shape[0]):
+def _check_stencil(field: MetricField, theta: np.ndarray, h: np.ndarray, order: int) -> None:
+    """Raise :class:`DomainError` unless the whole stencil lies in the domain.
+
+    Axis points are checked out to ``±order·h``; order 2 also evaluates the
+    mixed corners ``theta ± h_k e_k ± h_l e_l``, which are checked too.
+    """
+    m = theta.shape[0]
+    for k in range(m):
         for s in (-1.0, 1.0):
             probe = theta.copy()
-            probe[k] += s * reach[k]
+            probe[k] += s * order * h[k]
             if not field.domain.contains(probe):
                 raise DomainError(
                     f"finite-difference stencil exits the domain at coordinate {k}"
                 )
+    if order == 2:
+        for k in range(m):
+            for l in range(k + 1, m):
+                for sk in (1.0, -1.0):
+                    for sl in (1.0, -1.0):
+                        probe = theta.copy()
+                        probe[k] += sk * h[k]
+                        probe[l] += sl * h[l]
+                        if not field.domain.contains(probe):
+                            raise DomainError(
+                                "finite-difference stencil exits the domain at the "
+                                f"corner of coordinates {k} and {l}"
+                            )
 
 
 def metric_derivatives(field: MetricField, theta, order: int):
@@ -220,7 +239,7 @@ def metric_derivatives(field: MetricField, theta, order: int):
     h = _fd_steps(theta)
     if np.any(h <= 0.0) or np.any(~np.isfinite(h)):
         raise DomainError("finite-difference step underflow")
-    _check_stencil(field, theta, h * order)
+    _check_stencil(field, theta, h, order)
 
     if order == 1:
         d1 = np.zeros((m, m, m))

@@ -15,6 +15,7 @@ Two rules are provided for Gaussian-dominated integrands:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,14 +24,49 @@ import numpy as np
 from .errors import QuadratureError
 
 DEFAULT_ORDER = 64
-_CHUNK = 1 << 19  # max number of nodes evaluated per vectorized call
+_CHUNK = 1 << 14  # max nodes in a cached block and in one vectorized call
+
+
+def default_order(dim: int) -> int:
+    """Default Gauss-Hermite order per axis for a ``dim``-dimensional rule."""
+    return DEFAULT_ORDER if dim <= 2 else 20
+
+
+def _block_axes(order: int, dim: int) -> int:
+    """Number of trailing axes in one node block: all of them when the rule fits."""
+    k = dim
+    while k > 1 and order**k > _CHUNK:
+        k -= 1
+    return k
+
+
+def _product(axes_t, axes_w):
+    """Tensor-product nodes (k, n**k) and weights (n**k,) of 1-D rules."""
+    grids = np.meshgrid(*axes_t, indexing="ij")
+    T = np.stack([g.ravel() for g in grids])
+    W = axes_w[0]
+    for w in axes_w[1:]:
+        W = np.multiply.outer(W, w)
+    return T, W.ravel()
 
 
 @lru_cache(maxsize=64)
-def hermgauss_cached(order: int):
-    """Gauss-Hermite nodes/weights for weight exp(-t^2), cached per order."""
+def hermite_block(order: int, dim: int):
+    """Reweighted Gauss-Hermite rule and its node block, cached per (order, dim).
+
+    Returns ``(t, w, T, W)``: the 1-D nodes ``t`` with weights ``w`` that
+    absorb the implicit factor exp(-t^2), so plain integrands can be summed,
+    and the product nodes ``T`` (k, order**k) and weights ``W`` of the
+    trailing ``k`` axes (all ``dim`` axes when ``order**dim <= _CHUNK``).
+    The arrays are shared by every caller and therefore read-only.
+    """
     t, w = np.polynomial.hermite.hermgauss(order)
-    return t, w
+    w = w * np.exp(t**2)
+    k = _block_axes(order, dim)
+    T, W = _product([t] * k, [w] * k)
+    for a in (t, w, T, W):
+        a.flags.writeable = False
+    return t, w, T, W
 
 
 @dataclass(frozen=True)
@@ -94,46 +130,38 @@ class IntegrationSpec:
 
 
 def _node_chunks(spec: IntegrationSpec):
-    """Yield (points, weights) chunks; points has shape (d, k)."""
-    d = spec.dim
+    """Yield (points, weights) chunks of at most ``_CHUNK`` nodes; points is (d, k).
+
+    A rule larger than one block is walked along its leading axes, one block
+    of the trailing axes per chunk.
+    """
+    d, n = spec.dim, spec.order
     if spec.rule == "gauss_hermite":
-        t, w = hermgauss_cached(spec.order)
-        axes_t = [t] * d
-        # absorb the implicit weight exp(-t^2) so plain integrands can be summed
-        axes_w = [w * np.exp(t**2)] * d
+        t, w, T, W = hermite_block(n, d)
+        axes_t, axes_w = [t] * d, [w] * d
         jac = (np.sqrt(2.0) ** d) * abs(np.linalg.det(spec.transform))
         map_pts = lambda T: spec.center[:, None] + np.sqrt(2.0) * (spec.transform @ T)
     else:
         scales = spec.axis_scales
         lo = spec.center - spec.half_width * scales
         hi = spec.center + spec.half_width * scales
-        h = (hi - lo) / spec.order
-        axes_t = [lo[i] + (np.arange(spec.order) + 0.5) * h[i] for i in range(d)]
-        axes_w = [np.full(spec.order, h[i]) for i in range(d)]
+        h = (hi - lo) / n
+        axes_t = [lo[i] + (np.arange(n) + 0.5) * h[i] for i in range(d)]
+        axes_w = [np.full(n, h[i]) for i in range(d)]
+        k = _block_axes(n, d)
+        T, W = _product(axes_t[d - k:], axes_w[d - k:])
         jac = 1.0
         map_pts = lambda T: T
 
-    n = spec.order
-    total = n**d
-    if total <= _CHUNK:
-        grids = np.meshgrid(*axes_t, indexing="ij")
-        T = np.stack([g.ravel() for g in grids])
-        W = axes_w[0]
-        for i in range(1, d):
-            W = np.multiply.outer(W, axes_w[i])
-        yield map_pts(T), W.ravel() * jac
+    lead = d - T.shape[0]
+    if lead == 0:
+        yield map_pts(T), W * jac
         return
-
-    # chunk along the first axis
-    grids_rest = np.meshgrid(*axes_t[1:], indexing="ij")
-    T_rest = np.stack([g.ravel() for g in grids_rest])
-    W_rest = axes_w[1]
-    for i in range(2, d):
-        W_rest = np.multiply.outer(W_rest, axes_w[i])
-    W_rest = W_rest.ravel()
-    for k in range(n):
-        T = np.vstack([np.full(T_rest.shape[1], axes_t[0][k]), T_rest])
-        yield map_pts(T), axes_w[0][k] * W_rest * jac
+    for idx in np.ndindex(*(n,) * lead):
+        head = np.array([axes_t[i][j] for i, j in enumerate(idx)])[:, None]
+        w_head = math.prod(axes_w[i][j] for i, j in enumerate(idx))
+        T_k = np.vstack([np.broadcast_to(head, (lead, T.shape[1])), T])
+        yield map_pts(T_k), w_head * W * jac
 
 
 def integrate(fn, spec: IntegrationSpec):

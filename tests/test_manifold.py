@@ -133,6 +133,24 @@ def test_stencil_domain_check():
         metric_derivatives(field, [0.0, 1.0], 3)
 
 
+def test_stencil_corner_outside_domain_raises_before_evaluating():
+    # the hole holds the corner (1 + h, 1 + h) of the mixed second derivative,
+    # but no axis point out to 2h
+    hole = np.array([1.0 + 1e-5, 1.0 + 1e-5])
+    domain = ParameterDomain.from_predicate(2, lambda th: np.max(np.abs(th - hole)) > 5e-6)
+    outside = []
+
+    def g(theta):
+        if not domain.contains(theta):
+            outside.append(theta.copy())
+        return metric_2d_closed(Correlated2DParams(theta[0], theta[1], 0.3, 1.0))
+
+    field = MetricField.from_function(2, g, domain=domain)
+    with pytest.raises(DomainError, match="corner"):
+        scalar_curvature(field, [1.0, 1.0])
+    assert outside == []
+
+
 # ----------------------------------------------------------------- christoffel
 
 def test_christoffel_flat_metric_vanishes():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from statmanifold import IntegrationSpec, QuadratureError, integrate, integrate_with_error
-from statmanifold.quadrature import integrate_checked
+from statmanifold.quadrature import _CHUNK, hermite_block, integrate_checked
 
 
 def gaussian_1d(mu, sigma):
@@ -56,6 +56,63 @@ def test_chunked_4d_integration():
         return np.exp(-0.5 * np.sum(x**2, axis=0)) / (2 * np.pi) ** 2
 
     assert integrate(density, spec) == pytest.approx(1.0, abs=1e-10)
+
+
+COV_4D = np.array([
+    [2.0, 0.6, -0.4, 0.3],
+    [0.6, 1.5, 0.5, -0.2],
+    [-0.4, 0.5, 1.2, 0.4],
+    [0.3, -0.2, 0.4, 0.9],
+])
+MEAN_4D = np.array([0.7, -1.1, 0.9, 1.3])
+
+
+def mvn_density(mean, cov):
+    mean, cov = np.asarray(mean), np.asarray(cov)
+    norm = np.sqrt((2 * np.pi) ** len(mean) * np.linalg.det(cov))
+
+    def density(x):
+        d = x - mean[:, None]
+        return np.exp(-0.5 * np.sum(d * np.linalg.solve(cov, d), axis=0)) / norm
+
+    return density
+
+
+def test_chunked_correlated_rule_second_moments():
+    # 20^4 nodes exceed one block: 20 chunks of the cached 20^3-node block
+    assert 20**4 > _CHUNK and hermite_block(20, 4)[2].shape == (3, 20**3)
+    spec = IntegrationSpec.for_gaussian(MEAN_4D, COV_4D, order=20)
+    density = mvn_density(MEAN_4D, COV_4D)
+    f = lambda x: (density(x) * (x[:, None, :] * x[None, :, :]).reshape(16, -1)).T
+    moments = integrate(f, spec).reshape(4, 4)
+    np.testing.assert_allclose(moments, COV_4D + np.outer(MEAN_4D, MEAN_4D), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rule", ["gauss_hermite", "rectangle"])
+def test_chunked_2d_rule_matches_one_block(rule):
+    # 160^2 nodes are summed in chunks of 160; 64^2 fit in one block
+    assert 160**2 > _CHUNK >= 64**2
+    cov = COV_4D[:2, :2]
+    f = lambda x: mvn_density(MEAN_4D[:2], cov)(x) * np.cos(x[0]) * (1.0 + x[1] ** 2)
+    chunked = integrate(f, IntegrationSpec.axes(MEAN_4D[:2], [1.5, 1.3], order=160, rule=rule))
+    one_block = integrate(f, IntegrationSpec.for_gaussian(MEAN_4D[:2], cov, order=64))
+    assert chunked == pytest.approx(one_block, rel=1e-13)
+
+
+@pytest.mark.parametrize("order, dim", [(16, 2), (20, 4)])
+def test_cached_blocks_survive_in_place_integrands(order, dim):
+    assert not any(a.flags.writeable for a in hermite_block(order, dim))
+    spec = IntegrationSpec.for_gaussian(MEAN_4D[:dim], COV_4D[:dim, :dim], order=order)
+    f = lambda x: mvn_density(MEAN_4D[:dim], COV_4D[:dim, :dim])(x) * x[0] ** 2
+    before = integrate(f, spec)
+
+    def overwrites_nodes(x):
+        val = f(x)
+        x[:] = 1e3
+        return val
+
+    assert integrate(overwrites_nodes, spec) == before
+    assert integrate(f, spec) == before
 
 
 def test_error_estimate_small_for_smooth_gaussian():
