@@ -229,7 +229,7 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
     function.  With ``subtract_mean=True`` the canonical means are subtracted
     (beta^2 times the covariance of the energy gradient), which is the Fisher
     information of the normalized density for any Z(theta).  The two agree
-    whenever <dE/dtheta> = 0; use :func:`ce_fisher_metric_pair` to see both.
+    whenever <dE/dtheta> = 0.
 
     ``energy`` maps (phase points (2n, k), theta) to (k,); ``spec`` must cover
     the canonical density at theta.
@@ -266,13 +266,6 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
         means = integrate(lambda x: (weight(x) / z * grads(x)).T, spec)
         mat = mat - np.outer(means, means)
     return beta**2 * mat
-
-
-def ce_fisher_metric_pair(energy, theta, bath, spec, grad_theta=None):
-    """(raw second-moment form, mean-subtracted form) of the canonical Fisher matrix."""
-    raw = ce_fisher_metric(energy, theta, bath, spec, grad_theta, subtract_mean=False)
-    general = ce_fisher_metric(energy, theta, bath, spec, grad_theta, subtract_mean=True)
-    return raw, general
 
 
 def ce_upper_bound(h: QuadraticHamiltonian, bath: HeatBath, fs: TestFunctionSet,

@@ -8,8 +8,8 @@ Subcommands::
     goe             2x2 random-matrix ensemble report
     geodesic        geodesic trajectory with conservation diagnostic
 
-Common flags: --out PATH, --format csv|json, --tol FLOAT, --jobs INT,
---quad-order INT.  Flags override an optional key=value config file.  Output
+Common flags: --out PATH, --format csv|json, --tol FLOAT, --quad-order INT,
+--config FILE.  Flags override an optional key=value config file.  Output
 is CSV (17 significant digits) or JSON lines with identical field names.
 Exit codes: 0 success, 2 validation error, 3 tolerance breach, 4 I/O error.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,7 +28,11 @@ from .canonical import (
     oscillator_curvature,
     oscillator_mixing_trace,
 )
-from .ergodic import distinguishability_F_closed, distinguishability_F_numeric
+from .ergodic import (
+    distinguishability_F_closed,
+    distinguishability_F_numeric,
+    factorization_gap_2d,
+)
 from .manifold import (
     GeodesicState,
     MetricField,
@@ -42,9 +45,7 @@ from .models import (
     Correlated2DParams,
     correlated_2d_family,
     curvature_2d_closed,
-    marginals_2d,
     metric_2d_closed,
-    pdf_2d,
 )
 
 EXIT_OK = 0
@@ -84,13 +85,6 @@ def write_rows(rows, headers, out_path: str, fmt: str) -> None:
         fh.write(text)
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _linspace(start: float, stop: float, count: int) -> np.ndarray:
     if count < 2:
         raise ValidationError("count must be >= 2")
@@ -116,7 +110,7 @@ def cmd_f_curve(args) -> int:
             "abs_diff": abs(f_closed - f_numeric),
         }
 
-    rows = _parallel_map(row, rs, args.jobs)
+    rows = [row(r) for r in rs]
     write_rows(rows, ["r", "F_closed", "F_numeric", "abs_diff"], args.out, args.format)
     worst = max(row["abs_diff"] for row in rows)
     if worst > args.tol:
@@ -147,7 +141,7 @@ def cmd_curvature_scan(args) -> int:
         }
 
     points = [(s, r) for s in sigmas for r in rs]
-    rows = _parallel_map(row, points, args.jobs)
+    rows = [row(point) for point in points]
     write_rows(rows, ["sigma", "r", "R_closed", "R_numeric", "abs_diff"],
                args.out, args.format)
     worst = max(row["abs_diff"] for row in rows)
@@ -196,12 +190,10 @@ def cmd_goe(args) -> int:
         model = goe_model(args.mu, args.sigma, float(r), args.sigma)
         reduced = model.reduced
         # factorization error of the diagonal block against its marginals
-        p1, p2 = marginals_2d(reduced)
         grid = np.linspace(-4.0, 4.0, 41)
-        x = args.mu + grid * reduced.sigma
-        y = grid * reduced.sigma_y
-        X, Y = np.meshgrid(x, y, indexing="ij")
-        err = float(np.max(np.abs(pdf_2d(X, Y, reduced) - p1.pdf(X) * p2.pdf(Y))))
+        x, y = np.meshgrid(args.mu + grid * reduced.sigma, grid * reduced.sigma_y,
+                           indexing="ij", sparse=True)
+        err = float(np.max(factorization_gap_2d(reduced, x, y)))
         return {
             "r": float(r),
             "R": model.curvature(),
@@ -209,7 +201,7 @@ def cmd_goe(args) -> int:
             "note": "R_min" if r == 0.0 else "",
         }
 
-    rows = _parallel_map(row, rs, args.jobs)
+    rows = [row(r) for r in rs]
     write_rows(rows, ["r", "R", "factorization_error", "note"], args.out, args.format)
     return EXIT_OK
 
@@ -217,6 +209,8 @@ def cmd_goe(args) -> int:
 def cmd_geodesic(args) -> int:
     if args.step <= 0.0 or args.tau_end <= 0.0:
         raise ValidationError("step and tau-end must be positive")
+    if args.samples < 1:
+        raise ValidationError("samples must be >= 1")
     theta0 = np.asarray([float(v) for v in args.theta0.split(",")])
     v0 = np.asarray([float(v) for v in args.v0.split(",")])
     if theta0.shape != (2,) or v0.shape != (2,):
@@ -261,6 +255,11 @@ def cmd_geodesic(args) -> int:
         })
     write_rows(rows, ["tau", "theta1", "theta2", "v1", "v2", "speed", "speed_drift"],
                args.out, args.format)
+    if result.exited_domain:
+        raise ToleranceBreach(
+            f"trajectory left the domain at tau = {result.states[-1].tau:.17g} "
+            f"before tau-end = {args.tau_end:.17g}"
+        )
     worst = max(row["speed_drift"] for row in rows)
     if worst > args.tol:
         raise ToleranceBreach(f"speed drift {worst:.3e} > tol")
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--tol", type=float, default=None,
                         help="breach tolerance (default depends on the command)")
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--quad-order", type=int, default=64, dest="quad_order")
     common.add_argument("--config", default=None, help="optional key=value config file")
 

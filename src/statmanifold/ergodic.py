@@ -197,6 +197,46 @@ def distinguishability_F_closed(r: float) -> float:
     return a * (math.sqrt(1.0 - a * a) * (1.0 + a)) ** (-1.0 - 1.0 / a)
 
 
+def factorization_gap_2d(params: Correlated2DParams, x, y):
+    """|p(x, y) - p1(x) p2(y)| of the correlated model, broadcast over x and y."""
+    p1, p2 = marginals_2d(params)
+    return np.abs(pdf_2d(x, y, params) - p1.pdf(x) * p2.pdf(y))
+
+
+def _grid_zoom_max(objective: Callable, center, sds, coarse: int, zoom_points: int,
+                   zoom_rounds: int, half_width: float) -> float:
+    """Maximum of ``objective`` by a coarse grid scan and deterministic zoom.
+
+    ``objective(axes)`` returns its values on the ``ij`` grid of the 1-D
+    ``axes``.  The coarse scan spans ``center`` +- ``half_width`` ``sds`` with
+    ``coarse`` points per axis.  Each zoom round rescans ``zoom_points`` per
+    axis over +-h around the previous round's best point, starting from 1.5
+    coarse cells and shrinking h by 0.35 per round, until h < 1e-12 max(1, sd)
+    on every axis or ``zoom_rounds`` rounds are done.
+    """
+    center = np.asarray(center, dtype=float)
+    sds = np.asarray(sds, dtype=float)
+
+    def grid(lo, hi, n):
+        return [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+
+    def scan(axes):
+        vals = objective(axes)
+        k = np.unravel_index(np.argmax(vals), vals.shape)
+        return float(vals[k]), np.array([ax[i] for ax, i in zip(axes, k)])
+
+    axes = grid(center - half_width * sds, center + half_width * sds, coarse)
+    best, center = scan(axes)
+    h = np.array([(ax[1] - ax[0]) * 1.5 for ax in axes])
+    for _ in range(zoom_rounds):
+        val, center = scan(grid(center - h, center + h, zoom_points))
+        best = max(best, val)
+        h *= 0.35
+        if np.all(h < 1e-12 * np.maximum(1.0, sds)):
+            break
+    return best
+
+
 def distinguishability_F_numeric(params: Correlated2DParams,
                                  coarse_points: int = 241,
                                  half_width: float = 8.0,
@@ -213,31 +253,14 @@ def distinguishability_F_numeric(params: Correlated2DParams,
     central value 1/sqrt(1 - r^2) - 1, which is the actual supremum.
     """
     params.require_nondegenerate()
-    p1, p2 = marginals_2d(params)
     scale = 2.0 * math.pi * params.sigma_c**2
 
-    def objective(gx, gy):
-        X, Y = np.meshgrid(gx, gy, indexing="ij")
-        d = np.abs(pdf_2d(X, Y, params) - p1.pdf(X) * p2.pdf(Y)) * scale
-        k = np.unravel_index(np.argmax(d), d.shape)
-        return float(d[k]), float(X[k]), float(Y[k])
+    def objective(axes):
+        x, y = np.meshgrid(*axes, indexing="ij", sparse=True)
+        return factorization_gap_2d(params, x, y) * scale
 
-    sx, sy = params.sigma, params.sigma_y
-    gx = np.linspace(params.mu_x - half_width * sx, params.mu_x + half_width * sx, coarse_points)
-    gy = np.linspace(-half_width * sy, half_width * sy, coarse_points)
-    best, cx, cy = objective(gx, gy)
-    hx = (gx[1] - gx[0]) * 1.5
-    hy = (gy[1] - gy[0]) * 1.5
-    for _ in range(zoom_rounds):
-        gx = np.linspace(cx - hx, cx + hx, zoom_points)
-        gy = np.linspace(cy - hy, cy + hy, zoom_points)
-        val, cx, cy = objective(gx, gy)
-        best = max(best, val)
-        hx *= 0.35
-        hy *= 0.35
-        if hx < 1e-12 * max(1.0, sx) and hy < 1e-12 * max(1.0, sy):
-            break
-    return best
+    return _grid_zoom_max(objective, [params.mu_x, 0.0], [params.sigma, params.sigma_y],
+                          coarse_points, zoom_points, zoom_rounds, half_width)
 
 
 def correlation_upper_bound(F_value: float, fs: TestFunctionSet) -> float:
@@ -380,31 +403,17 @@ def mvn_distinguishability(g: MultivariateGaussian,
     coarse = coarse_points or (201 if dim <= 2 else 21)
     zoom_pts = 17 if dim <= 2 else 7
     marginals = [mvn_marginal(g, i) for i in range(dim)]
-    sds = np.sqrt(np.diag(g.covariance))
 
     def objective(axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([grid.ravel() for grid in grids])
-        diff = mvn_pdf(pts, g)
-        prod = np.ones(pts.shape[1])
-        for i, m in enumerate(marginals):
-            prod = prod * m.pdf(pts[i])
-        diff = diff - prod
-        k = int(np.argmax(diff))
-        return float(diff[k]), pts[:, k]
+        sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+        prod = 1.0
+        for m, x in zip(marginals, sparse):
+            prod = prod * m.pdf(x)
+        pts = np.stack(np.broadcast_arrays(*sparse)).reshape(dim, -1)
+        return mvn_pdf(pts, g).reshape(prod.shape) - prod
 
-    axes = [np.linspace(g.mean[i] - half_width * sds[i], g.mean[i] + half_width * sds[i], coarse)
-            for i in range(dim)]
-    best, center = objective(axes)
-    h = np.array([(a[1] - a[0]) * 1.5 for a in axes])
-    for _ in range(zoom_rounds):
-        axes = [np.linspace(center[i] - h[i], center[i] + h[i], zoom_pts) for i in range(dim)]
-        val, center = objective(axes)
-        best = max(best, val)
-        h *= 0.35
-        if np.all(h < 1e-12 * np.maximum(1.0, sds)):
-            break
-    return best
+    return _grid_zoom_max(objective, g.mean, np.sqrt(np.diag(g.covariance)),
+                          coarse, zoom_pts, zoom_rounds, half_width)
 
 
 def mvn_upper_bound(g: MultivariateGaussian, fs: TestFunctionSet, **kwargs) -> float:

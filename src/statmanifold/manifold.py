@@ -69,6 +69,15 @@ class ParameterDomain:
             return False
         return True
 
+    def require(self, theta, what: str) -> np.ndarray:
+        """``theta`` as a float array; :class:`DomainError` unless it lies in the domain."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.dim,):
+            raise DomainError(f"theta has shape {theta.shape}, expected ({self.dim},)")
+        if not self.contains(theta):
+            raise DomainError(f"theta {theta} outside the domain of {what}")
+        return theta
+
 
 @dataclass(frozen=True)
 class ModelFamily:
@@ -89,20 +98,10 @@ class ModelFamily:
     integration_spec: Callable[[np.ndarray], IntegrationSpec]
     name: str = ""
 
-    def require_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.macro_dim,):
-            raise DomainError(
-                f"theta has shape {theta.shape}, expected ({self.macro_dim},)"
-            )
-        if not self.domain.contains(theta):
-            raise DomainError(f"theta {theta} outside the domain of {self.name or 'model'}")
-        return theta
-
 
 def density_normalization(model: ModelFamily, theta, order: int | None = None) -> float:
     """Quadrature of p(.; theta) over the microspace (should be 1)."""
-    theta = model.require_theta(theta)
+    theta = model.domain.require(theta, model.name or "model")
     spec = model.integration_spec(theta)
     if order is not None:
         spec = spec.with_order(order)
@@ -118,7 +117,7 @@ def fisher_metric(model: ModelFamily, theta, order: int | None = None,
     :class:`NonPositiveDefiniteError` when the result is not positive
     definite, which signals an invalid model or insufficient quadrature.
     """
-    theta = model.require_theta(theta)
+    theta = model.domain.require(theta, model.name or "model")
     spec = model.integration_spec(theta)
     if order is not None:
         spec = spec.with_order(order)
@@ -176,14 +175,6 @@ class MetricField:
                       d1=None, d2=None, name: str = "") -> "MetricField":
         return cls(dim, func, domain or ParameterDomain.unbounded(dim), d1, d2, name)
 
-    def require_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise DomainError(f"theta has shape {theta.shape}, expected ({self.dim},)")
-        if not self.domain.contains(theta):
-            raise DomainError(f"theta {theta} outside the metric field domain")
-        return theta
-
 
 def _fd_steps(theta: np.ndarray) -> np.ndarray:
     return np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(theta))
@@ -229,7 +220,7 @@ def metric_derivatives(field: MetricField, theta, order: int):
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    theta = field.require_theta(theta)
+    theta = field.domain.require(theta, "the metric field")
     m = field.dim
     if order == 1 and field.d1 is not None:
         return np.asarray(field.d1(theta), dtype=float)
@@ -286,7 +277,7 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 def christoffel(field: MetricField, theta) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[k, i, j], symmetric in (i, j)."""
-    theta = field.require_theta(theta)
+    theta = field.domain.require(theta, "the metric field")
     g = field(theta)
     gi = inverse_metric(g)
     d1 = metric_derivatives(field, theta, 1)
@@ -301,7 +292,7 @@ def christoffel(field: MetricField, theta) -> np.ndarray:
 
 def riemann(field: MetricField, theta) -> np.ndarray:
     """Covariant curvature tensor R[i, k, l, m]."""
-    theta = field.require_theta(theta)
+    theta = field.domain.require(theta, "the metric field")
     g = field(theta)
     gam = christoffel(field, theta)
     d2 = metric_derivatives(field, theta, 2)
@@ -319,14 +310,14 @@ def riemann(field: MetricField, theta) -> np.ndarray:
 
 def ricci(field: MetricField, theta) -> np.ndarray:
     """Ricci tensor R_ik = g^{lm} R_{limk}."""
-    theta = field.require_theta(theta)
+    theta = field.domain.require(theta, "the metric field")
     gi = inverse_metric(field(theta))
     return np.einsum("lm,limk->ik", gi, riemann(field, theta))
 
 
 def scalar_curvature(field: MetricField, theta) -> float:
     """Scalar curvature R = g^{ik} R_ik."""
-    theta = field.require_theta(theta)
+    theta = field.domain.require(theta, "the metric field")
     gi = inverse_metric(field(theta))
     return float(np.einsum("ik,ik->", gi, ricci(field, theta)))
 
@@ -343,7 +334,7 @@ class GeometryReport:
 
 
 def geometry_report(field: MetricField, theta) -> GeometryReport:
-    theta = field.require_theta(theta)
+    theta = field.domain.require(theta, "the metric field")
     gam = christoffel(field, theta)
     rie = riemann(field, theta)
     gi = inverse_metric(field(theta))
@@ -383,7 +374,7 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    pos = field.require_theta(init.position)
+    pos = field.domain.require(init.position, "the metric field")
     vel = np.asarray(init.velocity, dtype=float)
     tau = float(init.tau)
 

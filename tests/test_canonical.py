@@ -17,7 +17,6 @@ from statmanifold import (
     canonical_covariance_quadrature,
     canonical_to_gaussian,
     ce_fisher_metric,
-    ce_fisher_metric_pair,
     ce_upper_bound,
     covariance_hessian_law,
     curvature_2d_closed,
@@ -178,7 +177,8 @@ def test_ce_fisher_oscillator_equilibrium_parameter():
     g = ce_fisher_metric(energy, [0.0], bath, spec)
     assert g[0, 0] == pytest.approx(bath.beta * m_ * w**2, rel=1e-6)
     # Z is independent of q0, so the mean-subtracted form agrees
-    raw, general = ce_fisher_metric_pair(energy, [0.0], bath, spec)
+    raw = ce_fisher_metric(energy, [0.0], bath, spec, subtract_mean=False)
+    general = ce_fisher_metric(energy, [0.0], bath, spec, subtract_mean=True)
     assert raw == pytest.approx(general, rel=1e-8)
 
 
@@ -193,7 +193,8 @@ def test_ce_fisher_forms_differ_for_theta_dependent_partition():
 
     scales = [math.sqrt(1.0 / (2.0 * theta0)), 1.0]
     spec = IntegrationSpec.axes([0.0, 0.0], scales, 64)
-    raw, general = ce_fisher_metric_pair(energy, [theta0], bath, spec)
+    raw = ce_fisher_metric(energy, [theta0], bath, spec, subtract_mean=False)
+    general = ce_fisher_metric(energy, [theta0], bath, spec, subtract_mean=True)
     assert raw[0, 0] == pytest.approx(3.0 / (4.0 * theta0**2), rel=1e-6)
     assert general[0, 0] == pytest.approx(1.0 / (2.0 * theta0**2), rel=1e-6)
     assert raw[0, 0] > general[0, 0]

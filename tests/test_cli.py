@@ -160,6 +160,12 @@ def test_goe_command(tmp_path):
     assert float(rows[0]["factorization_error"]) < 1e-12
     curvatures = [float(row["R"]) for row in rows]
     assert all(b > a for a, b in zip(curvatures, curvatures[1:]))
+    # factorization error recorded before the grid used the shared gap helper
+    out2 = tmp_path / "goe2.csv"
+    assert main(["goe", "--out", str(out2), "--r-start", "0.3", "--r-stop", "0.6",
+                 "--r-count", "2", "--mu", "0.4", "--sigma", "1.3"]) == EXIT_OK
+    err = float(read_csv(str(out2))[0]["factorization_error"])
+    assert err == pytest.approx(0.011099752247325158, rel=1e-12, abs=0.0)
 
 
 def test_geodesic_flat(tmp_path):
@@ -189,6 +195,20 @@ def test_geodesic_validation(tmp_path):
     assert main(["geodesic", "--theta0", "0,-1", "--v0", "0,1"]) == EXIT_VALIDATION
     assert main(["geodesic", "--theta0", "0,1", "--v0", "1", "--flat"]) == EXIT_VALIDATION
     assert main(["geodesic", "--step", "-1", "--flat"]) == EXIT_VALIDATION
+    assert main(["geodesic", "--samples", "0", "--flat"]) == EXIT_VALIDATION
+
+
+def test_geodesic_leaving_the_domain_is_a_breach(tmp_path, capsys):
+    # the first step crosses sigma = 0, so tau-end is never reached
+    out = tmp_path / "geo.csv"
+    code = main(["geodesic", "--out", str(out), "--theta0=0,0.5", "--v0=0,-1000",
+                 "--step", "0.01"])
+    assert code == EXIT_TOLERANCE
+    rows = read_csv(str(out))  # rows up to the exit are still written
+    assert [float(row["tau"]) for row in rows] == [0.0]
+    err = capsys.readouterr().err
+    assert "left the domain at tau = 0 " in err
+    assert "tau-end = 1" in err
 
 
 def test_deterministic_output(tmp_path):
@@ -196,14 +216,6 @@ def test_deterministic_output(tmp_path):
     args = ["f-curve", "--r-start", "-0.8", "--r-stop", "0.8", "--r-count", "9"]
     assert main(args + ["--out", str(a)]) == EXIT_OK
     assert main(args + ["--out", str(b)]) == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_parallel_matches_serial(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["curvature-scan", "--sigma-count", "2", "--r-count", "3"]
-    assert main(args + ["--out", str(a), "--jobs", "1"]) == EXIT_OK
-    assert main(args + ["--out", str(b), "--jobs", "4"]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -221,6 +233,8 @@ def test_config_file_precedence(tmp_path):
     # unknown keys and missing files are rejected
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense = 1\n")
+    assert main(["f-curve", "--config", str(bad)]) == EXIT_VALIDATION
+    bad.write_text("jobs = 2\n")
     assert main(["f-curve", "--config", str(bad)]) == EXIT_VALIDATION
     assert main(["f-curve", "--config", str(tmp_path / "nope.txt")]) == EXIT_IO
 

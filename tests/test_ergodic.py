@@ -205,6 +205,16 @@ def test_F_numeric_independent_of_location_scale_and_constraint():
     assert max(vals) - min(vals) < 1e-6
 
 
+# grid-and-zoom results recorded before the two maximizers shared one loop;
+# a changed grid, zoom rule or objective moves them far beyond 1e-12
+@pytest.mark.parametrize("params, expected", [
+    (Correlated2DParams(0.7, 1.3, 0.5, 0.6), 0.22808899523540793),
+    (Correlated2DParams(-1.2, 0.4, 0.9, 1.7), 1.294157338705618),
+])
+def test_F_numeric_pinned_on_both_branches(params, expected):
+    assert distinguishability_F_numeric(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_F_numeric_degenerate():
     with pytest.raises(DegenerateCorrelationError):
         distinguishability_F_numeric(Correlated2DParams(0.0, 1.0, 1.0, 1.0))
@@ -324,6 +334,27 @@ def test_mvn_reduces_to_2d_model_bound():
     r = 0.5
     g = MultivariateGaussian(np.zeros(2), np.array([[1.0, r], [r, 1.0]]))
     assert mvn_distinguishability(g) == pytest.approx(F_CLOSED_05 / (2 * np.pi), rel=1e-9)
+
+
+def _permuted_4d_gaussian():
+    # two correlated pairs, (0, 2) and (1, 3), with the coordinates permuted
+    sd = np.array([1.5, 0.8, 2.0, 1.1])
+    corr = np.eye(4)
+    corr[0, 2] = corr[2, 0] = 0.6
+    corr[1, 3] = corr[3, 1] = -0.3
+    perm = [2, 0, 3, 1]
+    cov = (corr * np.outer(sd, sd))[np.ix_(perm, perm)]
+    return MultivariateGaussian(np.array([0.5, -1.0, 0.0, 2.0]), cov)
+
+
+@pytest.mark.parametrize("make, expected", [
+    (_permuted_4d_gaussian, 0.0033799152550723875),
+    (lambda: MultivariateGaussian(np.array([0.3, -0.4]),
+                                  np.array([[2.0, -0.9], [-0.9, 0.7]])),
+     0.07509451736970864),
+])
+def test_mvn_distinguishability_pinned(make, expected):
+    assert mvn_distinguishability(make()) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_mvn_bound_dominates_correlation():
