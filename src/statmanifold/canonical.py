@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     NonPositiveDefiniteError,
     NonSmoothEnergyError,
+    NumericalError,
     TemperatureRangeError,
 )
 from .ergodic import (
@@ -444,7 +445,7 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
         prefactor = 2.0 * math.pi * params.sigma_c**2
         atol = 1e-12 * max(1.0, fs.product_l1)
         if abs(values[k]) > envelope[k] + atol and prefactor >= 1.0:
-            raise RuntimeError(
+            raise NumericalError(
                 f"correlation {values[k]:.3e} exceeds its envelope {envelope[k]:.3e}"
             )
     trace = CorrelationTrace(taus, values, meta=f"oscillator pair, T schedule of {temps.size}")

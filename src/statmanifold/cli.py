@@ -11,7 +11,8 @@ Subcommands::
 Common flags: --out PATH, --format csv|json, --tol FLOAT, --quad-order INT,
 --config FILE.  Flags override an optional key=value config file.  Output
 is CSV (17 significant digits) or JSON lines with identical field names.
-Exit codes: 0 success, 2 validation error, 3 tolerance breach, 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 tolerance breach or numerical
+failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .ergodic import (
     distinguishability_F_numeric,
     factorization_gap_2d,
 )
+from .errors import NumericalError
 from .manifold import (
     GeodesicState,
     MetricField,
@@ -256,9 +258,10 @@ def cmd_geodesic(args) -> int:
     write_rows(rows, ["tau", "theta1", "theta2", "v1", "v2", "speed", "speed_drift"],
                args.out, args.format)
     if result.exited_domain:
+        what = {"left_domain": "trajectory", "stencil_left_domain": "finite-difference stencil"}
         raise ToleranceBreach(
-            f"trajectory left the domain at tau = {result.states[-1].tau:.17g} "
-            f"before tau-end = {args.tau_end:.17g}"
+            f"{what[result.exit_reason]} left the domain at tau = {result.states[-1].tau:.17g} "
+            f"before tau-end = {args.tau_end:.17g} ({result.exit_reason})"
         )
     worst = max(row["speed_drift"] for row in rows)
     if worst > args.tol:
@@ -400,6 +403,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ToleranceBreach as exc:
         print(f"tolerance breach: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except NumericalError as exc:
+        print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -6,13 +6,19 @@ class DomainError(ValueError):
     stencil around it would leave the domain."""
 
 
-class QuadratureError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numeric result failed its own check.  QuadratureError,
+    SingularMetricError and NonSmoothEnergyError derive from it; it is raised
+    as is when a correlation exceeds its envelope."""
+
+
+class QuadratureError(NumericalError):
     """Quadrature failed to converge: the error estimate obtained by comparing
     two rule orders exceeds the requested tolerance, or a consistency
     spot-check (normalization) failed."""
 
 
-class SingularMetricError(RuntimeError):
+class SingularMetricError(NumericalError):
     """Metric is singular or too ill-conditioned to invert (cond > 1e12)."""
 
 
@@ -30,6 +36,6 @@ class TemperatureRangeError(ValueError):
     (e.g. T > T0 for the oscillator reduction, or T = T0 where tau diverges)."""
 
 
-class NonSmoothEnergyError(RuntimeError):
+class NonSmoothEnergyError(NumericalError):
     """Independent finite-difference stencils for the energy Hessian disagree,
     which signals a non-smooth energy function."""

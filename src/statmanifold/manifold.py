@@ -56,17 +56,17 @@ class ParameterDomain:
         return cls(dim)
 
     def contains(self, theta) -> bool:
+        """Whether ``theta``, one point (dim,) or every row of a (k, dim) batch, lies inside."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
             return False
-        if not np.all(np.isfinite(theta)):
+        lower = -np.inf if self.lower is None else self.lower
+        upper = np.inf if self.upper is None else self.upper
+        # NaN and ±inf fail the strict comparisons: this is the finiteness test too
+        if not ((lower < theta) & (theta < upper)).all():
             return False
-        if self.lower is not None and np.any(theta <= self.lower):
-            return False
-        if self.upper is not None and np.any(theta >= self.upper):
-            return False
-        if self.predicate is not None and not self.predicate(theta):
-            return False
+        if self.predicate is not None:
+            return all(self.predicate(row) for row in theta.reshape(-1, self.dim))
         return True
 
     def require(self, theta, what: str) -> np.ndarray:
@@ -131,13 +131,9 @@ def fisher_metric(model: ModelFamily, theta, order: int | None = None,
 
     vals, err = integrate_checked(integrand, spec, quad_tol)
     g = np.zeros((m, m))
-    g[iu] = vals
-    g = np.triu(g) + np.triu(g, 1).T
-    g = 0.5 * (g + g.T)
+    g[iu] = g[iu[1], iu[0]] = vals
     if np.min(np.linalg.eigvalsh(g)) <= 0.0:
-        raise NonPositiveDefiniteError(
-            f"Fisher metric at theta={theta} is not positive definite"
-        )
+        raise NonPositiveDefiniteError(f"Fisher metric at theta={theta} is not positive definite")
     if with_error:
         return g, err
     return g
@@ -180,34 +176,40 @@ def _fd_steps(theta: np.ndarray) -> np.ndarray:
     return np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(theta))
 
 
-def _check_stencil(field: MetricField, theta: np.ndarray, h: np.ndarray, order: int) -> None:
-    """Raise :class:`DomainError` unless the whole stencil lies in the domain.
+def _axis_points(theta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows 2k and 2k+1 are theta + h_k e_k and theta - h_k e_k."""
+    m = theta.shape[0]
+    points = np.empty((2 * m, m))
+    points[:] = theta
+    flat = points.reshape(-1)  # row 2k holds entry k at k(2m+1), row 2k+1 at m + k(2m+1)
+    flat[::2 * m + 1] += h
+    flat[m::2 * m + 1] -= h
+    return points
 
-    Axis points are checked out to ``±order·h``; order 2 also evaluates the
-    mixed corners ``theta ± h_k e_k ± h_l e_l``, which are checked too.
+
+def _check_stencil(field: MetricField, theta: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+    """The stencil as one (k, m) array; :class:`DomainError` unless it lies in the domain.
+
+    The first 2m rows are the axis points ``theta ± h_k e_k``.  Order 2 adds
+    the axis points ``theta ± 2h_k e_k``, so axis points are checked out to
+    ``±order·h``, and then the mixed corners ``theta ± h_k e_k ± h_l e_l`` for
+    k < l (signs ++, +-, -+, --).  One ``contains`` call covers every row.
     """
     m = theta.shape[0]
-    for k in range(m):
-        for s in (-1.0, 1.0):
-            probe = theta.copy()
-            probe[k] += s * order * h[k]
-            if not field.domain.contains(probe):
-                raise DomainError(
-                    f"finite-difference stencil exits the domain at coordinate {k}"
-                )
+    points = _axis_points(theta, h)
     if order == 2:
-        for k in range(m):
-            for l in range(k + 1, m):
-                for sk in (1.0, -1.0):
-                    for sl in (1.0, -1.0):
-                        probe = theta.copy()
-                        probe[k] += sk * h[k]
-                        probe[l] += sl * h[l]
-                        if not field.domain.contains(probe):
-                            raise DomainError(
-                                "finite-difference stencil exits the domain at the "
-                                f"corner of coordinates {k} and {l}"
-                            )
+        pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
+        signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        corners = np.repeat(theta[None, :], 4 * len(pairs), axis=0)
+        for i, kl in enumerate(pairs):
+            corners[4 * i:4 * i + 4, kl] += signs * h[list(kl)]
+        points = np.concatenate([points, _axis_points(theta, 2.0 * h), corners])
+    if field.domain.contains(points):
+        return points
+    i = next(i for i, row in enumerate(points) if not field.domain.contains(row))
+    where = (f"coordinate {i % (2 * m) // 2}" if i < 4 * m
+             else "the corner of coordinates {} and {}".format(*pairs[(i - 4 * m) // 4]))
+    raise DomainError(f"finite-difference stencil exits the domain at {where}")
 
 
 def metric_derivatives(field: MetricField, theta, order: int):
@@ -228,51 +230,34 @@ def metric_derivatives(field: MetricField, theta, order: int):
         return np.asarray(field.d2(theta), dtype=float)
 
     h = _fd_steps(theta)
-    if np.any(h <= 0.0) or np.any(~np.isfinite(h)):
-        raise DomainError("finite-difference step underflow")
-    _check_stencil(field, theta, h, order)
-
+    points = _check_stencil(field, theta, h, order)
     if order == 1:
         d1 = np.zeros((m, m, m))
         for k in range(m):
-            tp, tm = theta.copy(), theta.copy()
-            tp[k] += h[k]
-            tm[k] -= h[k]
-            d1[:, :, k] = (field(tp) - field(tm)) / (2.0 * h[k])
+            d1[:, :, k] = (field(points[2 * k]) - field(points[2 * k + 1])) / (2.0 * h[k])
         return d1
 
     g0 = field(theta)
     d2 = np.zeros((m, m, m, m))
+    i = 4 * m  # the first corner row
     for k in range(m):
-        tp, tm = theta.copy(), theta.copy()
-        tp[k] += h[k]
-        tm[k] -= h[k]
-        d2[:, :, k, k] = (field(tp) - 2.0 * g0 + field(tm)) / h[k] ** 2
+        d2[:, :, k, k] = (field(points[2 * k]) - 2.0 * g0 + field(points[2 * k + 1])) / h[k] ** 2
         for l in range(k + 1, m):
-            corners = {}
-            for sk in (1.0, -1.0):
-                for sl in (1.0, -1.0):
-                    t = theta.copy()
-                    t[k] += sk * h[k]
-                    t[l] += sl * h[l]
-                    corners[(sk, sl)] = field(t)
-            mixed = (corners[(1, 1)] - corners[(1, -1)] - corners[(-1, 1)]
-                     + corners[(-1, -1)]) / (4.0 * h[k] * h[l])
-            d2[:, :, k, l] = mixed
-            d2[:, :, l, k] = mixed
+            pp, pm, mp, mm = (field(p) for p in points[i:i + 4])
+            d2[:, :, k, l] = d2[:, :, l, k] = (pp - pm - mp + mm) / (4.0 * h[k] * h[l])
+            i += 4
     return d2
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite metric with conditioning guard."""
-    eig = np.linalg.eigvalsh(g)
+    eig, vecs = np.linalg.eigh(g)
     if eig[0] <= 0.0:
         raise SingularMetricError("metric is not positive definite")
-    if eig[-1] / eig[0] > COND_LIMIT:
-        raise SingularMetricError(
-            f"metric condition number {eig[-1] / eig[0]:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    return np.linalg.inv(g)
+    cond = eig[-1] / eig[0]
+    if cond > COND_LIMIT:
+        raise SingularMetricError(f"metric condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    return (vecs / eig) @ vecs.T
 
 
 def christoffel(field: MetricField, theta) -> np.ndarray:
@@ -354,8 +339,18 @@ class GeodesicState:
 
 @dataclass(frozen=True)
 class GeodesicResult:
+    """Geodesic states and why integration stopped.
+
+    ``exit_reason`` is ``"completed"``, ``"left_domain"`` (a step or a stage
+    left the domain) or ``"stencil_left_domain"`` (a stage's stencil did).
+    """
+
     states: tuple
-    exited_domain: bool
+    exit_reason: str
+
+    @property
+    def exited_domain(self) -> bool:
+        return self.exit_reason != "completed"
 
 
 def metric_speed(field: MetricField, state: GeodesicState) -> float:
@@ -368,17 +363,20 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
                        step: float) -> GeodesicResult:
     """Integrate the geodesic system with a fixed-step 4th-order scheme.
 
-    Terminates early (``exited_domain`` flag set) if the trajectory leaves the
-    parameter domain; a singular metric on the path raises
-    :class:`SingularMetricError`.
+    Terminates early, with the ``exit_reason`` of :class:`GeodesicResult`, if
+    the trajectory or a stencil around it leaves the parameter domain; a
+    singular metric on the path raises :class:`SingularMetricError`.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     pos = field.domain.require(init.position, "the metric field")
     vel = np.asarray(init.velocity, dtype=float)
     tau = float(init.tau)
+    stage = pos  # the point of the last rhs call, to tell the two domain exits apart
 
     def rhs(p, v):
+        nonlocal stage
+        stage = p
         gam = christoffel(field, p)
         return v, -np.einsum("kij,i,j->k", gam, v, v)
 
@@ -394,12 +392,12 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
             k3p, k3v = rhs(pos + 0.5 * h * k2p, vel + 0.5 * h * k2v)
             k4p, k4v = rhs(pos + h * k3p, vel + h * k3v)
         except DomainError:
-            # an intermediate stage probed outside the domain
-            return GeodesicResult(tuple(states), True)
+            inside = field.domain.contains(stage)
+            return GeodesicResult(tuple(states), "stencil_left_domain" if inside else "left_domain")
         pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         tau += h
         if not field.domain.contains(pos):
-            return GeodesicResult(tuple(states), True)
+            return GeodesicResult(tuple(states), "left_domain")
         states.append(GeodesicState(pos.copy(), vel.copy(), tau))
-    return GeodesicResult(tuple(states), False)
+    return GeodesicResult(tuple(states), "completed")

@@ -116,7 +116,7 @@ def metric_2d_closed(params: Correlated2DParams) -> np.ndarray:
     """Closed-form Fisher metric diag(1, 4) / (sigma^2 (1 - r^2))."""
     params.require_nondegenerate()
     denom = params.sigma**2 * (1.0 - params.r**2)
-    return np.diag([1.0 / denom, 4.0 / denom])
+    return np.array([[1.0 / denom, 0.0], [0.0, 4.0 / denom]])
 
 
 def christoffel_2d_closed(sigma: float) -> np.ndarray:

@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from statmanifold import cli
 from statmanifold.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
+from statmanifold.errors import (
+    NonSmoothEnergyError,
+    NumericalError,
+    QuadratureError,
+    SingularMetricError,
+)
 
 
 def read_csv(path):
@@ -209,6 +216,45 @@ def test_geodesic_leaving_the_domain_is_a_breach(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "left the domain at tau = 0 " in err
     assert "tau-end = 1" in err
+    assert "(left_domain)" in err
+
+
+def test_geodesic_stencil_leaving_the_domain_is_a_breach(tmp_path, capsys):
+    # sigma0 = 5e-6 lies inside the half-plane, but its stencil reaches sigma0 - 1e-5
+    out = tmp_path / "geo.csv"
+    code = main(["geodesic", "--out", str(out), "--theta0=0,5e-6", "--v0=0,1"])
+    assert code == EXIT_TOLERANCE
+    assert [float(row["tau"]) for row in read_csv(str(out))] == [0.0]
+    err = capsys.readouterr().err
+    assert err.startswith("tolerance breach: finite-difference stencil left the domain at tau = 0 ")
+    assert err.rstrip().endswith("(stencil_left_domain)")
+
+
+def test_quadrature_failure_exits_3(capsys):
+    code = main(["curvature-scan", "--sigma-start", "1e-5", "--sigma-stop", "2e-5",
+                 "--sigma-count", "2", "--r-start", "0", "--r-stop", "0.5", "--r-count", "2"])
+    assert code == EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure (QuadratureError): ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error,argv,target", [
+    (SingularMetricError("metric condition number 1e+13 exceeds 1e+12"),
+     ["curvature-scan", "--sigma-count", "2", "--r-count", "2"], "scalar_curvature"),
+    (NonSmoothEnergyError("Hessian stencils disagree at (0, 1)"),
+     ["oscillator", "--steps", "3"], "oscillator_mixing_trace"),
+    (NumericalError("correlation 1.000e-03 exceeds its envelope 1.000e-04"),
+     ["oscillator", "--steps", "3"], "oscillator_mixing_trace"),
+], ids=["SingularMetricError", "NonSmoothEnergyError", "NumericalError"])
+def test_library_errors_exit_3(monkeypatch, capsys, error, argv, target):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    assert main(argv) == EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    assert err == f"numerical failure ({type(error).__name__}): {error}\n"
 
 
 def test_deterministic_output(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statmanifold import (
     Correlated2DParams,
@@ -125,6 +126,39 @@ def test_analytic_derivative_override():
     assert np.array_equal(metric_derivatives(field, [0.0, 0.0], 1), marker)
 
 
+def _in_disc(theta):
+    # a predicate is called with one point at a time, also for a batch
+    assert theta.shape == (3,)
+    return theta[0] ** 2 + theta[1] ** 2 < 1.0
+
+
+DOMAINS = {
+    "box": ParameterDomain.box([-1.0, 0.0, -np.inf], [1.0, np.inf, 2.0]),
+    "predicate": ParameterDomain.from_predicate(3, _in_disc),
+    "box and predicate": ParameterDomain(3, np.array([-1.0, 0.0, -np.inf]),
+                                         np.array([1.0, np.inf, 2.0]), _in_disc),
+    "unbounded": ParameterDomain.unbounded(3),
+}
+COORDINATES = st.one_of(st.floats(-3.0, 3.0),
+                        st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1.0, 2.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(DOMAINS)),
+       st.lists(st.lists(COORDINATES, min_size=3, max_size=3), min_size=0, max_size=6))
+def test_contains_batch_equals_every_row(name, rows):
+    domain = DOMAINS[name]
+    batch = np.array(rows, dtype=float).reshape(len(rows), 3)
+    assert domain.contains(batch) == all(domain.contains(row) for row in batch)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (4,), (3, 2), (3, 4), (2, 2, 3), (1, 1, 3)])
+def test_contains_rejects_wrong_shapes(shape):
+    for domain in DOMAINS.values():
+        assert not domain.contains(np.full(shape, 0.5))
+    assert DOMAINS["box"].contains(np.full((2, 3), 0.5))
+
+
 def test_stencil_domain_check():
     field = closed_form_field(0.0)
     with pytest.raises(DomainError):
@@ -181,6 +215,42 @@ def test_christoffel_closed_model_sigma2():
 def test_christoffel_torsion_free_symmetry():
     gam = christoffel(closed_form_field(0.4), [0.7, 1.3])
     assert np.abs(gam - gam.transpose(0, 2, 1)).max() < 1e-10
+
+
+def _spd(dim, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eig = 10.0 ** np.linspace(0.0, log_cond, dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+    g = (q * eig) @ q.T
+    return 0.5 * (g + g.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), st.floats(0.0, 10.0), st.integers(0, 2**32 - 1))
+def test_inverse_metric_matches_inv(dim, log_cond, seed):
+    g = _spd(dim, log_cond, seed)
+    expected = np.linalg.inv(g)
+    bound = 100.0 * np.linalg.cond(g) * np.finfo(float).eps * np.abs(expected).max()
+    assert np.abs(inverse_metric(g) - expected).max() <= bound
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_inverse_metric_rejects_ill_conditioned_and_indefinite(dim):
+    with pytest.raises(SingularMetricError, match="condition number"):
+        inverse_metric(_spd(dim, 12.5, dim))
+    q, _ = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))
+    for smallest in (-1e-3, -1.0):
+        eig = np.linspace(1.0, 2.0, dim)
+        eig[0] = smallest
+        with pytest.raises(SingularMetricError, match="not positive definite"):
+            inverse_metric((q * eig) @ q.T)
+    # rotated, a zero eigenvalue rounds to either sign: one message or the other
+    eig = np.linspace(1.0, 2.0, dim)
+    eig[0] = 0.0
+    with pytest.raises(SingularMetricError):
+        inverse_metric((q * eig) @ q.T)
+    with pytest.raises(SingularMetricError, match="not positive definite"):
+        inverse_metric(np.diag(eig))
 
 
 def test_singular_metric_rejected():
@@ -256,7 +326,7 @@ def test_geodesic_flat_metric_is_straight_line():
     field = MetricField.from_function(2, lambda th: np.eye(2))
     init = GeodesicState(np.array([1.0, -2.0]), np.array([0.5, 2.0]), 0.0)
     res = geodesic_integrate(field, init, 2.0, 0.01)
-    assert not res.exited_domain
+    assert not res.exited_domain and res.exit_reason == "completed"
     end = res.states[-1]
     assert end.tau == pytest.approx(2.0)
     assert end.position == pytest.approx([2.0, 2.0], abs=1e-10)
@@ -288,6 +358,52 @@ def test_geodesic_reports_domain_exit():
     res = geodesic_integrate(field, init, 5.0, 0.01)
     assert res.exited_domain
     assert res.states[-1].position[0] < 1.0
+
+
+def test_geodesic_exit_reasons():
+    box = ParameterDomain.box([-1.0, -1.0], [1.0, 1.0])
+    field = MetricField.from_function(2, lambda th: np.eye(2), domain=box)
+    # the start lies inside, but its stencil reaches 1 - 5e-6 + 1e-5
+    start = GeodesicState(np.array([1.0 - 5e-6, 0.0]), np.array([-1.0, 0.0]), 0.0)
+    res = geodesic_integrate(field, start, 1.0, 0.01)
+    assert res.exit_reason == "stencil_left_domain" and res.exited_domain
+    assert len(res.states) == 1
+    # the second stage of the first step lands on the boundary x = 1
+    res = geodesic_integrate(field, GeodesicState(np.zeros(2), np.array([20.0, 0.0]), 0.0), 1.0, 0.1)
+    assert res.exit_reason == "left_domain" and res.exited_domain
+    assert len(res.states) == 1
+
+
+def half_plane_geodesic(r, theta0, v0, taus):
+    """Closed-form geodesic of the correlated metric through theta0 with velocity v0.
+
+    With u = mu_x / 2 the metric is 4 (du^2 + dsigma^2) / (sigma^2 (1 - r^2)),
+    a Poincare half-plane scaled by 4 / (1 - r^2).  A geodesic that is not
+    vertical is the semicircle u = c + rho tanh s, sigma = rho / cosh s, run at
+    the hyperbolic speed omega = sqrt(v.g.v (1 - r^2) / 4): s = s0 ± omega tau.
+    """
+    u0, sigma0 = theta0[0] / 2.0, theta0[1]
+    du, dsigma = v0[0] / 2.0, v0[1]
+    g = metric_2d_closed(Correlated2DParams(theta0[0], sigma0, r, 1.0))
+    omega = np.sqrt(v0 @ g @ v0 * (1.0 - r * r) / 4.0)
+    c = u0 + sigma0 * dsigma / du  # the radius through theta0 is normal to v0
+    rho = np.hypot(u0 - c, sigma0)
+    s = np.arctanh((u0 - c) / rho) + np.sign(du) * omega * taus
+    return np.stack([2.0 * (c + rho * np.tanh(s)), rho / np.cosh(s)], axis=1)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("sigma0", [0.2, 1.0, 1e3])
+def test_geodesic_positions_match_closed_form(sigma0, sign):
+    r = 0.3
+    theta0 = np.array([0.0, sigma0])
+    v0 = sign * sigma0 * np.array([0.4, 0.2])
+    res = geodesic_integrate(closed_form_field(r), GeodesicState(theta0, v0, 0.0), 2.0, 1e-2)
+    assert res.exit_reason == "completed"
+    taus = np.array([state.tau for state in res.states])
+    positions = np.array([state.position for state in res.states])
+    assert taus[-1] == pytest.approx(2.0)
+    assert np.abs(positions - half_plane_geodesic(r, theta0, v0, taus)).max() <= 1e-8 * sigma0
 
 
 def test_geodesic_rejects_bad_step():
