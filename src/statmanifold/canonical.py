@@ -38,7 +38,6 @@ from .ergodic import (
     TestFunctionSet,
     classify,
     correlation_upper_bound,
-    distinguishability_F_closed,
     ig_correlation_2d,
     mvn_upper_bound,
 )
@@ -396,8 +395,8 @@ class OscillatorTraceResult:
     trace: CorrelationTrace
     classification: IgehClass
     r_eff: np.ndarray
-    envelope: np.ndarray          # F(r_eff) * ||f1 f2||_1 per sample
-    small_r_envelope: np.ndarray  # |r_eff| * ||f1 f2||_1 per sample
+    envelope: np.ndarray          # F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1 per sample
+    small_r_envelope: np.ndarray  # |r_eff| / (2 pi sigma_c^2) * ||f1 f2||_1 per sample
 
 
 def default_oscillator_test_functions(o: OscillatorPair, width: float = 1.0) -> TestFunctionSet:
@@ -413,8 +412,10 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
 
     tau follows 1/(1 - T/T0) when the schedule is strictly increasing and
     stays below T0; otherwise (constant schedules, or schedules touching T0
-    where tau diverges) the sample index is used as tau.  The trace is
-    classified and checked against the F(r_eff) * ||f1 f2||_1 envelope.
+    where tau diverges) the sample index is used as tau.  Bump correlations
+    are exact; ``order`` applies only to other test functions.  The trace is
+    classified and checked against the envelope
+    F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1.
     """
     temps = np.asarray(list(T_schedule), dtype=float)
     if temps.size < 1:
@@ -439,19 +440,18 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
         params = oscillator_reduce(o, HeatBath(t, kB))
         r_eff[k] = params.r
         values[k] = ig_correlation_2d(params, fs, order=order)
-        envelope[k] = correlation_upper_bound(distinguishability_F_closed(params.r), fs)
-        # the bound holds whenever its prefactor normalization is conservative;
-        # the atol absorbs quadrature noise at r_eff = 0 where the bound is 0
-        prefactor = 2.0 * math.pi * params.sigma_c**2
+        envelope[k] = correlation_upper_bound(params, fs)
+        # the atol absorbs rounding at r_eff = 0, where the bound is 0
         atol = 1e-12 * max(1.0, fs.product_l1)
-        if abs(values[k]) > envelope[k] + atol and prefactor >= 1.0:
+        if abs(values[k]) > envelope[k] + atol:
             raise NumericalError(
                 f"correlation {values[k]:.3e} exceeds its envelope {envelope[k]:.3e}"
             )
     trace = CorrelationTrace(taus, values, meta=f"oscillator pair, T schedule of {temps.size}")
     result = classify(trace, tol=tol)
+    scale = 2.0 * math.pi * o.sigma_c(kB) ** 2
     return OscillatorTraceResult(trace, result, r_eff, envelope,
-                                 np.abs(r_eff) * fs.product_l1)
+                                 np.abs(r_eff) / scale * fs.product_l1)
 
 
 @dataclass(frozen=True)

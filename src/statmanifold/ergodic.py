@@ -23,16 +23,21 @@ product of marginals is characterized by the closed form
 
     F(r) = |r| (sqrt(1 - r^2) (1 + |r|))^(-1 - 1/|r|),
 
-independent of mu_x and sigma, and F(r) * ||f_1 f_2||_1 bounds |C|.  The
-closed form is the value of the difference at its interior critical point on
-the diagonal; that critical point exists only while sqrt(1-r^2)(1+|r|) >= 1,
-i.e. |r| <= r* = 0.8392867552141612 (the root of (1-r)(1+r)^3 = 1).  Up to r*
-the closed form equals the supremum exactly; beyond r* the supremum moves to
-the center of the distribution, with value 1/sqrt(1-r^2) - 1, and the closed
-form strictly exceeds it (so bounds built from it remain valid).  Both the
-closed form and the brute-force maximizer are expressed in units of the
-joint's central prefactor 1/(2 pi sigma_c^2), which makes them scale-free
-and directly comparable.
+independent of mu_x and sigma.  The closed form is the value of the
+difference at its interior critical point on the diagonal; that critical
+point exists only while sqrt(1-r^2)(1+|r|) >= 1, i.e. |r| <= r* =
+0.8392867552141612 (the root of (1-r)(1+r)^3 = 1).  Up to r* the closed form
+equals the supremum exactly; beyond r* the supremum moves to the center of
+the distribution, with value 1/sqrt(1-r^2) - 1, and the closed form strictly
+exceeds it.  F_sup(r) is the supremum on both branches.  The closed form, the
+supremum and the brute-force maximizer are expressed in units of the joint's
+central prefactor 1/(2 pi sigma_c^2), which makes them scale-free and
+directly comparable; the bound on |C| is therefore
+F_sup(r) / (2 pi sigma_c^2) * ||f_1 f_2||_1.
+
+Every joint here is Gaussian, so C of Gaussian bumps is exact at any
+dimension (the product-of-Gaussians identity); other test functions are
+integrated by Gauss-Hermite quadrature, the identity's cross-check.
 """
 
 from __future__ import annotations
@@ -119,6 +124,36 @@ class TestFunctionSet:
         return cls(tuple(fs), tuple(norms))
 
 
+def _require_arity(fs: TestFunctionSet, *dims: int) -> None:
+    if len(fs) < 2:
+        raise ValueError("need at least two test functions")
+    if any(d != len(fs) for d in dims):
+        raise ValueError("joint dimension, marginals and test functions must agree")
+
+
+def _all_bumps(fs: TestFunctionSet) -> bool:
+    return all(isinstance(f, GaussianBump) for f in fs.fs)
+
+
+def _bump_correlation(mean, cov, fs: TestFunctionSet) -> float:
+    """Exact C of Gaussian bumps under N(mean, cov) (The Matrix Cookbook, 8.1.8).
+
+    With S = cov + diag(w^2) and d = c - mean, the joint term is
+    prod h_i w_i exp(-d^T S^-1 d / 2) / sqrt(det S), from one Cholesky of S,
+    and the product term is prod_i h_i w_i / sqrt(S_ii) exp(-d_i^2 / (2 S_ii)).
+    """
+    _require_arity(fs, len(mean))
+    c, w, h = np.array([(f.center, f.width, f.height) for f in fs.fs]).T
+    d = c - mean
+    s = cov + np.diag(w**2)
+    chol = np.linalg.cholesky(s)
+    z = np.linalg.solve(chol, d)
+    s_ii = np.diag(s)
+    joint = np.prod(h * w / np.diag(chol)) * math.exp(-0.5 * float(z @ z))
+    product = np.prod(h * w / np.sqrt(s_ii) * np.exp(-(d**2) / (2.0 * s_ii)))
+    return float(joint - product)
+
+
 def ig_correlation(joint: Callable, marginals: Sequence[Callable],
                    fs: TestFunctionSet, spec: IntegrationSpec,
                    check: bool = True) -> float:
@@ -130,12 +165,7 @@ def ig_correlation(joint: Callable, marginals: Sequence[Callable],
     With ``check`` the joint and marginal normalizations are spot-checked by
     quadrature.
     """
-    n = len(fs)
-    if n < 2:
-        raise ValueError("need at least two test functions")
-    if len(marginals) != n or spec.dim != n:
-        raise ValueError("joint dimension, marginals and test functions must agree")
-
+    _require_arity(fs, len(marginals), spec.dim)
     if check:
         total = float(integrate(joint, spec))
         if abs(total - 1.0) > NORM_SPOT_TOL:
@@ -166,10 +196,18 @@ def ig_correlation(joint: Callable, marginals: Sequence[Callable],
 
 def ig_correlation_2d(params: Correlated2DParams, fs: TestFunctionSet,
                       order: int = DEFAULT_ORDER, check: bool = False) -> float:
-    """IG correlation for the correlated bivariate model."""
+    """IG correlation for the correlated bivariate model.
+
+    Exact for Gaussian bumps; other test functions are integrated by
+    Gauss-Hermite quadrature of the given ``order`` (with ``check`` as in
+    :func:`ig_correlation`).
+    """
     params.require_nondegenerate()
+    mean, cov = [params.mu_x, 0.0], params.covariance()
+    if _all_bumps(fs):
+        return _bump_correlation(mean, cov, fs)
     p1, p2 = marginals_2d(params)
-    spec = IntegrationSpec.for_gaussian([params.mu_x, 0.0], params.covariance(), order)
+    spec = IntegrationSpec.for_gaussian(mean, cov, order)
     return ig_correlation(
         lambda x: pdf_2d(x[0], x[1], params), [p1, p2], fs, spec, check=check
     )
@@ -195,6 +233,18 @@ def distinguishability_F_closed(r: float) -> float:
     if a == 1.0:
         return math.inf
     return a * (math.sqrt(1.0 - a * a) * (1.0 + a)) ** (-1.0 - 1.0 / a)
+
+
+def distinguishability_F_sup(r: float) -> float:
+    """Supremum of |p - p1 p2| in units of 1/(2 pi sigma_c^2).
+
+    The closed form up to BRANCH_SWITCH_R and the centre value
+    1/sqrt(1 - r^2) - 1 beyond it; math.inf at |r| = 1.
+    """
+    a = abs(r)
+    if BRANCH_SWITCH_R < a < 1.0:
+        return 1.0 / math.sqrt(1.0 - a * a) - 1.0
+    return distinguishability_F_closed(a)
 
 
 def factorization_gap_2d(params: Correlated2DParams, x, y):
@@ -263,11 +313,15 @@ def distinguishability_F_numeric(params: Correlated2DParams,
                           coarse_points, zoom_points, zoom_rounds, half_width)
 
 
-def correlation_upper_bound(F_value: float, fs: TestFunctionSet) -> float:
-    """Bound F * ||f_1 ... f_N||_1 on the magnitude of the correlation."""
-    if F_value < 0.0:
-        raise ValueError("F must be nonnegative")
-    return F_value * fs.product_l1
+def correlation_upper_bound(params: Correlated2DParams, fs: TestFunctionSet) -> float:
+    """Bound F_sup(r) / (2 pi sigma_c^2) * ||f_1 f_2||_1 on |C| of the correlated model.
+
+    The supremum of |p - p1 p2| times the L1 norm of f_1 f_2; tight for
+    narrow bumps at the point where the supremum is attained.
+    """
+    _require_arity(fs, 2)
+    scale = 2.0 * math.pi * params.sigma_c**2
+    return distinguishability_F_sup(params.r) / scale * fs.product_l1
 
 
 class IgehLevel(enum.Enum):
@@ -381,9 +435,15 @@ def classify(trace: CorrelationTrace, tol: float = 1e-6,
 
 def mvn_ig_correlation(g: MultivariateGaussian, fs: TestFunctionSet,
                        order: int | None = None, check: bool = False) -> float:
-    """IG correlation for a multivariate Gaussian joint (desk scale: dim <= 4)."""
+    """IG correlation for a multivariate Gaussian joint.
+
+    Exact for Gaussian bumps at any dimension; other test functions are
+    integrated by Gauss-Hermite quadrature (desk scale: dim <= 4).
+    """
     if len(fs) != g.dim:
         raise ValueError("need one test function per coordinate")
+    if _all_bumps(fs):
+        return _bump_correlation(g.mean, g.covariance, fs)
     if g.dim > 4:
         raise ValueError("quadrature path supports dimension <= 4 (desk scale)")
     order = order or default_order(g.dim)

@@ -204,7 +204,7 @@ def test_criterion_6_property_suites():
                 GaussianBump(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0)),
             ])
             c = ig_correlation_2d(params, fs, order=48)
-            bound = correlation_upper_bound(distinguishability_F_closed(r), fs)
+            bound = correlation_upper_bound(params, fs)
             assert abs(c) <= bound + 1e-12, f"bound violated on trial {k}"
         for k in range(20):
             from statmanifold import MultivariateGaussian

@@ -19,11 +19,14 @@ from statmanifold import (
     correlation_upper_bound,
     distinguishability_F_closed,
     distinguishability_F_numeric,
+    distinguishability_F_sup,
     ig_correlation,
     ig_correlation_2d,
     marginals_2d,
     mvn_distinguishability,
     mvn_ig_correlation,
+    mvn_marginal,
+    mvn_pdf,
     mvn_upper_bound,
     pdf_2d,
 )
@@ -124,7 +127,7 @@ def test_correlation_bounded_by_distinguishability():
             GaussianBump(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), rng.uniform(0.2, 2.0)),
         ])
         c = ig_correlation_2d(params, fs, order=48)
-        bound = correlation_upper_bound(distinguishability_F_closed(r), fs)
+        bound = correlation_upper_bound(params, fs)
         assert abs(c) <= bound + 1e-12
 
 
@@ -229,14 +232,44 @@ def test_F_slope_near_zero_observed():
     assert right > 0.0 and left < 0.0
 
 
+def test_F_sup_switches_branch_at_r_star():
+    for r in (0.0, 0.3, -0.5, 0.8, BRANCH_SWITCH_R):
+        assert distinguishability_F_sup(r) == distinguishability_F_closed(r)
+    for r in (0.85, -0.9, 0.95):
+        assert distinguishability_F_sup(r) == pytest.approx(1.0 / math.sqrt(1.0 - r * r) - 1.0,
+                                                            rel=1e-15)
+    # continuous across the switch, and the maximizer's pinned value above it
+    assert distinguishability_F_sup(math.nextafter(BRANCH_SWITCH_R, 1.0)) == pytest.approx(
+        distinguishability_F_closed(BRANCH_SWITCH_R), rel=1e-12)
+    assert distinguishability_F_sup(0.9) == pytest.approx(1.294157338705618, rel=1e-12)
+    assert distinguishability_F_sup(-1.0) == math.inf
+    with pytest.raises(ValueError):
+        distinguishability_F_sup(1.5)
+
+
 def test_correlation_upper_bound_basics():
-    fs = unit_height_bumps()
-    assert correlation_upper_bound(0.0, fs) == 0.0
-    assert correlation_upper_bound(F_CLOSED_05, fs) == pytest.approx(
-        F_CLOSED_05 * 2.0 * np.pi, rel=1e-12
+    fs = unit_height_bumps()  # ||f_1 f_2||_1 = 2 pi
+    assert correlation_upper_bound(Correlated2DParams(0.0, 1.0, 0.0, 1.0), fs) == 0.0
+    assert correlation_upper_bound(Correlated2DParams(0.3, 2.0, 0.5, 1.0), fs) == pytest.approx(
+        F_CLOSED_05, rel=1e-12
+    )
+    # in units of the central prefactor 1/(2 pi sigma_c^2)
+    assert correlation_upper_bound(Correlated2DParams(0.0, 1.0, -0.5, 0.5), fs) == pytest.approx(
+        4.0 * F_CLOSED_05, rel=1e-12
     )
     with pytest.raises(ValueError):
-        correlation_upper_bound(-1.0, fs)
+        correlation_upper_bound(Correlated2DParams(0.0, 1.0, 0.5), TestFunctionSet.unit_l1_bumps([0.0]))
+
+
+@pytest.mark.parametrize("sigma_c", [0.1, 0.3, 1.0, 3.0])
+def test_correlation_upper_bound_tight_at_the_supremum(sigma_c):
+    # beyond r* the supremum of |p - p1 p2| sits at the centre (mu_x, 0), so
+    # narrow unit-L1 bumps there give C within a whisker of the bound
+    params = Correlated2DParams(0.4, 1.3, 0.9, sigma_c)
+    width = 1e-3 * min(1.0, params.sigma_y)
+    fs = TestFunctionSet.unit_l1_bumps([params.mu_x, 0.0], width)
+    ratio = ig_correlation_2d(params, fs) / correlation_upper_bound(params, fs)
+    assert 0.9999 <= ratio <= 1.0
 
 
 # ------------------------------------------------------------------ classifier
@@ -382,3 +415,165 @@ def test_mvn_requires_matching_dimensions():
         mvn_ig_correlation(g, fs)
     with pytest.raises(ValueError):
         mvn_upper_bound(g, fs)
+
+
+# ------------------------------------------------------ exact bump correlations
+
+def identity_terms(mean, cov, bumps):
+    """(joint, product) of the product-of-Gaussians identity, written out:
+
+    joint   = prod h_i (2 pi)^(d/2) prod w_i N(c; mean, cov + diag(w^2))
+    product = prod_i h_i sqrt(2 pi) w_i N(c_i; mean_i, cov_ii + w_i^2)
+    """
+    mean, cov = np.asarray(mean, float), np.asarray(cov, float)
+    c = np.array([b.center for b in bumps])
+    w = np.array([b.width for b in bumps])
+    h = np.array([b.height for b in bumps])
+    s = cov + np.diag(w**2)
+    d = c - mean
+    dim = c.size
+    normal = math.exp(-0.5 * d @ np.linalg.inv(s) @ d) / math.sqrt(
+        (2.0 * math.pi) ** dim * np.linalg.det(s))
+    joint = np.prod(h) * (2.0 * math.pi) ** (dim / 2.0) * np.prod(w) * normal
+    product = 1.0
+    for i in range(dim):
+        var = s[i, i]
+        product *= h[i] * math.sqrt(2.0 * math.pi) * w[i] * math.exp(
+            -d[i] ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return joint, product
+
+
+def random_joint(rng, dim):
+    """Random SPD covariance with axis sd in 10^[-0.5, 0.5], random mean."""
+    a = rng.normal(size=(dim, dim))
+    s = a @ a.T + 0.5 * np.eye(dim)
+    sd = 10.0 ** rng.uniform(-0.5, 0.5, dim)
+    corr = s / np.sqrt(np.outer(np.diag(s), np.diag(s)))
+    return MultivariateGaussian(rng.normal(size=dim), corr * np.outer(sd, sd)), sd
+
+
+def random_bumps(rng, g, sd, width_lo, width_hi):
+    """Bumps centred within 1 sd, widths log-uniform in [width_lo, width_hi] sd."""
+    return [
+        GaussianBump(m + s * rng.uniform(-1.0, 1.0),
+                     s * math.exp(rng.uniform(math.log(width_lo), math.log(width_hi))),
+                     rng.uniform(0.2, 2.0))
+        for m, s in zip(g.mean, sd)
+    ]
+
+
+def wrapped(bumps):
+    """The same test functions as plain callables, which take the quadrature path."""
+    return TestFunctionSet(tuple(lambda x, b=b: b(x) for b in bumps),
+                           tuple(b.l1_norm for b in bumps))
+
+
+@pytest.mark.parametrize("dim, order", [(2, 48), (3, 30), (4, 20)])
+def test_bump_closed_form_matches_quadrature(dim, order):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(6):
+        g, sd = random_joint(rng, dim)
+        bumps = random_bumps(rng, g, sd, 1.5, 4.0)
+        fs = TestFunctionSet.from_bumps(bumps)
+        spec = IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
+        marginals = [mvn_marginal(g, i) for i in range(dim)]
+        quad = ig_correlation(lambda x: mvn_pdf(x, g), marginals, fs, spec)
+        scale = max(map(abs, identity_terms(g.mean, g.covariance, bumps)))
+        assert abs(mvn_ig_correlation(g, fs) - quad) <= 1e-12 * scale
+        # plain callables take the quadrature path of the same entry point
+        assert abs(mvn_ig_correlation(g, wrapped(bumps), order=order) - quad) <= 1e-12 * scale
+    for _ in range(6):
+        params = Correlated2DParams(rng.normal(), 10.0 ** rng.uniform(-0.5, 0.5),
+                                    rng.uniform(-0.95, 0.95), 10.0 ** rng.uniform(-0.5, 0.5))
+        g = MultivariateGaussian([params.mu_x, 0.0], params.covariance())
+        bumps = random_bumps(rng, g, [params.sigma, params.sigma_y], 1.5, 4.0)
+        fs = TestFunctionSet.from_bumps(bumps)
+        scale = max(map(abs, identity_terms(g.mean, g.covariance, bumps)))
+        quad = ig_correlation_2d(params, wrapped(bumps), order=48)
+        assert abs(ig_correlation_2d(params, fs) - quad) <= 1e-12 * scale
+
+
+def test_narrow_bumps_match_the_identity():
+    # the benchmark's defect region, where quadrature missed the bumps and
+    # returned values near zero, and beyond it down to 1e-3 sd
+    rng = np.random.default_rng(7)
+    for width_lo, width_hi in ((0.1, 0.5), (1e-3, 1e-2)):
+        for _ in range(20):
+            params = Correlated2DParams(rng.normal(), 10.0 ** rng.uniform(-1.0, 1.0),
+                                        rng.uniform(-0.95, 0.95), rng.uniform(0.1, 3.0))
+            g = MultivariateGaussian([params.mu_x, 0.0], params.covariance())
+            bumps = random_bumps(rng, g, [params.sigma, params.sigma_y], width_lo, width_hi)
+            joint, product = identity_terms(g.mean, g.covariance, bumps)
+            c = ig_correlation_2d(params, TestFunctionSet.from_bumps(bumps))
+            assert abs(c - (joint - product)) <= 1e-12 * max(abs(joint), abs(product))
+    for width_lo, width_hi in ((0.1, 1.0), (1e-3, 1e-2)):
+        for _ in range(10):
+            g, sd = random_joint(rng, 4)
+            bumps = random_bumps(rng, g, sd, width_lo, width_hi)
+            joint, product = identity_terms(g.mean, g.covariance, bumps)
+            c = mvn_ig_correlation(g, TestFunctionSet.from_bumps(bumps))
+            assert abs(c - (joint - product)) <= 1e-12 * max(abs(joint), abs(product))
+
+
+@pytest.mark.parametrize("sigma_c", [0.1, 0.3, 1.0])
+def test_narrow_bumps_are_not_a_silent_zero(sigma_c):
+    # r = 0.5, unit-height bumps of width 0.01 min(1, sigma_y) one sd out on
+    # each axis: order-64 quadrature returned 0, 2.7e-126 and 1.1e-3 here,
+    # against the exact 2.2e-7, 2.0e-6 and 2.2e-5
+    params = Correlated2DParams(0.0, 1.0, 0.5, sigma_c)
+    bumps = [GaussianBump(params.sigma, 0.01 * min(1.0, params.sigma_y)),
+             GaussianBump(params.sigma_y, 0.01 * min(1.0, params.sigma_y))]
+    joint, product = identity_terms([0.0, 0.0], params.covariance(), bumps)
+    c = ig_correlation_2d(params, TestFunctionSet.from_bumps(bumps))
+    assert abs(c - (joint - product)) <= 1e-12 * joint
+    assert c > 0.1 * joint
+
+
+def _eight_dim_joint(pair_cov):
+    sd = np.array([0.5, 1.0, 2.0, 0.7, 1.3, 3.0])
+    cov = np.zeros((8, 8))
+    cov[:2, :2] = pair_cov
+    cov[2:, 2:] = np.diag(sd**2)
+    perm = [3, 0, 6, 2, 7, 1, 5, 4]
+    mean = np.array([0.2, -0.1, 1.0, -2.0, 0.0, 0.5, 3.0, -0.7])
+    return cov, mean, perm, sd
+
+
+def test_bump_correlation_beyond_four_dimensions():
+    pair_cov = np.array([[1.5, -0.8], [-0.8, 0.9]])
+    cov, mean, perm, sd = _eight_dim_joint(pair_cov)
+    # the pair's bumps are at least 1.5 sd wide, so order-48 quadrature is exact
+    bumps = [GaussianBump(0.6, 2.0, 0.8), GaussianBump(-0.4, 1.6, 1.7)] + [
+        GaussianBump(m + 0.5 * s, 0.8 * s, 1.0 + 0.1 * k) for k, (m, s) in enumerate(zip(mean[2:], sd))
+    ]
+    pair_spec = IntegrationSpec.for_gaussian(mean[:2], pair_cov, 48)
+    pair_g = MultivariateGaussian(mean[:2], pair_cov)
+    pair_marginals = [mvn_marginal(pair_g, i) for i in range(2)]
+    pair_c = ig_correlation(lambda x: mvn_pdf(x, pair_g), pair_marginals,
+                            TestFunctionSet.from_bumps(bumps[:2]), pair_spec)
+    # int N(x; m, s^2) h exp(-(x - c)^2 / 2 w^2) dx = h w / sqrt(s^2 + w^2) exp(-(c - m)^2 / 2 (s^2 + w^2))
+    singles = [b.height * b.width / math.sqrt(s**2 + b.width**2)
+               * math.exp(-((b.center - m) ** 2) / (2.0 * (s**2 + b.width**2)))
+               for b, m, s in zip(bumps[2:], mean[2:], sd)]
+    expected = pair_c * math.prod(singles)
+
+    g = MultivariateGaussian(mean[perm], cov[np.ix_(perm, perm)])
+    fs = TestFunctionSet.from_bumps([bumps[i] for i in perm])
+    assert mvn_ig_correlation(g, fs) == pytest.approx(expected, rel=1e-12)
+
+    diagonal = MultivariateGaussian(mean, np.diag(np.diag(cov)))
+    assert abs(mvn_ig_correlation(diagonal, TestFunctionSet.from_bumps(bumps))) < 1e-15
+    with pytest.raises(ValueError, match="dimension <= 4"):
+        mvn_ig_correlation(g, wrapped(bumps))
+
+
+def test_bump_path_keeps_validation():
+    fs2 = TestFunctionSet.unit_l1_bumps([0.0, 0.0])
+    with pytest.raises(DegenerateCorrelationError):
+        ig_correlation_2d(Correlated2DParams(0.0, 1.0, 1.0), fs2)
+    with pytest.raises(ValueError, match="must agree"):
+        ig_correlation_2d(Correlated2DParams(0.0, 1.0, 0.5), TestFunctionSet.unit_l1_bumps([0.0] * 3))
+    with pytest.raises(ValueError, match="at least two"):
+        mvn_ig_correlation(MultivariateGaussian([0.0], [[1.0]]), TestFunctionSet.unit_l1_bumps([0.0]))
+    with pytest.raises(ValueError, match="one test function per coordinate"):
+        mvn_ig_correlation(MultivariateGaussian(np.zeros(6), np.eye(6)), fs2)
