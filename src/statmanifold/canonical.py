@@ -41,6 +41,7 @@ from .ergodic import (
     ig_correlation_2d,
     mvn_upper_bound,
 )
+from .manifold import _fd_derivatives, _fd_steps, _stencil
 from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, pdf_2d
 from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
@@ -109,35 +110,25 @@ def hessian_of_energy(energy: Callable, point, step: float = 1e-4,
                       smooth_tol: float = 1e-3) -> np.ndarray:
     """Finite-difference Hessian of a scalar energy, symmetrized.
 
-    Off-diagonal entries use the centered four-corner stencil, which is
-    symmetric by construction; non-smoothness is therefore detected by
-    comparing against an independent diagonal-direction stencil, and a
-    disagreement beyond ``smooth_tol`` (relative to the Hessian scale) raises
-    :class:`NonSmoothEnergyError`.
+    Steps are ``max(step, step·|x_k|)``.  Off-diagonal entries use the
+    centered four-corner stencil, which is symmetric by construction;
+    non-smoothness is therefore detected by comparing against an independent
+    diagonal-direction stencil, and a disagreement beyond ``smooth_tol``
+    (relative to the Hessian scale) raises :class:`NonSmoothEnergyError`.
+    Each of the 1 + 2d^2 stencil points is evaluated once.
     """
     x = np.atleast_1d(np.asarray(point, dtype=float))
     d = x.shape[0]
-    h = np.maximum(step, step * np.abs(x))
-
-    def ev(offset):
-        return float(energy(x + offset))
-
-    e0 = ev(np.zeros(d))
-    hess = np.zeros((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        hess[i, i] = (ev(ei) - 2.0 * e0 + ev(-ei)) / h[i] ** 2
+    h = _fd_steps(x, step)
+    values = [float(energy(p)) for p in _stencil(x, h, 2)]
+    d2 = _fd_derivatives(values, h, 2)
+    e0 = values[2 * d]
+    hess = np.diag(np.diagonal(d2))
+    r = 2 * d + 1  # the ++ corner of the first pair; the -- corner is 3 rows on
     for i in range(d):
         for j in range(i + 1, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            corner = (ev(ei + ej) - ev(ei - ej) - ev(-ei + ej) + ev(-ei - ej)) / (
-                4.0 * h[i] * h[j]
-            )
-            diag2 = (ev(ei + ej) - 2.0 * e0 + ev(-ei - ej)) / (h[i] * h[j])
+            corner = d2[i, j]
+            diag2 = (values[r] - 2.0 * e0 + values[r + 3]) / (h[i] * h[j])
             alt = 0.5 * (diag2 - hess[i, i] * h[i] / h[j] - hess[j, j] * h[j] / h[i])
             scale = max(1.0, float(np.abs(hess).max()), abs(corner))
             if abs(corner - alt) > smooth_tol * scale:
@@ -146,6 +137,7 @@ def hessian_of_energy(energy: Callable, point, step: float = 1e-4,
                     f"{corner:.6g} vs {alt:.6g}"
                 )
             hess[i, j] = hess[j, i] = corner
+            r += 4
     return 0.5 * (hess + hess.T)
 
 
@@ -205,18 +197,11 @@ def canonical_covariance_quadrature(h: QuadraticHamiltonian, bath: HeatBath,
     return np.triu(cov) + np.triu(cov, 1).T
 
 
-def _theta_energy_gradient(energy: Callable, x: np.ndarray, theta: np.ndarray,
-                           step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of E(x; theta) in theta, per phase point."""
-    m = theta.shape[0]
-    grads = []
-    for i in range(m):
-        hi = max(step, step * abs(theta[i]))
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += hi
-        tm[i] -= hi
-        grads.append((energy(x, tp) - energy(x, tm)) / (2.0 * hi))
-    return np.stack(grads)
+def _theta_energy_gradient(energy: Callable, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of E(x; theta) in theta, shape (m, k) per phase point."""
+    h = _fd_steps(theta)
+    values = [energy(x, t) for t in _stencil(theta, h, 1)]
+    return _fd_derivatives(values, h, 1).T
 
 
 def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationSpec,

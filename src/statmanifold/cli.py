@@ -8,9 +8,10 @@ Subcommands::
     goe             2x2 random-matrix ensemble report
     geodesic        geodesic trajectory with conservation diagnostic
 
-Common flags: --out PATH, --format csv|json, --tol FLOAT, --quad-order INT,
---config FILE.  Flags override an optional key=value config file.  Output
-is CSV (17 significant digits) or JSON lines with identical field names.
+Common flags: --out PATH, --format csv|json, --tol FLOAT, --config FILE;
+curvature-scan alone also takes --quad-order INT.  Flags override an
+optional key=value config file.  Output is CSV (17 significant digits) or
+JSON lines with identical field names.
 Exit codes: 0 success, 2 validation error, 3 tolerance breach or numerical
 failure, 4 I/O error.
 """
@@ -162,9 +163,7 @@ def cmd_oscillator(args) -> int:
 
     pair = OscillatorPair(m1=args.m1, m2=args.m2, omega1=args.omega1,
                           omega2=args.omega2, T0=args.t0, r=args.coupling)
-    result = oscillator_mixing_trace(
-        pair, ratios * args.t0, order=args.quad_order
-    )
+    result = oscillator_mixing_trace(pair, ratios * args.t0)
     level = result.classification.level.value
     rows = []
     for k, ratio in enumerate(ratios):
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--tol", type=float, default=None,
                         help="breach tolerance (default depends on the command)")
-    common.add_argument("--quad-order", type=int, default=64, dest="quad_order")
     common.add_argument("--config", default=None, help="optional key=value config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-start", type=float, default=-0.9)
     p.add_argument("--r-stop", type=float, default=0.9)
     p.add_argument("--r-count", type=int, default=5)
+    p.add_argument("--quad-order", type=int, default=64, dest="quad_order")
     p.set_defaults(func=cmd_curvature_scan)
 
     p = sub.add_parser("oscillator", parents=[common],

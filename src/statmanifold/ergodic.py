@@ -117,12 +117,6 @@ class TestFunctionSet:
         bumps = [GaussianBump(c, width, 1.0 / (width * SQRT_TWO_PI)) for c in centers]
         return cls.from_bumps(bumps)
 
-    @classmethod
-    def from_functions(cls, fs: Sequence[Callable], specs: Sequence[IntegrationSpec]) -> "TestFunctionSet":
-        """Arbitrary integrable functions; L1 norms computed by quadrature."""
-        norms = [float(integrate(lambda x, f=f: np.abs(f(x[0])), s)) for f, s in zip(fs, specs)]
-        return cls(tuple(fs), tuple(norms))
-
 
 def _require_arity(fs: TestFunctionSet, *dims: int) -> None:
     if len(fs) < 2:

@@ -172,44 +172,54 @@ class MetricField:
         return cls(dim, func, domain or ParameterDomain.unbounded(dim), d1, d2, name)
 
 
-def _fd_steps(theta: np.ndarray) -> np.ndarray:
-    return np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(theta))
+def _fd_steps(x: np.ndarray, rel: float = FD_REL_STEP) -> np.ndarray:
+    """Per-coordinate central-difference steps ``max(rel, rel·|x_k|)``."""
+    return np.maximum(rel, rel * np.abs(x))
 
 
-def _axis_points(theta: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rows 2k and 2k+1 are theta + h_k e_k and theta - h_k e_k."""
-    m = theta.shape[0]
-    points = np.empty((2 * m, m))
-    points[:] = theta
-    flat = points.reshape(-1)  # row 2k holds entry k at k(2m+1), row 2k+1 at m + k(2m+1)
+def _stencil(x: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+    """The central-difference points around ``x`` as one (k, m) array.
+
+    Rows 2k and 2k+1 are ``x + h_k e_k`` and ``x - h_k e_k``.  Order 2 adds
+    row 2m, ``x`` itself, and then for each k < l the four corners
+    ``x ± h_k e_k ± h_l e_l`` (signs ++, +-, -+, --).
+    """
+    m = x.shape[0]
+    points = np.empty((2 * m if order == 1 else 1 + 2 * m * m, m))
+    points[:] = x
+    flat = points[:2 * m].reshape(-1)  # row 2k holds entry k at k(2m+1), row 2k+1 at m + k(2m+1)
     flat[::2 * m + 1] += h
     flat[m::2 * m + 1] -= h
+    if order == 2:
+        k, l = np.triu_indices(m, 1)
+        corners = points[2 * m + 1:].reshape(-1, 4, m)
+        corners[np.arange(k.size), :, k] += np.outer(h[k], [1.0, 1.0, -1.0, -1.0])
+        corners[np.arange(k.size), :, l] += np.outer(h[l], [1.0, -1.0, 1.0, -1.0])
     return points
 
 
-def _check_stencil(field: MetricField, theta: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
-    """The stencil as one (k, m) array; :class:`DomainError` unless it lies in the domain.
+def _fd_derivatives(values, h: np.ndarray, order: int) -> np.ndarray:
+    """Central differences of ``values[r] = f(points[r])`` over the rows of :func:`_stencil`.
 
-    The first 2m rows are the axis points ``theta ± h_k e_k``.  Order 2 adds
-    the axis points ``theta ± 2h_k e_k``, so axis points are checked out to
-    ``±order·h``, and then the mixed corners ``theta ± h_k e_k ± h_l e_l`` for
-    k < l (signs ++, +-, -+, --).  One ``contains`` call covers every row.
+    The derivative axes come last: order 1 gives ``d[..., k] = f_,k`` and
+    order 2 gives ``d[..., k, l] = f_,kl``.
     """
-    m = theta.shape[0]
-    points = _axis_points(theta, h)
-    if order == 2:
-        pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
-        signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        corners = np.repeat(theta[None, :], 4 * len(pairs), axis=0)
-        for i, kl in enumerate(pairs):
-            corners[4 * i:4 * i + 4, kl] += signs * h[list(kl)]
-        points = np.concatenate([points, _axis_points(theta, 2.0 * h), corners])
-    if field.domain.contains(points):
-        return points
-    i = next(i for i, row in enumerate(points) if not field.domain.contains(row))
-    where = (f"coordinate {i % (2 * m) // 2}" if i < 4 * m
-             else "the corner of coordinates {} and {}".format(*pairs[(i - 4 * m) // 4]))
-    raise DomainError(f"finite-difference stencil exits the domain at {where}")
+    m = h.shape[0]
+    if order == 1:
+        d = np.empty(np.shape(values[0]) + (m,))
+        for k in range(m):
+            d[..., k] = (values[2 * k] - values[2 * k + 1]) / (2.0 * h[k])
+        return d
+    f0 = values[2 * m]
+    d = np.empty(np.shape(f0) + (m, m))
+    r = 2 * m + 1  # the first corner row
+    for k in range(m):
+        d[..., k, k] = (values[2 * k] - 2.0 * f0 + values[2 * k + 1]) / h[k] ** 2
+        for l in range(k + 1, m):
+            pp, pm, mp, mm = values[r:r + 4]
+            d[..., k, l] = d[..., l, k] = (pp - pm - mp + mm) / (4.0 * h[k] * h[l])
+            r += 4
+    return d
 
 
 def metric_derivatives(field: MetricField, theta, order: int):
@@ -217,8 +227,8 @@ def metric_derivatives(field: MetricField, theta, order: int):
 
     order=1 returns d1[i,j,k] = g_ij,k; order=2 returns
     d2[i,j,k,l] = g_ij,kl.  Analytic derivatives on the field take
-    precedence.  Raises :class:`DomainError` when the stencil would leave the
-    domain.
+    precedence.  Raises :class:`DomainError` when a stencil point lies
+    outside the domain, before the metric is evaluated anywhere.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -230,23 +240,14 @@ def metric_derivatives(field: MetricField, theta, order: int):
         return np.asarray(field.d2(theta), dtype=float)
 
     h = _fd_steps(theta)
-    points = _check_stencil(field, theta, h, order)
-    if order == 1:
-        d1 = np.zeros((m, m, m))
-        for k in range(m):
-            d1[:, :, k] = (field(points[2 * k]) - field(points[2 * k + 1])) / (2.0 * h[k])
-        return d1
-
-    g0 = field(theta)
-    d2 = np.zeros((m, m, m, m))
-    i = 4 * m  # the first corner row
-    for k in range(m):
-        d2[:, :, k, k] = (field(points[2 * k]) - 2.0 * g0 + field(points[2 * k + 1])) / h[k] ** 2
-        for l in range(k + 1, m):
-            pp, pm, mp, mm = (field(p) for p in points[i:i + 4])
-            d2[:, :, k, l] = d2[:, :, l, k] = (pp - pm - mp + mm) / (4.0 * h[k] * h[l])
-            i += 4
-    return d2
+    points = _stencil(theta, h, order)
+    if not field.domain.contains(points):
+        i = next(i for i, row in enumerate(points) if not field.domain.contains(row))
+        pairs = list(zip(*np.triu_indices(m, 1)))
+        where = (f"coordinate {i // 2}" if i < 2 * m
+                 else "the corner of coordinates {} and {}".format(*pairs[(i - 2 * m - 1) // 4]))
+        raise DomainError(f"finite-difference stencil exits the domain at {where}")
+    return _fd_derivatives([field(p) for p in points], h, order)
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
@@ -262,10 +263,8 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 def christoffel(field: MetricField, theta) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[k, i, j], symmetric in (i, j)."""
-    theta = field.domain.require(theta, "the metric field")
-    g = field(theta)
-    gi = inverse_metric(g)
-    d1 = metric_derivatives(field, theta, 1)
+    d1 = metric_derivatives(field, theta, 1)  # checks theta before the metric is evaluated
+    gi = inverse_metric(field(theta))
     # Gamma^k_ij = 1/2 g^{km} (g_mi,j + g_mj,i - g_ij,m); d1[i,j,k] = g_ij,k
     gam = 0.5 * np.einsum(
         "km,mij->kij",

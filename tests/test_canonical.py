@@ -70,9 +70,23 @@ def test_hessian_of_linear_energy_rejected_downstream():
 
 
 def test_hessian_detects_non_smooth_energy():
-    energy = lambda x: abs(x[0] * x[1]) + 0.5 * (x[0] ** 2 + x[1] ** 2)
-    with pytest.raises(NonSmoothEnergyError):
-        hessian_of_energy(energy, [0.0, 0.0])
+    # a kink along coordinates i and j shows in their corner stencil alone
+    for d, i, j in [(2, 0, 1), (3, 1, 2)]:
+        energy = lambda x: abs(x[i] * x[j]) + 0.5 * float(x @ x)
+        with pytest.raises(NonSmoothEnergyError, match=rf"\({i}, {j}\)"):
+            hessian_of_energy(energy, np.zeros(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hessian_evaluates_each_stencil_point_once(d):
+    points = []
+
+    def energy(x):
+        points.append(tuple(x))
+        return 0.5 * float(x @ x)
+
+    assert hessian_of_energy(energy, np.full(d, 0.5)) == pytest.approx(np.eye(d), abs=1e-6)
+    assert len(points) == len(set(points)) == 1 + 2 * d + 2 * d * (d - 1)
 
 
 def test_quadratic_hamiltonian_validation():

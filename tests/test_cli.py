@@ -143,6 +143,14 @@ def test_oscillator_command(tmp_path):
     assert float(rows[0]["R"]) == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("command", ["f-curve", "oscillator", "goe", "geodesic"])
+def test_quad_order_belongs_to_curvature_scan(command):
+    # only curvature-scan reads the quadrature order; elsewhere the flag is an error
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--quad-order", "20"])
+    assert exc.value.code == EXIT_VALIDATION
+
+
 def test_oscillator_constant_schedule_bernoulli(tmp_path):
     out = tmp_path / "osc.csv"
     code = main(["oscillator", "--out", str(out), "--schedule", "linear",
@@ -281,6 +289,8 @@ def test_config_file_precedence(tmp_path):
     bad.write_text("nonsense = 1\n")
     assert main(["f-curve", "--config", str(bad)]) == EXIT_VALIDATION
     bad.write_text("jobs = 2\n")
+    assert main(["f-curve", "--config", str(bad)]) == EXIT_VALIDATION
+    bad.write_text("quad_order = 32\n")
     assert main(["f-curve", "--config", str(bad)]) == EXIT_VALIDATION
     assert main(["f-curve", "--config", str(tmp_path / "nope.txt")]) == EXIT_IO
 

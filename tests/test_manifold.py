@@ -169,7 +169,7 @@ def test_stencil_domain_check():
 
 def test_stencil_corner_outside_domain_raises_before_evaluating():
     # the hole holds the corner (1 + h, 1 + h) of the mixed second derivative,
-    # but no axis point out to 2h
+    # but no axis point
     hole = np.array([1.0 + 1e-5, 1.0 + 1e-5])
     domain = ParameterDomain.from_predicate(2, lambda th: np.max(np.abs(th - hole)) > 5e-6)
     outside = []
@@ -183,6 +183,21 @@ def test_stencil_corner_outside_domain_raises_before_evaluating():
     with pytest.raises(DomainError, match="corner"):
         scalar_curvature(field, [1.0, 1.0])
     assert outside == []
+
+
+def test_second_derivatives_near_the_boundary_use_only_evaluated_points():
+    # theta_2 - h lies inside the half-plane and theta_2 - 2h does not; the
+    # order-2 stencil evaluates no point beyond one step, so it must not ask
+    def g(theta):
+        t1, t2 = theta
+        return np.array([[1.0 + t2 * t2, t1 * t2], [t1 * t2, 1.0 + t1 * t1]])
+
+    field = MetricField.from_function(2, g, domain=HALF_PLANE)
+    d2 = metric_derivatives(field, [0.3, 1.5e-5], 2)
+    expected = np.zeros((2, 2, 2, 2))
+    expected[0, 0, 1, 1] = expected[1, 1, 0, 0] = 2.0
+    expected[0, 1, 0, 1] = expected[0, 1, 1, 0] = expected[1, 0, 0, 1] = expected[1, 0, 1, 0] = 1.0
+    assert np.abs(d2 - expected).max() < 1e-4
 
 
 # ----------------------------------------------------------------- christoffel
