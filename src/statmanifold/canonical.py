@@ -41,7 +41,7 @@ from .ergodic import (
     ig_correlation_2d,
     mvn_upper_bound,
 )
-from .manifold import _fd_derivatives, _fd_steps, _stencil
+from .manifold import _fd_derivatives, _fd_steps, _stencil, _triu
 from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, pdf_2d
 from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
@@ -235,20 +235,23 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
             return np.asarray(grad_theta(x, theta))
         return _theta_energy_gradient(energy, x, theta)
 
-    iu = np.triu_indices(m)
+    iu = _triu(m)
+    n_pairs = iu[0].size
 
-    def second_moments(x):
+    def moments(x):
+        # one weight and one gradient per node serve the second moments and the means
         w = weight(x) / z
         g = grads(x)
-        return (w * g[iu[0]] * g[iu[1]]).T
+        parts = [w * g[iu[0]] * g[iu[1]]]
+        if subtract_mean:
+            parts.append(w * g)
+        return np.concatenate(parts).T
 
-    vals = integrate(second_moments, spec)
+    vals = integrate(moments, spec)
     mat = np.zeros((m, m))
-    mat[iu] = vals
-    mat = np.triu(mat) + np.triu(mat, 1).T
-
+    mat[iu] = mat[iu[1], iu[0]] = vals[:n_pairs]
     if subtract_mean:
-        means = integrate(lambda x: (weight(x) / z * grads(x)).T, spec)
+        means = vals[n_pairs:]
         mat = mat - np.outer(means, means)
     return beta**2 * mat
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -280,7 +281,9 @@ def _load_config(path: str) -> dict:
     return values
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="statmanifold",
         description="parameter sweeps and scenario runs for Gaussian statistical manifolds",

@@ -20,7 +20,9 @@ with a classic fixed-step 4th-order scheme.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,6 +110,15 @@ def density_normalization(model: ModelFamily, theta, order: int | None = None) -
     return float(integrate(lambda x: model.density(x, theta), spec))
 
 
+@lru_cache(maxsize=16)
+def _triu(m: int, k: int = 0):
+    """``np.triu_indices(m, k)``, built once per ``(m, k)``; shared, so read-only."""
+    iu = np.triu_indices(m, k)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def fisher_metric(model: ModelFamily, theta, order: int | None = None,
                   quad_tol: float = 1e-6, with_error: bool = False):
     """Fisher information matrix of ``model`` at ``theta`` by quadrature.
@@ -122,7 +133,7 @@ def fisher_metric(model: ModelFamily, theta, order: int | None = None,
     if order is not None:
         spec = spec.with_order(order)
     m = model.macro_dim
-    iu = np.triu_indices(m)
+    iu = _triu(m)
 
     def integrand(x):
         p = model.density(x, theta)
@@ -163,7 +174,31 @@ class MetricField:
     @classmethod
     def from_model(cls, model: ModelFamily, order: int | None = None,
                    quad_tol: float = 1e-6) -> "MetricField":
-        fn = lambda th: fisher_metric(model, th, order=order, quad_tol=quad_tol)
+        """Quadrature-backed field that computes each distinct theta once.
+
+        The curvature functions ask for the metric at the same stencil points
+        again and again (17 requests at 9 points for m = 2), so the field
+        keeps the last ``1 + 2m^2`` metrics, one order-2 stencil, keyed on the
+        shape and exact bytes of theta.  A theta that raises is not kept.  The kept
+        arrays are read-only; ``__call__`` returns a fresh array.
+        """
+        cache = {}
+        size = 1 + 2 * model.macro_dim**2
+        lock = threading.Lock()  # eviction checks the size, then deletes
+
+        def fn(theta):
+            theta = np.asarray(theta, dtype=float)
+            key = (theta.shape, theta.tobytes())
+            g = cache.get(key)
+            if g is None:
+                g = fisher_metric(model, theta, order=order, quad_tol=quad_tol)
+                g.flags.writeable = False
+                with lock:
+                    if len(cache) >= size:
+                        del cache[next(iter(cache))]  # the oldest entry
+                    cache[key] = g
+            return g
+
         return cls(model.macro_dim, fn, model.domain, name=model.name or "fisher")
 
     @classmethod
@@ -191,7 +226,7 @@ def _stencil(x: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     flat[::2 * m + 1] += h
     flat[m::2 * m + 1] -= h
     if order == 2:
-        k, l = np.triu_indices(m, 1)
+        k, l = _triu(m, 1)
         corners = points[2 * m + 1:].reshape(-1, 4, m)
         corners[np.arange(k.size), :, k] += np.outer(h[k], [1.0, 1.0, -1.0, -1.0])
         corners[np.arange(k.size), :, l] += np.outer(h[l], [1.0, -1.0, 1.0, -1.0])
@@ -243,7 +278,7 @@ def metric_derivatives(field: MetricField, theta, order: int):
     points = _stencil(theta, h, order)
     if not field.domain.contains(points):
         i = next(i for i, row in enumerate(points) if not field.domain.contains(row))
-        pairs = list(zip(*np.triu_indices(m, 1)))
+        pairs = list(zip(*_triu(m, 1)))
         where = (f"coordinate {i // 2}" if i < 2 * m
                  else "the corner of coordinates {} and {}".format(*pairs[(i - 2 * m - 1) // 4]))
         raise DomainError(f"finite-difference stencil exits the domain at {where}")

@@ -237,6 +237,21 @@ def test_ce_fisher_reduced_oscillator_matches_model_metric():
     assert np.abs(general - metric_2d_closed(params)).max() < 1e-4
 
 
+@pytest.mark.parametrize("subtract_mean", [False, True])
+def test_ce_fisher_calls_the_energy_once_per_role(subtract_mean):
+    # one block of 32 x 32 nodes: the partition function, the weight and the
+    # two gradient points, whether or not the means are subtracted
+    calls = []
+
+    def energy(x, theta):
+        calls.append(theta)
+        return theta[0] * x[0] ** 2 + 0.5 * x[1] ** 2
+
+    spec = IntegrationSpec.axes([0.0, 0.0], [math.sqrt(0.5), 1.0], 32)
+    ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec, subtract_mean=subtract_mean)
+    assert len(calls) == 4
+
+
 def test_ce_fisher_analytic_gradient_path():
     bath = HeatBath(1.0)
 

@@ -295,6 +295,14 @@ def test_config_file_precedence(tmp_path):
     assert main(["f-curve", "--config", str(tmp_path / "nope.txt")]) == EXIT_IO
 
 
+def test_repeated_calls_share_one_parser_and_no_flags():
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["f-curve", "--r-start", "0.9", "--r-stop", "0.95", "--r-count", "2"]
+    # above the branch switch the two columns differ, so only a loose --tol passes
+    assert main(argv + ["--tol", "1", "--out", "-"]) == EXIT_OK
+    assert main(argv) == EXIT_TOLERANCE
+
+
 def test_stdout_output(capsys):
     assert main(["f-curve", "--r-start", "-0.3", "--r-stop", "0.3",
                  "--r-count", "3"]) == EXIT_OK

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statmanifold import manifold
 from statmanifold import (
     Correlated2DParams,
     DomainError,
@@ -333,6 +337,126 @@ def test_quadrature_pipeline_matches_closed_forms(sigma, r):
     assert rep.christoffel[1, 1, 1] == pytest.approx(-1.0 / sigma, abs=1e-4)
     assert np.abs(rep.ricci - ricci_2d_closed(sigma)).max() < 1e-4
     assert rep.scalar == pytest.approx(curvature_2d_closed(r), abs=1e-4)
+
+
+# ------------------------------------------------------- per-field metric cache
+
+def _count_fisher_calls(monkeypatch):
+    calls = []
+    original = manifold.fisher_metric
+
+    def counted(*args, **kwargs):
+        calls.append(np.array(args[1], dtype=float))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(manifold, "fisher_metric", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [32, 64])
+@pytest.mark.parametrize("r,theta", [(-0.7, [0.0, 0.5]), (0.0, [0.3, 1.7]), (0.6, [-1.2, 20.0]),
+                                     (0.9, [0.0, 0.05])])
+def test_cached_field_equals_uncached_field(order, r, theta):
+    fam = correlated_2d_family(r, order=order)
+    plain = MetricField.from_function(2, lambda th: fisher_metric(fam, th), domain=fam.domain)
+    assert scalar_curvature(MetricField.from_model(fam), theta) == scalar_curvature(plain, theta)
+    cached, uncached = geometry_report(MetricField.from_model(fam), theta), geometry_report(plain, theta)
+    for name in ("christoffel", "riemann", "ricci"):
+        assert np.array_equal(getattr(cached, name), getattr(uncached, name)), name
+    assert cached.scalar == uncached.scalar
+
+
+def test_curvature_computes_each_distinct_metric_once(monkeypatch):
+    fisher_calls = _count_fisher_calls(monkeypatch)
+    requests = []
+    original_call = MetricField.__call__
+
+    def counted_call(self, theta):
+        requests.append(theta)
+        return original_call(self, theta)
+
+    monkeypatch.setattr(MetricField, "__call__", counted_call)
+    scalar_curvature(MetricField.from_model(correlated_2d_family(0.3, order=32)), [0.2, 1.1])
+    assert len(requests) == 17
+    assert len(fisher_calls) == 9  # 1 + 2m^2 stencil points at m = 2
+    assert len({t.tobytes() for t in fisher_calls}) == 9
+
+
+def test_metric_cache_holds_one_stencil(monkeypatch):
+    fisher_calls = _count_fisher_calls(monkeypatch)
+    field = MetricField.from_model(correlated_2d_family(0.3, order=32))
+    points = [np.array([0.0, 1.0 + 0.1 * k]) for k in range(10)]
+    for p in points:
+        field(p)
+    assert len(fisher_calls) == 10
+    for p in points[1:]:  # the last 1 + 2m^2 = 9 are kept
+        field(p)
+    assert len(fisher_calls) == 10
+    field(points[0])  # the oldest was dropped
+    assert len(fisher_calls) == 11
+
+
+def test_metric_cache_under_threads(monkeypatch):
+    # a cheap stand-in for the quadrature, so nearly all the time is spent in the cache
+    monkeypatch.setattr(manifold, "fisher_metric", lambda model, theta, **kw: theta[1] * np.eye(2))
+    field = MetricField.from_model(correlated_2d_family(0.3))
+    points = [np.array([0.0, 1.0 + k]) for k in range(40)]  # far more than one stencil
+    errors = []
+
+    def work(seed):
+        try:
+            for k in np.random.default_rng(seed).integers(0, len(points), 20000):
+                if field.func(points[k])[1, 1] != points[k][1]:
+                    errors.append(f"wrong metric at point {k}")
+        except Exception as exc:  # reported by the assert below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[:3]
+
+
+def test_fields_of_different_models_share_no_metrics(monkeypatch):
+    fisher_calls = _count_fisher_calls(monkeypatch)
+    theta = [0.1, 0.9]
+    low = MetricField.from_model(correlated_2d_family(0.2, order=32))
+    high = MetricField.from_model(correlated_2d_family(0.7, order=32))
+    g_low, g_high = low(theta), high(theta)
+    assert len(fisher_calls) == 2
+    assert np.array_equal(g_high, fisher_metric(correlated_2d_family(0.7, order=32), theta))
+    assert not np.allclose(g_low, g_high)
+
+
+def test_cached_metrics_are_read_only_and_calls_fresh():
+    field = MetricField.from_model(correlated_2d_family(0.3, order=32))
+    theta = np.array([0.0, 1.3])
+    g = field(theta)
+    assert g.flags.writeable
+    expected = g.copy()
+    g[0, 0] = 99.0
+    assert np.array_equal(field(theta), expected)
+    assert field(theta) is not field(theta)
+    kept = field.func(theta)
+    assert not kept.flags.writeable
+    assert field.func(theta.copy()) is kept
+
+
+def test_metric_outside_domain_raises_every_time(monkeypatch):
+    fisher_calls = _count_fisher_calls(monkeypatch)
+    field = MetricField.from_model(correlated_2d_family(0.3, order=32))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            field([0.0, -1.0])
+    assert len(fisher_calls) == 2
 
 
 # ------------------------------------------------------------------- geodesics
