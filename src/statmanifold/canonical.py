@@ -383,8 +383,7 @@ class OscillatorTraceResult:
     trace: CorrelationTrace
     classification: IgehClass
     r_eff: np.ndarray
-    envelope: np.ndarray          # F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1 per sample
-    small_r_envelope: np.ndarray  # |r_eff| / (2 pi sigma_c^2) * ||f1 f2||_1 per sample
+    envelope: np.ndarray  # F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1 per sample
 
 
 def default_oscillator_test_functions(o: OscillatorPair, width: float = 1.0) -> TestFunctionSet:
@@ -436,10 +435,7 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
                 f"correlation {values[k]:.3e} exceeds its envelope {envelope[k]:.3e}"
             )
     trace = CorrelationTrace(taus, values, meta=f"oscillator pair, T schedule of {temps.size}")
-    result = classify(trace, tol=tol)
-    scale = 2.0 * math.pi * o.sigma_c(kB) ** 2
-    return OscillatorTraceResult(trace, result, r_eff, envelope,
-                                 np.abs(r_eff) / scale * fs.product_l1)
+    return OscillatorTraceResult(trace, classify(trace, tol=tol), r_eff, envelope)
 
 
 @dataclass(frozen=True)

@@ -132,20 +132,22 @@ def _all_bumps(fs: TestFunctionSet) -> bool:
 def _bump_correlation(mean, cov, fs: TestFunctionSet) -> float:
     """Exact C of Gaussian bumps under N(mean, cov) (The Matrix Cookbook, 8.1.8).
 
-    With S = cov + diag(w^2) and d = c - mean, the joint term is
-    prod h_i w_i exp(-d^T S^-1 d / 2) / sqrt(det S), from one Cholesky of S,
-    and the product term is prod_i h_i w_i / sqrt(S_ii) exp(-d_i^2 / (2 S_ii)).
+    With S = cov + diag(w^2), d = c - mean and the Cholesky factor S = L L^T,
+    the joint term is prod_i (h_i w_i / L_ii) exp(-|L^-1 d|^2 / 2) and the
+    product term is prod_i (h_i w_i / sqrt(S_ii)) exp(-sum_i d_i^2 / (2 S_ii)).
     """
     _require_arity(fs, len(mean))
     c, w, h = np.array([(f.center, f.width, f.height) for f in fs.fs]).T
     d = c - mean
-    s = cov + np.diag(w**2)
+    s = cov + np.eye(d.size) * (w * w)
     chol = np.linalg.cholesky(s)
     z = np.linalg.solve(chol, d)
-    s_ii = np.diag(s)
-    joint = np.prod(h * w / np.diag(chol)) * math.exp(-0.5 * float(z @ z))
-    product = np.prod(h * w / np.sqrt(s_ii) * np.exp(-(d**2) / (2.0 * s_ii)))
-    return float(joint - product)
+    s_ii = s.diagonal()
+    # the short products run over Python floats: np.prod costs more than the rest
+    joint = math.prod((h * w / chol.diagonal()).tolist()) * math.exp(-0.5 * float(z @ z))
+    product = (math.prod((h * w / np.sqrt(s_ii)).tolist())
+               * math.exp(-0.5 * float((d * d) @ (1.0 / s_ii))))
+    return joint - product
 
 
 def ig_correlation(joint: Callable, marginals: Sequence[Callable],
@@ -463,8 +465,7 @@ def mvn_distinguishability(g: MultivariateGaussian,
         prod = 1.0
         for m, x in zip(marginals, sparse):
             prod = prod * m.pdf(x)
-        pts = np.stack(np.broadcast_arrays(*sparse)).reshape(dim, -1)
-        return mvn_pdf(pts, g).reshape(prod.shape) - prod
+        return mvn_pdf(sparse, g) - prod
 
     return _grid_zoom_max(objective, g.mean, np.sqrt(np.diag(g.covariance)),
                           coarse, zoom_pts, zoom_rounds, half_width)

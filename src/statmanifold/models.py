@@ -24,7 +24,7 @@ for the canonical-ensemble bridge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,10 +209,17 @@ def univariate_gaussian_family(order: int = DEFAULT_ORDER) -> ModelFamily:
 
 @dataclass(frozen=True)
 class MultivariateGaussian:
-    """Gaussian over a 2n-dimensional microspace with full covariance."""
+    """Gaussian over a 2n-dimensional microspace with full covariance.
+
+    The covariance is factored once, C = L L^T; the factorization is the
+    positive-definiteness check.  ``whitening`` is W = L^-1, lower triangular
+    and read-only, and ``normalizer`` is 1 / ((2 pi)^(dim/2) prod L_ii).
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
+    whitening: np.ndarray = field(init=False, repr=False, compare=False)
+    normalizer: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -223,8 +230,15 @@ class MultivariateGaussian:
             raise ValueError("covariance shape does not match mean length")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(cov).max())):
             raise NonPositiveDefiniteError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) <= 0.0:
-            raise NonPositiveDefiniteError("covariance must be positive definite")
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise NonPositiveDefiniteError("covariance must be positive definite") from None
+        whitening = np.tril(np.linalg.inv(chol))
+        whitening.flags.writeable = False
+        object.__setattr__(self, "whitening", whitening)
+        object.__setattr__(self, "normalizer",
+                           float(1.0 / (TWO_PI ** (0.5 * self.dim) * np.prod(np.diag(chol)))))
 
     @property
     def dim(self) -> int:
@@ -232,16 +246,24 @@ class MultivariateGaussian:
 
 
 def mvn_pdf(x, g: MultivariateGaussian):
-    """Multivariate normal density; x has shape (dim,) or (dim, k)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[:, None] if single else x
-    d = pts - g.mean[:, None]
-    sol = np.linalg.solve(g.covariance, d)
-    quad = np.sum(d * sol, axis=0)
-    det = np.linalg.det(g.covariance)
-    vals = np.exp(-0.5 * quad) / np.sqrt((TWO_PI ** g.dim) * det)
-    return float(vals[0]) if single else vals
+    """Multivariate normal density at ``x``, a sequence of ``g.dim`` coordinates.
+
+    ``x`` is one point (dim,), which gives a float; a (dim, k) stack, which
+    gives (k,); or ``dim`` arrays that broadcast together, such as a sparse
+    ``ij`` meshgrid, which gives their broadcast shape.  The quadratic form is
+    the sum of squares of z = W (x - mean), so nothing cancels.
+    """
+    if len(x) != g.dim:
+        raise ValueError(f"need {g.dim} coordinates, got {len(x)}")
+    d = [np.asarray(xi, dtype=float) - m for xi, m in zip(x, g.mean)]
+    quad = 0.0
+    for k, row in enumerate(g.whitening):
+        z = row[0] * d[0]
+        for i in range(1, k + 1):
+            z = z + row[i] * d[i]
+        quad = quad + z * z
+    vals = g.normalizer * np.exp(-0.5 * quad)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def mvn_marginal(g: MultivariateGaussian, i: int) -> UnivariateGaussian:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,6 +118,23 @@ class IntegrationSpec:
     def with_order(self, order: int) -> "IntegrationSpec":
         return IntegrationSpec(self.center, self.transform, order, self.rule, self.half_width)
 
+    @cached_property
+    def jacobian(self) -> float:
+        """sqrt(2)^d |det transform|, the Jacobian of the Gauss-Hermite node map."""
+        return (np.sqrt(2.0) ** self.dim) * abs(np.linalg.det(self.transform))
+
+    @cached_property
+    def coarse(self) -> "IntegrationSpec":
+        """The half-order rule of the error estimate, built once per spec.
+
+        Only the order differs from this validated spec, so it is a copy made
+        without a second validation.  It shares the arrays and whatever this
+        spec has cached, such as the Jacobian once the spec has been integrated.
+        """
+        coarse = object.__new__(IntegrationSpec)
+        coarse.__dict__.update(vars(self), order=max(4, self.order // 2))
+        return coarse
+
     def axis_spec(self, i: int, order: int | None = None) -> "IntegrationSpec":
         """1-D spec for axis ``i`` (used for marginal integrals)."""
         return IntegrationSpec(
@@ -139,7 +156,7 @@ def _node_chunks(spec: IntegrationSpec):
     if spec.rule == "gauss_hermite":
         t, w, T, W = hermite_block(n, d)
         axes_t, axes_w = [t] * d, [w] * d
-        jac = (np.sqrt(2.0) ** d) * abs(np.linalg.det(spec.transform))
+        jac = spec.jacobian
         map_pts = lambda T: spec.center[:, None] + np.sqrt(2.0) * (spec.transform @ T)
     else:
         scales = spec.axis_scales
@@ -183,9 +200,8 @@ def integrate(fn, spec: IntegrationSpec):
 
 def integrate_with_error(fn, spec: IntegrationSpec):
     """Integrate and estimate the error by comparing against a coarser rule."""
-    coarse = spec.with_order(max(4, spec.order // 2))
     val = integrate(fn, spec)
-    ref = integrate(fn, coarse)
+    ref = integrate(fn, spec.coarse)
     err = np.max(np.abs(np.atleast_1d(val - ref)))
     return val, float(err)
 

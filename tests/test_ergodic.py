@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from statmanifold import (
     mvn_upper_bound,
     pdf_2d,
 )
+from statmanifold.ergodic import _grid_zoom_max
 
 # frozen reference values, computed from the closed form and confirmed by the
 # independent grid-maximization oracle (they agree to ~1e-15)
@@ -388,6 +390,49 @@ def _permuted_4d_gaussian():
 ])
 def test_mvn_distinguishability_pinned(make, expected):
     assert mvn_distinguishability(make()) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def stacked_distinguishability(g):
+    """The maximizer with the grid stacked to (dim, N) and the density from solve and det."""
+    marginals = [mvn_marginal(g, i) for i in range(g.dim)]
+    det = np.linalg.det(g.covariance)
+
+    def objective(axes):
+        sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+        prod = 1.0
+        for m, x in zip(marginals, sparse):
+            prod = prod * m.pdf(x)
+        d = np.stack(np.broadcast_arrays(*sparse)).reshape(g.dim, -1) - g.mean[:, None]
+        quad = np.sum(d * np.linalg.solve(g.covariance, d), axis=0)
+        joint = np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** g.dim * det)
+        return joint.reshape(prod.shape) - prod
+
+    return _grid_zoom_max(objective, g.mean, np.sqrt(np.diag(g.covariance)), 21, 7, 40, 8.0)
+
+
+def test_mvn_distinguishability_matches_stacked_grid():
+    # one correlated pair and two independent coordinates, permuted
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        sds = 10.0 ** rng.uniform(-1, 1, 4)
+        cov = np.diag(sds**2)
+        cov[0, 1] = cov[1, 0] = rng.uniform(-0.95, 0.95) * sds[0] * sds[1]
+        perm = rng.permutation(4)
+        g = MultivariateGaussian(rng.uniform(-1, 1, 4)[perm], cov[np.ix_(perm, perm)])
+        assert mvn_distinguishability(g) == pytest.approx(
+            stacked_distinguishability(g), rel=1e-12, abs=0.0)
+
+
+def test_mvn_distinguishability_never_stacks_the_grid():
+    # the stacked (4, 21^4) grid alone is 6.2 MB; the stacked objective peaked near 27 MB
+    g = _permuted_4d_gaussian()
+    tracemalloc.start()
+    try:
+        mvn_distinguishability(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_mvn_bound_dominates_correlation():

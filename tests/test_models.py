@@ -178,9 +178,52 @@ def test_mvn_normalization_n2():
     assert integrate(lambda x: mvn_pdf(x, g), spec) == pytest.approx(1.0, abs=1e-6)
 
 
+def solve_det_pdf(pts, g):
+    """N(x; mean, cov) at the columns of pts from one solve and one det."""
+    d = pts - g.mean[:, None]
+    quad = np.sum(d * np.linalg.solve(g.covariance, d), axis=0)
+    return np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** g.dim * np.linalg.det(g.covariance))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_mvn_pdf_matches_solve_and_det(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(5):
+        a = rng.normal(size=(dim, dim))
+        sd = 10.0 ** rng.uniform(-1, 1, dim)
+        g = MultivariateGaussian(rng.normal(size=dim), (a @ a.T + 0.5 * np.eye(dim)) * np.outer(sd, sd))
+        pts = g.mean[:, None] + 2.0 * sd[:, None] * rng.normal(size=(dim, 50))
+        np.testing.assert_allclose(mvn_pdf(pts, g), solve_det_pdf(pts, g), rtol=1e-13, atol=0.0)
+        assert g.whitening.flags.writeable is False
+        assert not np.triu(g.whitening, 1).any()
+
+
+def test_mvn_pdf_sparse_grid_equals_stacked_grid():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 4))
+    g = MultivariateGaussian(rng.normal(size=4), a @ a.T + 0.5 * np.eye(4))
+    axes = [m + np.linspace(-3.0, 3.0, n) for m, n in zip(g.mean, (5, 4, 3, 6))]
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    stacked = np.stack(np.broadcast_arrays(*sparse)).reshape(4, -1)
+    on_grid = mvn_pdf(sparse, g)
+    assert on_grid.shape == (5, 4, 3, 6)
+    np.testing.assert_allclose(on_grid.ravel(), mvn_pdf(stacked, g), rtol=1e-14, atol=0.0)
+
+
+def test_mvn_pdf_single_point_is_float():
+    g = MultivariateGaussian([1.0, -1.0], np.array([[2.0, 0.3], [0.3, 0.5]]))
+    value = mvn_pdf(np.array([0.5, 0.0]), g)
+    assert type(value) is float
+    assert value == pytest.approx(solve_det_pdf(np.array([[0.5], [0.0]]), g)[0], rel=1e-13)
+    with pytest.raises(ValueError):
+        mvn_pdf(np.zeros(3), g)
+
+
 def test_mvn_rejects_bad_covariance():
     with pytest.raises(NonPositiveDefiniteError):
         MultivariateGaussian(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(NonPositiveDefiniteError):
+        MultivariateGaussian(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(NonPositiveDefiniteError):
         MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(IndexError):

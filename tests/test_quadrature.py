@@ -121,6 +121,20 @@ def test_error_estimate_small_for_smooth_gaussian():
     assert err < 1e-10
 
 
+@pytest.mark.parametrize("rule", ["gauss_hermite", "rectangle"])
+def test_error_estimate_reuses_one_coarse_rule(rule):
+    cov = np.array([[2.0, 0.6], [0.6, 0.5]])
+    spec = IntegrationSpec(np.array([0.4, -1.0]), np.linalg.cholesky(cov), 20, rule)
+    fn = lambda x: np.exp(-0.5 * (x[0] ** 2 + x[1] ** 2)) * (1.0 + x[0] * x[1])
+    coarse = spec.coarse
+    assert spec.coarse is coarse
+    assert (coarse.order, coarse.rule, coarse.half_width) == (10, rule, spec.half_width)
+    assert coarse.center is spec.center and coarse.transform is spec.transform
+    val, err = integrate_with_error(fn, spec)
+    fine, ref = integrate(fn, spec.with_order(20)), integrate(fn, spec.with_order(10))
+    assert val == fine and err == abs(fine - ref)
+
+
 def test_integrate_checked_raises_on_nonconvergence():
     # heavy-tailed integrand far wider than the node cloud
     spec = IntegrationSpec.axes([0.0], [0.05], order=8)
