@@ -62,6 +62,7 @@ from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 NORM_SPOT_TOL = 1e-6
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -243,42 +244,58 @@ def distinguishability_F_sup(r: float) -> float:
     return distinguishability_F_closed(a)
 
 
+def _standard_gap(r: float, u, v):
+    """(p - p1 p2) * 2 pi sigma_c^2 of the correlated model in standard units.
+
+    u = (x - mu_x) / sigma and v = y / sigma_y broadcast together.  The joint
+    is one exponential of the 1-D terms plus the cross term; the product of
+    marginals is exp(-u^2 / 2) exp(-v^2 / 2).
+    """
+    a = -0.5 / (1.0 - r * r)
+    joint = np.exp((a * u * u + a * v * v) + (-2.0 * a * r * u) * v) / math.sqrt(1.0 - r * r)
+    return joint - np.exp(-0.5 * u * u) * np.exp(-0.5 * v * v)
+
+
 def factorization_gap_2d(params: Correlated2DParams, x, y):
     """|p(x, y) - p1(x) p2(y)| of the correlated model, broadcast over x and y."""
-    p1, p2 = marginals_2d(params)
-    return np.abs(pdf_2d(x, y, params) - p1.pdf(x) * p2.pdf(y))
+    params.require_nondegenerate()
+    u = (np.asarray(x, dtype=float) - params.mu_x) / params.sigma
+    v = np.asarray(y, dtype=float) / params.sigma_y
+    return np.abs(_standard_gap(params.r, u, v)) / (2.0 * math.pi * params.sigma_c**2)
 
 
 def _grid_zoom_max(objective: Callable, center, sds, coarse: int, zoom_points: int,
                    zoom_rounds: int, half_width: float) -> float:
     """Maximum of ``objective`` by a coarse grid scan and deterministic zoom.
 
-    ``objective(axes)`` returns its values on the ``ij`` grid of the 1-D
-    ``axes``.  The coarse scan spans ``center`` +- ``half_width`` ``sds`` with
-    ``coarse`` points per axis.  Each zoom round rescans ``zoom_points`` per
-    axis over +-h around the previous round's best point, starting from 1.5
-    coarse cells and shrinking h by 0.35 per round, until h < 1e-12 max(1, sd)
-    on every axis or ``zoom_rounds`` rounds are done.
+    ``objective(grid)`` returns its values on the ``ij`` grid spanned by the
+    rows of the (dim, n) array ``grid``.  The coarse scan spans ``center`` +-
+    ``half_width`` ``sds`` with ``coarse`` points per axis.  Each zoom round
+    rescans ``center + h t``, t = linspace(-1, 1, ``zoom_points``), around the
+    previous round's best point, starting from 1.5 coarse cells and shrinking
+    h by 0.35 per round, until h < sqrt(eps) sd on every axis or
+    ``zoom_rounds`` rounds are done.  The maximum is smooth, so its value
+    error goes as the square of the position error: below one ulp by then.
     """
     center = np.asarray(center, dtype=float)
     sds = np.asarray(sds, dtype=float)
+    rows = np.arange(center.size)
 
-    def grid(lo, hi, n):
-        return [np.linspace(a, b, n) for a, b in zip(lo, hi)]
-
-    def scan(axes):
-        vals = objective(axes)
+    def scan(grid):
+        vals = objective(grid)
         k = np.unravel_index(np.argmax(vals), vals.shape)
-        return float(vals[k]), np.array([ax[i] for ax, i in zip(axes, k)])
+        return float(vals[k]), grid[rows, k]
 
-    axes = grid(center - half_width * sds, center + half_width * sds, coarse)
-    best, center = scan(axes)
-    h = np.array([(ax[1] - ax[0]) * 1.5 for ax in axes])
+    h = half_width * sds
+    best, center = scan(center[:, None] + h[:, None] * np.linspace(-1.0, 1.0, coarse))
+    h = h * (3.0 / (coarse - 1))
+    t = np.linspace(-1.0, 1.0, zoom_points)
+    stop = SQRT_EPS * sds
     for _ in range(zoom_rounds):
-        val, center = scan(grid(center - h, center + h, zoom_points))
+        val, center = scan(center[:, None] + h[:, None] * t)
         best = max(best, val)
         h *= 0.35
-        if np.all(h < 1e-12 * np.maximum(1.0, sds)):
+        if np.all(h < stop):
             break
     return best
 
@@ -294,18 +311,15 @@ def distinguishability_F_numeric(params: Correlated2DParams,
     followed by deterministic zoom refinement around the best cell.  The
     maximum is reported in units of the joint's central prefactor
     1/(2 pi sigma_c^2), which makes it independent of mu_x, sigma and
-    sigma_c and directly comparable with the closed form.  Agrees with the
+    sigma_c and directly comparable with the closed form: the scan runs in
+    standard units, around (0, 0) with unit sds.  Agrees with the
     closed form for |r| <= BRANCH_SWITCH_R; above that it converges to the
     central value 1/sqrt(1 - r^2) - 1, which is the actual supremum.
     """
     params.require_nondegenerate()
-    scale = 2.0 * math.pi * params.sigma_c**2
-
-    def objective(axes):
-        x, y = np.meshgrid(*axes, indexing="ij", sparse=True)
-        return factorization_gap_2d(params, x, y) * scale
-
-    return _grid_zoom_max(objective, [params.mu_x, 0.0], [params.sigma, params.sigma_y],
+    r = params.r
+    return _grid_zoom_max(lambda g: np.abs(_standard_gap(r, g[0][:, None], g[1])),
+                          [0.0, 0.0], [1.0, 1.0],
                           coarse_points, zoom_points, zoom_rounds, half_width)
 
 
@@ -460,8 +474,8 @@ def mvn_distinguishability(g: MultivariateGaussian,
     zoom_pts = 17 if dim <= 2 else 7
     marginals = [mvn_marginal(g, i) for i in range(dim)]
 
-    def objective(axes):
-        sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    def objective(grid):
+        sparse = np.meshgrid(*grid, indexing="ij", sparse=True)
         prod = 1.0
         for m, x in zip(marginals, sparse):
             prod = prod * m.pdf(x)

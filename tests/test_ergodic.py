@@ -31,7 +31,7 @@ from statmanifold import (
     mvn_upper_bound,
     pdf_2d,
 )
-from statmanifold.ergodic import _grid_zoom_max
+from statmanifold.ergodic import _grid_zoom_max, factorization_gap_2d
 
 # frozen reference values, computed from the closed form and confirmed by the
 # independent grid-maximization oracle (they agree to ~1e-15)
@@ -211,13 +211,87 @@ def test_F_numeric_independent_of_location_scale_and_constraint():
 
 
 # grid-and-zoom results recorded before the two maximizers shared one loop;
-# a changed grid, zoom rule or objective moves them far beyond 1e-12
+# a grid or objective that finds a different point moves them beyond 1e-12,
+# while rounding-level changes (standard units, the sqrt(eps) zoom stop)
+# stay near 1e-16
 @pytest.mark.parametrize("params, expected", [
     (Correlated2DParams(0.7, 1.3, 0.5, 0.6), 0.22808899523540793),
     (Correlated2DParams(-1.2, 0.4, 0.9, 1.7), 1.294157338705618),
 ])
 def test_F_numeric_pinned_on_both_branches(params, expected):
     assert distinguishability_F_numeric(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def reference_F_numeric(params, coarse=241, half_width=8.0, zoom_rounds=42, zoom_points=33):
+    """The maximizer with per-axis grids, the model density and the stop h < 1e-12 max(1, sd)."""
+    p1, p2 = marginals_2d(params)
+    scale = 2.0 * np.pi * params.sigma_c**2
+    sds = np.array([params.sigma, params.sigma_y])
+
+    def scan(axes):
+        x, y = np.meshgrid(*axes, indexing="ij", sparse=True)
+        vals = np.abs(pdf_2d(x, y, params) - p1.pdf(x) * p2.pdf(y)) * scale
+        k = np.unravel_index(np.argmax(vals), vals.shape)
+        return float(vals[k]), np.array([ax[i] for ax, i in zip(axes, k)])
+
+    def grid(lo, hi, n):
+        return [np.linspace(a, b, n) for a, b in zip(lo, hi)]
+
+    center = np.array([params.mu_x, 0.0])
+    axes = grid(center - half_width * sds, center + half_width * sds, coarse)
+    best, center = scan(axes)
+    h = np.array([(ax[1] - ax[0]) * 1.5 for ax in axes])
+    for _ in range(zoom_rounds):
+        val, center = scan(grid(center - h, center + h, zoom_points))
+        best = max(best, val)
+        h *= 0.35
+        if np.all(h < 1e-12 * np.maximum(1.0, sds)):
+            break
+    return best
+
+
+def test_F_numeric_matches_reference_maximizer_on_both_branches():
+    rng = np.random.default_rng(13)
+    rs = np.concatenate([rng.uniform(0.05, BRANCH_SWITCH_R, 24),
+                         rng.uniform(BRANCH_SWITCH_R, 0.97, 16)]) * rng.choice([-1.0, 1.0], 40)
+    for r in rs:
+        params = Correlated2DParams(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.0, 1.0),
+                                    r, 10.0 ** rng.uniform(-1.0, 1.0))
+        assert distinguishability_F_numeric(params) == pytest.approx(
+            reference_F_numeric(params), rel=1e-12, abs=0.0)
+
+
+def test_factorization_gap_matches_model_density():
+    # the gap in standard units against |pdf_2d - p1 p2| from the model's own
+    # densities; exponents near -700 carry a relative rounding of ~700 ulp, so
+    # the scale is the larger term's peak on the grid
+    rng = np.random.default_rng(17)
+    t = np.linspace(-8.0, 8.0, 161)
+    for _ in range(30):
+        params = Correlated2DParams(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.0, 1.0),
+                                    rng.uniform(-0.97, 0.97), 10.0 ** rng.uniform(-1.0, 1.0))
+        x, y = params.mu_x + t[:, None] * params.sigma, t * params.sigma_y
+        p1, p2 = marginals_2d(params)
+        joint, prod = pdf_2d(x, y, params), p1.pdf(x) * p2.pdf(y)
+        gap = factorization_gap_2d(params, x, y)
+        assert np.max(np.abs(gap - np.abs(joint - prod))) <= 1e-14 * max(joint.max(), prod.max())
+
+
+@pytest.mark.parametrize("sd", [1e-9, 1.0, 1e6])
+def test_grid_zoom_stops_once_the_value_cannot_move(sd):
+    # F_numeric's grids: 1 coarse scan, then zoom until h < sqrt(eps) sd,
+    # which takes 15 rounds from 1.5 coarse cells at any scale (the stop
+    # h < 1e-12 max(1, sd) took 25 at sd = 1)
+    shapes = []
+
+    def objective(grid):
+        shapes.append(np.shape(grid))
+        u, v = np.asarray(grid) / sd
+        return -((u[:, None] - 0.3) ** 2) - (v + 0.2) ** 2
+
+    best = _grid_zoom_max(objective, [0.0, 0.0], [sd, sd], 241, 33, 42, 8.0)
+    assert shapes == [(2, 241)] + [(2, 33)] * 15
+    assert best == pytest.approx(0.0, abs=1e-15)
 
 
 def test_F_numeric_degenerate():
@@ -390,6 +464,17 @@ def _permuted_4d_gaussian():
 ])
 def test_mvn_distinguishability_pinned(make, expected):
     assert mvn_distinguishability(make()) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_mvn_distinguishability_is_scale_free():
+    # the zoom stops at h < sqrt(eps) sd, so a scaled Gaussian is resolved
+    # as finely as the unit one (the stop h < 1e-12 max(1, sd) was off by
+    # 2e-10 at s = 1e-9)
+    mean, cov = np.array([0.3, -0.4]), np.array([[2.0, -0.9], [-0.9, 0.7]])
+    unit = mvn_distinguishability(MultivariateGaussian(mean, cov))
+    for s in (1e-9, 1e-6, 1e3, 1e6):
+        scaled = mvn_distinguishability(MultivariateGaussian(mean * s, cov * s**2))
+        assert scaled * s**2 == pytest.approx(unit, rel=1e-13, abs=0.0)
 
 
 def stacked_distinguishability(g):
