@@ -256,12 +256,11 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
     return beta**2 * mat
 
 
-def ce_upper_bound(h: QuadraticHamiltonian, bath: HeatBath, fs: TestFunctionSet,
-                   **kwargs) -> float:
-    """Correlation bound for the canonical Gaussian of ``h`` (n = 1 only)."""
+def ce_upper_bound(h: QuadraticHamiltonian, bath: HeatBath, fs: TestFunctionSet) -> float:
+    """``mvn_upper_bound`` of the canonical Gaussian of ``h`` (n = 1 only)."""
     if h.n != 1:
         raise ValueError("maximization path supports n = 1 (desk scale)")
-    return mvn_upper_bound(canonical_to_gaussian(h, bath), fs, **kwargs)
+    return mvn_upper_bound(canonical_to_gaussian(h, bath), fs)
 
 
 @dataclass(frozen=True)

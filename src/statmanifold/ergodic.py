@@ -300,27 +300,32 @@ def _grid_zoom_max(objective: Callable, center, sds, coarse: int, zoom_points: i
     return best
 
 
-def distinguishability_F_numeric(params: Correlated2DParams,
-                                 coarse_points: int = 241,
-                                 half_width: float = 8.0,
-                                 zoom_rounds: int = 42,
-                                 zoom_points: int = 33) -> float:
-    """Brute-force oracle for the closed form: maximize |p - p1 p2|.
+def _maximize(objective: Callable, center, sds) -> float:
+    """``_grid_zoom_max`` with the one grid rule of both public maximizers.
 
-    A coarse scan over +-``half_width`` effective standard deviations is
-    followed by deterministic zoom refinement around the best cell.  The
+    +-8 sds; 121 coarse points per axis up to 2-D, 21 above; 7-point zooms.
+    A zoom grid is spaced h / 3 and h shrinks by 0.35, so the best point stays
+    inside the next box with a margin of two.  At 2/15 sd spacing the coarse
+    scan lands in the right basin: below BRANCH_SWITCH_R every basin is wider
+    than 0.4 sd, and above it the maximum is the centre, a grid point.
+    """
+    coarse = 121 if len(center) <= 2 else 21
+    return _grid_zoom_max(objective, center, sds, coarse, 7, 40, 8.0)
+
+
+def distinguishability_F_numeric(params: Correlated2DParams) -> float:
+    """Brute-force oracle for the closed form: maximize |p - p1 p2| by ``_maximize``.
+
+    The scan runs in standard units, around (0, 0) with unit sds, and the
     maximum is reported in units of the joint's central prefactor
-    1/(2 pi sigma_c^2), which makes it independent of mu_x, sigma and
-    sigma_c and directly comparable with the closed form: the scan runs in
-    standard units, around (0, 0) with unit sds.  Agrees with the
-    closed form for |r| <= BRANCH_SWITCH_R; above that it converges to the
-    central value 1/sqrt(1 - r^2) - 1, which is the actual supremum.
+    1/(2 pi sigma_c^2): it depends on r alone and compares directly with the
+    closed form.  Agrees with it for |r| <= BRANCH_SWITCH_R; above that it
+    converges to the central value 1/sqrt(1 - r^2) - 1, the actual supremum.
     """
     params.require_nondegenerate()
     r = params.r
-    return _grid_zoom_max(lambda g: np.abs(_standard_gap(r, g[0][:, None], g[1])),
-                          [0.0, 0.0], [1.0, 1.0],
-                          coarse_points, zoom_points, zoom_rounds, half_width)
+    return _maximize(lambda g: np.abs(_standard_gap(r, g[0][:, None], g[1])),
+                     [0.0, 0.0], [1.0, 1.0])
 
 
 def correlation_upper_bound(params: Correlated2DParams, fs: TestFunctionSet) -> float:
@@ -462,17 +467,11 @@ def mvn_ig_correlation(g: MultivariateGaussian, fs: TestFunctionSet,
     return ig_correlation(lambda x: mvn_pdf(x, g), marginals, fs, spec, check=check)
 
 
-def mvn_distinguishability(g: MultivariateGaussian,
-                           coarse_points: int | None = None,
-                           half_width: float = 8.0,
-                           zoom_rounds: int = 40) -> float:
-    """Signed maximum of (joint - product of marginals) by grid scan + zoom."""
-    dim = g.dim
-    if dim > 4:
-        raise ValueError("maximization path supports dimension <= 4 (desk scale)")
-    coarse = coarse_points or (201 if dim <= 2 else 21)
-    zoom_pts = 17 if dim <= 2 else 7
-    marginals = [mvn_marginal(g, i) for i in range(dim)]
+def mvn_distinguishability(g: MultivariateGaussian) -> float:
+    """Signed maximum of (joint - product of marginals) by ``_maximize``."""
+    if not 2 <= g.dim <= 4:
+        raise ValueError("need at least two coordinates, and at most 4 (desk scale)")
+    marginals = [mvn_marginal(g, i) for i in range(g.dim)]
 
     def objective(grid):
         sparse = np.meshgrid(*grid, indexing="ij", sparse=True)
@@ -481,12 +480,11 @@ def mvn_distinguishability(g: MultivariateGaussian,
             prod = prod * m.pdf(x)
         return mvn_pdf(sparse, g) - prod
 
-    return _grid_zoom_max(objective, g.mean, np.sqrt(np.diag(g.covariance)),
-                          coarse, zoom_pts, zoom_rounds, half_width)
+    return _maximize(objective, g.mean, np.sqrt(np.diag(g.covariance)))
 
 
-def mvn_upper_bound(g: MultivariateGaussian, fs: TestFunctionSet, **kwargs) -> float:
-    """Distinguishability maximum times ||f_1 ... f_N||_1."""
+def mvn_upper_bound(g: MultivariateGaussian, fs: TestFunctionSet) -> float:
+    """``mvn_distinguishability`` times ||f_1 ... f_N||_1."""
     if len(fs) != g.dim:
         raise ValueError("need one test function per coordinate")
-    return mvn_distinguishability(g, **kwargs) * fs.product_l1
+    return mvn_distinguishability(g) * fs.product_l1

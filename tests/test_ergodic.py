@@ -169,12 +169,16 @@ def test_F_numeric_matches_closed_form_below_branch_switch(r):
 
 
 def test_F_numeric_matches_closed_form_on_dense_grid():
-    for r in np.linspace(-0.8, 0.8, 17):
+    # the supremum is the closed form up to r* and the centre value beyond,
+    # out to |r| = 0.999 and within 1e-6 of r* on both sides
+    near_switch = BRANCH_SWITCH_R + np.array([-1e-2, -1e-4, -1e-6, 1e-6, 1e-4, 1e-2])
+    rs = np.concatenate([np.linspace(-0.999, 0.999, 189), near_switch, -near_switch])
+    for r in rs:
         if r == 0.0:
             continue
         params = Correlated2DParams(0.0, 1.0, r, 1.0)
         assert distinguishability_F_numeric(params) == pytest.approx(
-            distinguishability_F_closed(r), abs=1e-6
+            distinguishability_F_sup(r), rel=1e-12, abs=0.0
         )
 
 
@@ -211,9 +215,9 @@ def test_F_numeric_independent_of_location_scale_and_constraint():
 
 
 # grid-and-zoom results recorded before the two maximizers shared one loop;
-# a grid or objective that finds a different point moves them beyond 1e-12,
-# while rounding-level changes (standard units, the sqrt(eps) zoom stop)
-# stay near 1e-16
+# the changes since (standard units, the sqrt(eps) zoom stop, the 121-point
+# coarse scan and 7-point zoom) leave them within 2.2e-16, so a move beyond
+# 1e-12 means the maximizer found a different point
 @pytest.mark.parametrize("params, expected", [
     (Correlated2DParams(0.7, 1.3, 0.5, 0.6), 0.22808899523540793),
     (Correlated2DParams(-1.2, 0.4, 0.9, 1.7), 1.294157338705618),
@@ -279,9 +283,9 @@ def test_factorization_gap_matches_model_density():
 
 @pytest.mark.parametrize("sd", [1e-9, 1.0, 1e6])
 def test_grid_zoom_stops_once_the_value_cannot_move(sd):
-    # F_numeric's grids: 1 coarse scan, then zoom until h < sqrt(eps) sd,
-    # which takes 15 rounds from 1.5 coarse cells at any scale (the stop
-    # h < 1e-12 max(1, sd) took 25 at sd = 1)
+    # 241 coarse and 33 zoom points: 1 coarse scan, then zoom until
+    # h < sqrt(eps) sd, which takes 15 rounds from 1.5 coarse cells at any
+    # scale (the stop h < 1e-12 max(1, sd) took 25 at sd = 1)
     shapes = []
 
     def objective(grid):
@@ -536,6 +540,29 @@ def test_mvn_correlation_4d_factorizes():
     g = MultivariateGaussian(np.zeros(4), np.diag([1.0, 2.0, 0.5, 1.5]))
     fs = TestFunctionSet.unit_l1_bumps([0.0, 0.0, 0.0, 0.0])
     assert abs(mvn_ig_correlation(g, fs, order=16)) < 1e-10
+
+
+def test_mvn_maximum_matches_bivariate_supremum():
+    # every bivariate Gaussian has sup (p - p1 p2) = F_sup(rho) / (2 pi s1 s2),
+    # whatever its means: an oracle the grid does not share
+    rng = np.random.default_rng(29)
+    rhos = np.concatenate([rng.uniform(0.01, BRANCH_SWITCH_R, 24),
+                           rng.uniform(BRANCH_SWITCH_R, 0.999, 16)]) * rng.choice([-1.0, 1.0], 40)
+    for rho in rhos:
+        s1, s2 = np.exp(rng.uniform(-1.0, 1.0, 2))
+        cov = np.array([[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]])
+        g = MultivariateGaussian(rng.uniform(-3.0, 3.0, 2), cov)
+        assert mvn_distinguishability(g) == pytest.approx(
+            distinguishability_F_sup(rho) / (2 * np.pi * s1 * s2), rel=1e-12, abs=0.0)
+
+
+def test_mvn_maximum_rejects_a_1d_joint():
+    # a 1-D joint is its own marginal, so its maximum would be a silent zero
+    g = MultivariateGaussian([0.0], [[1.0]])
+    with pytest.raises(ValueError, match="at least two"):
+        mvn_distinguishability(g)
+    with pytest.raises(ValueError, match="at least two"):
+        mvn_upper_bound(g, TestFunctionSet.unit_l1_bumps([0.0]))
 
 
 def test_mvn_requires_matching_dimensions():
