@@ -205,16 +205,13 @@ def _theta_energy_gradient(energy: Callable, x: np.ndarray, theta: np.ndarray) -
 
 
 def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationSpec,
-                     grad_theta: Optional[Callable] = None,
-                     subtract_mean: bool = False) -> np.ndarray:
+                     grad_theta: Optional[Callable] = None) -> np.ndarray:
     """Fisher matrix of the canonical family exp(-beta E(.; theta))/Z(theta).
 
-    With ``subtract_mean=False`` this is beta^2 <dE/dtheta_i dE/dtheta_j>
-    under the canonical average, which assumes a theta-independent partition
-    function.  With ``subtract_mean=True`` the canonical means are subtracted
-    (beta^2 times the covariance of the energy gradient), which is the Fisher
-    information of the normalized density for any Z(theta).  The two agree
-    whenever <dE/dtheta> = 0.
+    This is beta^2 times the canonical covariance of dE/dtheta, the Fisher
+    information of the normalized density for any Z(theta).  The raw second
+    moment beta^2 <dE/dtheta_i dE/dtheta_j> equals it only when
+    <dE/dtheta> = 0.
 
     ``energy`` maps (phase points (2n, k), theta) to (k,); ``spec`` must cover
     the canonical density at theta.
@@ -242,24 +239,17 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
         # one weight and one gradient per node serve the second moments and the means
         w = weight(x) / z
         g = grads(x)
-        parts = [w * g[iu[0]] * g[iu[1]]]
-        if subtract_mean:
-            parts.append(w * g)
-        return np.concatenate(parts).T
+        return np.concatenate([w * g[iu[0]] * g[iu[1]], w * g]).T
 
     vals = integrate(moments, spec)
     mat = np.zeros((m, m))
     mat[iu] = mat[iu[1], iu[0]] = vals[:n_pairs]
-    if subtract_mean:
-        means = vals[n_pairs:]
-        mat = mat - np.outer(means, means)
-    return beta**2 * mat
+    means = vals[n_pairs:]
+    return beta**2 * (mat - np.outer(means, means))
 
 
 def ce_upper_bound(h: QuadraticHamiltonian, bath: HeatBath, fs: TestFunctionSet) -> float:
-    """``mvn_upper_bound`` of the canonical Gaussian of ``h`` (n = 1 only)."""
-    if h.n != 1:
-        raise ValueError("maximization path supports n = 1 (desk scale)")
+    """``mvn_upper_bound`` of the canonical Gaussian of ``h``."""
     return mvn_upper_bound(canonical_to_gaussian(h, bath), fs)
 
 

@@ -300,32 +300,22 @@ def _grid_zoom_max(objective: Callable, center, sds, coarse: int, zoom_points: i
     return best
 
 
-def _maximize(objective: Callable, center, sds) -> float:
-    """``_grid_zoom_max`` with the one grid rule of both public maximizers.
-
-    +-8 sds; 121 coarse points per axis up to 2-D, 21 above; 7-point zooms.
-    A zoom grid is spaced h / 3 and h shrinks by 0.35, so the best point stays
-    inside the next box with a margin of two.  At 2/15 sd spacing the coarse
-    scan lands in the right basin: below BRANCH_SWITCH_R every basin is wider
-    than 0.4 sd, and above it the maximum is the centre, a grid point.
-    """
-    coarse = 121 if len(center) <= 2 else 21
-    return _grid_zoom_max(objective, center, sds, coarse, 7, 40, 8.0)
-
-
 def distinguishability_F_numeric(params: Correlated2DParams) -> float:
-    """Brute-force oracle for the closed form: maximize |p - p1 p2| by ``_maximize``.
+    """Brute-force oracle for the closed form: maximize |p - p1 p2| by ``_grid_zoom_max``.
 
     The scan runs in standard units, around (0, 0) with unit sds, and the
     maximum is reported in units of the joint's central prefactor
     1/(2 pi sigma_c^2): it depends on r alone and compares directly with the
     closed form.  Agrees with it for |r| <= BRANCH_SWITCH_R; above that it
     converges to the central value 1/sqrt(1 - r^2) - 1, the actual supremum.
+
+    The grid spans +-8 sds with 121 coarse points per axis, 2/15 sd apart and
+    finer than every basin, and 7-point zooms (README, "Numerical conventions").
     """
     params.require_nondegenerate()
     r = params.r
-    return _maximize(lambda g: np.abs(_standard_gap(r, g[0][:, None], g[1])),
-                     [0.0, 0.0], [1.0, 1.0])
+    return _grid_zoom_max(lambda g: np.abs(_standard_gap(r, g[0][:, None], g[1])),
+                          [0.0, 0.0], [1.0, 1.0], 121, 7, 40, 8.0)
 
 
 def correlation_upper_bound(params: Correlated2DParams, fs: TestFunctionSet) -> float:
@@ -468,19 +458,27 @@ def mvn_ig_correlation(g: MultivariateGaussian, fs: TestFunctionSet,
 
 
 def mvn_distinguishability(g: MultivariateGaussian) -> float:
-    """Signed maximum of (joint - product of marginals) by ``_maximize``."""
-    if not 2 <= g.dim <= 4:
-        raise ValueError("need at least two coordinates, and at most 4 (desk scale)")
-    marginals = [mvn_marginal(g, i) for i in range(g.dim)]
+    """sup |p - prod p_i| of a Gaussian joint, exact at any dimension >= 2.
 
-    def objective(grid):
-        sparse = np.meshgrid(*grid, indexing="ij", sparse=True)
-        prod = 1.0
-        for m, x in zip(marginals, sparse):
-            prod = prod * m.pdf(x)
-        return mvn_pdf(sparse, g) - prod
-
-    return _maximize(objective, g.mean, np.sqrt(np.diag(g.covariance)))
+    In standard units the joint is N(0, R), R the correlation matrix, and the
+    product N(0, I), both times K = (2 pi)^(-d/2) / prod sd.  The gap's
+    critical points are the centre, K (det(R)^(-1/2) - 1), and +-t e_k for each
+    eigenpair (m, e_k) of R with m != 1 and t^2 = 2 ln(1 / (m sqrt(det R))) /
+    (1/m - 1) > 0, K (m - 1) exp(-t^2 / 2).  The largest |value| is taken in
+    logs, so K cannot underflow.
+    """
+    if g.dim < 2:
+        raise ValueError("need at least two coordinates")
+    sd = np.sqrt(np.diag(g.covariance))
+    eig = np.linalg.eigvalsh(g.covariance / np.outer(sd, sd))
+    h = 0.5 * math.fsum(np.log(eig).tolist())  # ln sqrt(det R)
+    logs = [-h + math.log(abs(math.expm1(h)))] if h else []  # ln(|value| / K)
+    for m in set(eig.tolist()) - {1.0}:  # 1 - m is 0 only at m == 1
+        t2 = -2.0 * m * (math.log(m) + h) / (1.0 - m)
+        if t2 > 0.0:
+            logs.append(math.log(abs(m - 1.0)) - 0.5 * t2)
+    log_k = -0.5 * g.dim * math.log(2.0 * math.pi) - math.fsum(np.log(sd).tolist())
+    return math.exp(log_k + max(logs)) if logs else 0.0
 
 
 def mvn_upper_bound(g: MultivariateGaussian, fs: TestFunctionSet) -> float:

@@ -190,15 +190,11 @@ def test_ce_fisher_oscillator_equilibrium_parameter():
     spec = phase_space_spec(h, bath, order=64)
     g = ce_fisher_metric(energy, [0.0], bath, spec)
     assert g[0, 0] == pytest.approx(bath.beta * m_ * w**2, rel=1e-6)
-    # Z is independent of q0, so the mean-subtracted form agrees
-    raw = ce_fisher_metric(energy, [0.0], bath, spec, subtract_mean=False)
-    general = ce_fisher_metric(energy, [0.0], bath, spec, subtract_mean=True)
-    assert raw == pytest.approx(general, rel=1e-8)
 
 
 def test_ce_fisher_forms_differ_for_theta_dependent_partition():
-    # E = theta q^2 + p^2/2: d E/d theta = q^2 has nonzero canonical mean,
-    # so the raw second-moment form overestimates the Fisher information
+    # E = theta q^2 + p^2/2: d E/d theta = q^2 has nonzero canonical mean, so
+    # the raw second moment 3/(4 theta^2) would overestimate the Fisher information
     bath = HeatBath(1.0)
     theta0 = 0.8
 
@@ -207,11 +203,8 @@ def test_ce_fisher_forms_differ_for_theta_dependent_partition():
 
     scales = [math.sqrt(1.0 / (2.0 * theta0)), 1.0]
     spec = IntegrationSpec.axes([0.0, 0.0], scales, 64)
-    raw = ce_fisher_metric(energy, [theta0], bath, spec, subtract_mean=False)
-    general = ce_fisher_metric(energy, [theta0], bath, spec, subtract_mean=True)
-    assert raw[0, 0] == pytest.approx(3.0 / (4.0 * theta0**2), rel=1e-6)
-    assert general[0, 0] == pytest.approx(1.0 / (2.0 * theta0**2), rel=1e-6)
-    assert raw[0, 0] > general[0, 0]
+    g = ce_fisher_metric(energy, [theta0], bath, spec)
+    assert g[0, 0] == pytest.approx(1.0 / (2.0 * theta0**2), rel=1e-6)
 
 
 def test_ce_fisher_reduced_oscillator_matches_model_metric():
@@ -233,14 +226,13 @@ def test_ce_fisher_reduced_oscillator_matches_model_metric():
 
     params = Correlated2DParams(mu0, sigma0, r, sigma_c)
     spec = IntegrationSpec.for_gaussian([mu0, 0.0], params.covariance(), 64)
-    general = ce_fisher_metric(potential, [mu0, sigma0], bath, spec, subtract_mean=True)
+    general = ce_fisher_metric(potential, [mu0, sigma0], bath, spec)
     assert np.abs(general - metric_2d_closed(params)).max() < 1e-4
 
 
-@pytest.mark.parametrize("subtract_mean", [False, True])
-def test_ce_fisher_calls_the_energy_once_per_role(subtract_mean):
+def test_ce_fisher_calls_the_energy_once_per_role():
     # one block of 32 x 32 nodes: the partition function, the weight and the
-    # two gradient points, whether or not the means are subtracted
+    # two gradient points, which serve both the second moments and the means
     calls = []
 
     def energy(x, theta):
@@ -248,7 +240,7 @@ def test_ce_fisher_calls_the_energy_once_per_role(subtract_mean):
         return theta[0] * x[0] ** 2 + 0.5 * x[1] ** 2
 
     spec = IntegrationSpec.axes([0.0, 0.0], [math.sqrt(0.5), 1.0], 32)
-    ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec, subtract_mean=subtract_mean)
+    ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec)
     assert len(calls) == 4
 
 
@@ -307,11 +299,18 @@ def test_ce_upper_bound_dominates_correlation():
         assert abs(c) <= ce_upper_bound(h, bath, fs) + 1e-12
 
 
-def test_ce_upper_bound_requires_single_mode():
-    h = QuadraticHamiltonian(2, np.zeros(4), np.eye(4))
-    fs = TestFunctionSet.unit_l1_bumps([0.0] * 4)
-    with pytest.raises(ValueError):
-        ce_upper_bound(h, HeatBath(1.0), fs)
+@pytest.mark.parametrize("n", [2, 3])
+def test_ce_upper_bound_dominates_narrow_bumps_beyond_one_mode(n):
+    # unit-L1 bumps of width 1e-3 read p - prod p_i at one point each, at random
+    # centres within 1.5 sd of the mean; |C| / bound reaches 0.69 at n = 3
+    rng = np.random.default_rng(40 + n)
+    for _ in range(20):
+        h = random_quadratic(rng, n)
+        bath = HeatBath(rng.uniform(0.5, 2.0))
+        g = canonical_to_gaussian(h, bath)
+        sd = np.sqrt(np.diag(g.covariance))
+        fs = TestFunctionSet.unit_l1_bumps(g.mean + sd * rng.uniform(-1.5, 1.5, 2 * n), 1e-3)
+        assert abs(mvn_ig_correlation(g, fs)) <= ce_upper_bound(h, bath, fs)
 
 
 # ------------------------------------------------------- oscillator reduction

@@ -442,7 +442,7 @@ def test_mvn_correlation_zero_for_diagonal():
 
 
 def test_mvn_reduces_to_2d_model_bound():
-    # sigma_x sigma_y = 1 here, so the signed maximum equals the closed form
+    # sigma_x sigma_y = 1 here, so the supremum equals the closed form
     # divided by the joint's central prefactor 2 pi
     r = 0.5
     g = MultivariateGaussian(np.zeros(2), np.array([[1.0, r], [r, 1.0]]))
@@ -471,9 +471,7 @@ def test_mvn_distinguishability_pinned(make, expected):
 
 
 def test_mvn_distinguishability_is_scale_free():
-    # the zoom stops at h < sqrt(eps) sd, so a scaled Gaussian is resolved
-    # as finely as the unit one (the stop h < 1e-12 max(1, sd) was off by
-    # 2e-10 at s = 1e-9)
+    # the supremum is taken in standard units, so scaling by s only divides it by s^2
     mean, cov = np.array([0.3, -0.4]), np.array([[2.0, -0.9], [-0.9, 0.7]])
     unit = mvn_distinguishability(MultivariateGaussian(mean, cov))
     for s in (1e-9, 1e-6, 1e3, 1e6):
@@ -481,8 +479,8 @@ def test_mvn_distinguishability_is_scale_free():
         assert scaled * s**2 == pytest.approx(unit, rel=1e-13, abs=0.0)
 
 
-def stacked_distinguishability(g):
-    """The maximizer with the grid stacked to (dim, N) and the density from solve and det."""
+def stacked_distinguishability(g, sign=1.0):
+    """Grid-and-zoom maximum of sign * (p - prod p_i), the density from solve and det."""
     marginals = [mvn_marginal(g, i) for i in range(g.dim)]
     det = np.linalg.det(g.covariance)
 
@@ -494,26 +492,50 @@ def stacked_distinguishability(g):
         d = np.stack(np.broadcast_arrays(*sparse)).reshape(g.dim, -1) - g.mean[:, None]
         quad = np.sum(d * np.linalg.solve(g.covariance, d), axis=0)
         joint = np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** g.dim * det)
-        return joint.reshape(prod.shape) - prod
+        return sign * (joint.reshape(prod.shape) - prod)
 
     return _grid_zoom_max(objective, g.mean, np.sqrt(np.diag(g.covariance)), 21, 7, 40, 8.0)
 
 
+def _random_gaussians(rng, n):
+    """Random 2-4-D Gaussians, every third one negatively equicorrelated.
+
+    The others have cov = a a^T + d I.  With a a^T + 0.3 I about 4 % of the
+    3-D and 4-D draws have two lobes within 0.1 % of each other, and a
+    21-point coarse scan then zooms into the lower one.
+    """
+    for k in range(n):
+        d = int(rng.integers(2, 5))
+        if k % 3 == 0:
+            c = -0.95 * rng.uniform(0.0, 1.0 / (d - 1))
+            corr = (1.0 - c) * np.eye(d) + c
+        else:
+            a = rng.normal(size=(d, d))
+            cov = a @ a.T + d * np.eye(d)
+            corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        sds = rng.uniform(0.2, 3.0, d)
+        yield MultivariateGaussian(rng.uniform(-1.0, 1.0, d), corr * np.outer(sds, sds))
+
+
 def test_mvn_distinguishability_matches_stacked_grid():
-    # one correlated pair and two independent coordinates, permuted
+    # the larger of the grid's maximum and minimum; the first ten have one
+    # correlated pair and two independent coordinates, permuted
     rng = np.random.default_rng(12)
+    gaussians = []
     for _ in range(10):
         sds = 10.0 ** rng.uniform(-1, 1, 4)
         cov = np.diag(sds**2)
         cov[0, 1] = cov[1, 0] = rng.uniform(-0.95, 0.95) * sds[0] * sds[1]
         perm = rng.permutation(4)
-        g = MultivariateGaussian(rng.uniform(-1, 1, 4)[perm], cov[np.ix_(perm, perm)])
-        assert mvn_distinguishability(g) == pytest.approx(
-            stacked_distinguishability(g), rel=1e-12, abs=0.0)
+        gaussians.append(MultivariateGaussian(rng.uniform(-1, 1, 4)[perm],
+                                              cov[np.ix_(perm, perm)]))
+    for g in gaussians + list(_random_gaussians(rng, 30)):
+        grid = max(stacked_distinguishability(g), stacked_distinguishability(g, -1.0))
+        assert mvn_distinguishability(g) == pytest.approx(grid, rel=1e-12, abs=0.0)
 
 
 def test_mvn_distinguishability_never_stacks_the_grid():
-    # the stacked (4, 21^4) grid alone is 6.2 MB; the stacked objective peaked near 27 MB
+    # the stacked (4, 21^4) grid alone is 6.2 MB; the closed form builds no grid
     g = _permuted_4d_gaussian()
     tracemalloc.start()
     try:
@@ -534,6 +556,31 @@ def test_mvn_bound_dominates_correlation():
         c = mvn_ig_correlation(g, fs, order=48)
         bound = mvn_upper_bound(g, fs)
         assert abs(c) <= bound + 1e-12
+
+
+def test_mvn_bound_holds_where_the_negative_lobe_is_larger():
+    # at equicorrelation -0.05 the gap's minimum is 1.9 times its maximum in
+    # 3-D, and narrow bumps at (1, 1, 1) sit in the negative lobe
+    g = MultivariateGaussian(np.zeros(3), 1.05 * np.eye(3) - 0.05)
+    fs = TestFunctionSet.unit_l1_bumps([1.0, 1.0, 1.0], 1e-3)
+    c = mvn_ig_correlation(g, fs)
+    assert c == pytest.approx(-2.128e-3, rel=1e-3)
+    assert abs(c) <= mvn_upper_bound(g, fs)
+
+
+def test_mvn_maximum_of_a_50d_block_gaussian():
+    # one correlated pair and 48 independent coordinates: the gap factors into
+    # the pair's gap times the independent densities, which peak at their means
+    rng = np.random.default_rng(50)
+    rho = -0.6
+    sds = rng.uniform(0.5, 2.0, 50)
+    cov = np.diag(sds**2)
+    cov[0, 1] = cov[1, 0] = rho * sds[0] * sds[1]
+    perm = rng.permutation(50)
+    g = MultivariateGaussian(rng.uniform(-1.0, 1.0, 50), cov[np.ix_(perm, perm)])
+    expected = (distinguishability_F_sup(rho) / (2 * np.pi * sds[0] * sds[1])
+                * math.prod(1.0 / (math.sqrt(2 * np.pi) * s) for s in sds[2:]))
+    assert mvn_distinguishability(g) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_mvn_correlation_4d_factorizes():
