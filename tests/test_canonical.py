@@ -230,16 +230,21 @@ def test_ce_fisher_reduced_oscillator_matches_model_metric():
     assert np.abs(general - metric_2d_closed(params)).max() < 1e-4
 
 
-def test_ce_fisher_calls_the_energy_once_per_role():
+@pytest.mark.parametrize("z_depends_on_theta", [False, True])
+def test_ce_fisher_calls_the_energy_once_per_role(z_depends_on_theta):
     # one block of 32 x 32 nodes: the partition function, the weight and the
-    # two gradient points, which serve both the second moments and the means
+    # two gradient points, which serve both the second moments and the means,
+    # whether the means vanish (a shifted well) or not (a stiffened one)
     calls = []
 
     def energy(x, theta):
         calls.append(theta)
-        return theta[0] * x[0] ** 2 + 0.5 * x[1] ** 2
+        if z_depends_on_theta:
+            return theta[0] * x[0] ** 2 + 0.5 * x[1] ** 2
+        return (x[0] - theta[0]) ** 2 + 0.5 * x[1] ** 2
 
-    spec = IntegrationSpec.axes([0.0, 0.0], [math.sqrt(0.5), 1.0], 32)
+    centre = 0.0 if z_depends_on_theta else 1.0
+    spec = IntegrationSpec.axes([centre, 0.0], [math.sqrt(0.5), 1.0], 32)
     ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec)
     assert len(calls) == 4
 
