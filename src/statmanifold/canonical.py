@@ -41,7 +41,7 @@ from .ergodic import (
     ig_correlation_2d,
     mvn_upper_bound,
 )
-from .manifold import _fd_derivatives, _fd_steps, _stencil, _triu
+from .manifold import _fd_derivatives, _fd_steps, _stencil
 from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, pdf_2d
 from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
@@ -232,7 +232,7 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
             return np.asarray(grad_theta(x, theta))
         return _theta_energy_gradient(energy, x, theta)
 
-    iu = _triu(m)
+    iu = np.triu_indices(m)
     n_pairs = iu[0].size
 
     def moments(x):

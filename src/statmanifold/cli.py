@@ -32,8 +32,8 @@ from .canonical import (
     oscillator_mixing_trace,
 )
 from .ergodic import (
+    _distinguishability_F_rows,
     distinguishability_F_closed,
-    distinguishability_F_numeric,
     factorization_gap_2d,
 )
 from .errors import NumericalError
@@ -102,19 +102,10 @@ def cmd_f_curve(args) -> int:
     if rs[0] <= -1.0 or rs[-1] >= 1.0:
         raise ValidationError("r range must lie inside (-1, 1)")
 
-    def row(r):
-        f_closed = distinguishability_F_closed(float(r))
-        f_numeric = distinguishability_F_numeric(
-            Correlated2DParams(0.0, 1.0, float(r), 1.0)
-        )
-        return {
-            "r": float(r),
-            "F_closed": f_closed,
-            "F_numeric": f_numeric,
-            "abs_diff": abs(f_closed - f_numeric),
-        }
-
-    rows = [row(r) for r in rs]
+    params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs.tolist()]
+    closed = [distinguishability_F_closed(p.r) for p in params]
+    rows = [{"r": p.r, "F_closed": c, "F_numeric": f, "abs_diff": abs(c - f)}
+            for p, c, f in zip(params, closed, _distinguishability_F_rows(params))]
     write_rows(rows, ["r", "F_closed", "F_numeric", "abs_diff"], args.out, args.format)
     worst = max(row["abs_diff"] for row in rows)
     if worst > args.tol:

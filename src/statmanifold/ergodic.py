@@ -244,15 +244,15 @@ def distinguishability_F_sup(r: float) -> float:
     return distinguishability_F_closed(a)
 
 
-def _standard_gap(r: float, u, v):
+def _standard_gap(r, u, v):
     """(p - p1 p2) * 2 pi sigma_c^2 of the correlated model in standard units.
 
-    u = (x - mu_x) / sigma and v = y / sigma_y broadcast together.  The joint
-    is one exponential of the 1-D terms plus the cross term; the product of
-    marginals is exp(-u^2 / 2) exp(-v^2 / 2).
+    r, u = (x - mu_x) / sigma and v = y / sigma_y broadcast together.  The
+    joint is one exponential of the 1-D terms plus the cross term; the product
+    of marginals is exp(-u^2 / 2) exp(-v^2 / 2).
     """
     a = -0.5 / (1.0 - r * r)
-    joint = np.exp((a * u * u + a * v * v) + (-2.0 * a * r * u) * v) / math.sqrt(1.0 - r * r)
+    joint = np.exp((a * u * u + a * v * v) + (-2.0 * a * r * u) * v) / np.sqrt(1.0 - r * r)
     return joint - np.exp(-0.5 * u * u) * np.exp(-0.5 * v * v)
 
 
@@ -264,40 +264,62 @@ def factorization_gap_2d(params: Correlated2DParams, x, y):
     return np.abs(_standard_gap(params.r, u, v)) / (2.0 * math.pi * params.sigma_c**2)
 
 
-def _grid_zoom_max(objective: Callable, center, sds, coarse: int, zoom_points: int,
-                   zoom_rounds: int, half_width: float) -> float:
-    """Maximum of ``objective`` by a coarse grid scan and deterministic zoom.
+def _grid_zoom_max(objective: Callable, centers, sds, coarse: int, zoom_points: int,
+                   zoom_rounds: int, half_width: float) -> np.ndarray:
+    """Maxima of k problems by a coarse grid scan and a deterministic zoom.
 
-    ``objective(grid)`` returns its values on the ``ij`` grid spanned by the
-    rows of the (dim, n) array ``grid``.  The coarse scan spans ``center`` +-
-    ``half_width`` ``sds`` with ``coarse`` points per axis.  Each zoom round
-    rescans ``center + h t``, t = linspace(-1, 1, ``zoom_points``), around the
-    previous round's best point, starting from 1.5 coarse cells and shrinking
-    h by 0.35 per round, until h < sqrt(eps) sd on every axis or
-    ``zoom_rounds`` rounds are done.  The maximum is smooth, so its value
-    error goes as the square of the position error: below one ulp by then.
+    ``centers`` and ``sds`` are (k, dim).  ``objective(grid, rows)`` returns
+    the values of problems ``rows`` on the ``ij`` grids spanned by each (dim,
+    n) slice of ``grid``.  The coarse scan spans ``center`` +- ``half_width``
+    ``sds`` with ``coarse`` points per axis, one problem per call.  Each zoom
+    round rescans all k problems in one call, ``center + h t`` with t =
+    linspace(-1, 1, ``zoom_points``) around each one's best point, starting
+    from 1.5 coarse cells and shrinking h by 0.35, until h < sqrt(eps) sd on
+    every axis (the same round for every problem) or after ``zoom_rounds``.
+    Each problem takes its own argmax, so its maximum is bit-identical to a
+    k = 1 call's; being smooth, its value error is below one ulp by then.
     """
-    center = np.asarray(center, dtype=float)
+    centers = np.array(centers, dtype=float)  # a copy: the best points go here
     sds = np.asarray(sds, dtype=float)
-    rows = np.arange(center.size)
+    k, dim = centers.shape
+    rows, axes = np.arange(k), np.arange(dim)
 
-    def scan(grid):
-        vals = objective(grid)
-        k = np.unravel_index(np.argmax(vals), vals.shape)
-        return float(vals[k]), grid[rows, k]
+    def scan(grid, rows):
+        vals = objective(grid, rows).reshape(rows.size, -1)
+        flat = vals.argmax(axis=1)
+        at = np.array(np.unravel_index(flat, (grid.shape[-1],) * dim))  # (dim, len(rows))
+        n = np.arange(rows.size)
+        return vals[n, flat], grid[n, axes[:, None], at].T
 
     h = half_width * sds
-    best, center = scan(center[:, None] + h[:, None] * np.linspace(-1.0, 1.0, coarse))
+    t = np.linspace(-1.0, 1.0, coarse)
+    best = np.empty(k)
+    for i in rows:
+        grid = centers[i, :, None] + h[i, :, None] * t
+        best[i:i + 1], centers[i:i + 1] = scan(grid[None], rows[i:i + 1])
     h = h * (3.0 / (coarse - 1))
     t = np.linspace(-1.0, 1.0, zoom_points)
     stop = SQRT_EPS * sds
     for _ in range(zoom_rounds):
-        val, center = scan(center[:, None] + h[:, None] * t)
-        best = max(best, val)
+        val, centers = scan(centers[:, :, None] + h[:, :, None] * t, rows)
+        best = np.maximum(best, val)
         h *= 0.35
         if np.all(h < stop):
             break
     return best
+
+
+def _distinguishability_F_rows(params: Sequence[Correlated2DParams]) -> list:
+    """``distinguishability_F_numeric`` of each of ``params``, the rows zoomed together."""
+    for p in params:
+        p.require_nondegenerate()
+    r = np.array([p.r for p in params])[:, None, None]
+
+    def objective(grid, rows):
+        return np.abs(_standard_gap(r[rows], grid[:, 0, :, None], grid[:, 1, None, :]))
+
+    centers = np.zeros((len(params), 2))
+    return _grid_zoom_max(objective, centers, centers + 1.0, 121, 7, 40, 8.0).tolist()
 
 
 def distinguishability_F_numeric(params: Correlated2DParams) -> float:
@@ -312,10 +334,7 @@ def distinguishability_F_numeric(params: Correlated2DParams) -> float:
     The grid spans +-8 sds with 121 coarse points per axis, 2/15 sd apart and
     finer than every basin, and 7-point zooms (README, "Numerical conventions").
     """
-    params.require_nondegenerate()
-    r = params.r
-    return _grid_zoom_max(lambda g: np.abs(_standard_gap(r, g[0][:, None], g[1])),
-                          [0.0, 0.0], [1.0, 1.0], 121, 7, 40, 8.0)
+    return _distinguishability_F_rows([params])[0]
 
 
 def correlation_upper_bound(params: Correlated2DParams, fs: TestFunctionSet) -> float:

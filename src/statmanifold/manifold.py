@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveDefiniteError, SingularMetricError
-from .quadrature import IntegrationSpec, integrate, integrate_checked
+from .errors import DomainError, NonPositiveDefiniteError, QuadratureError, SingularMetricError
+from .quadrature import IntegrationSpec, _node_chunks, integrate
 
 COND_LIMIT = 1e12
 FD_REL_STEP = 1e-5
@@ -110,21 +109,14 @@ def density_normalization(model: ModelFamily, theta, order: int | None = None) -
     return float(integrate(lambda x: model.density(x, theta), spec))
 
 
-@lru_cache(maxsize=16)
-def _triu(m: int, k: int = 0):
-    """``np.triu_indices(m, k)``, built once per ``(m, k)``; shared, so read-only."""
-    iu = np.triu_indices(m, k)
-    for a in iu:
-        a.flags.writeable = False
-    return iu
-
-
 def fisher_metric(model: ModelFamily, theta, order: int | None = None,
                   quad_tol: float = 1e-6, with_error: bool = False):
     """Fisher information matrix of ``model`` at ``theta`` by quadrature.
 
-    Returns the symmetrized (m, m) matrix; with ``with_error=True`` also
-    returns the quadrature error estimate.  Raises
+    Each rule sums one Gram product (grad log p * w p) grad log p^T per node
+    chunk.  Returns the symmetrized (m, m) matrix, and with ``with_error=True``
+    also the error estimate max |G - G'| against the half-order rule.  Raises
+    :class:`QuadratureError` when that exceeds ``quad_tol``, and
     :class:`NonPositiveDefiniteError` when the result is not positive
     definite, which signals an invalid model or insufficient quadrature.
     """
@@ -132,17 +124,20 @@ def fisher_metric(model: ModelFamily, theta, order: int | None = None,
     spec = model.integration_spec(theta)
     if order is not None:
         spec = spec.with_order(order)
-    m = model.macro_dim
-    iu = _triu(m)
 
-    def integrand(x):
-        p = model.density(x, theta)
-        grad = model.log_density_grad_theta(x, theta)
-        return (p * grad[iu[0]] * grad[iu[1]]).T  # (k, m*(m+1)/2)
+    def gram(rule):
+        g = np.zeros((model.macro_dim,) * 2)
+        for x, w in _node_chunks(rule):
+            grad = model.log_density_grad_theta(x, theta)
+            g += (grad * (w * model.density(x, theta))) @ grad.T
+        return 0.5 * (g + g.T)
 
-    vals, err = integrate_checked(integrand, spec, quad_tol)
-    g = np.zeros((m, m))
-    g[iu] = g[iu[1], iu[0]] = vals
+    g = gram(spec)
+    err = float(np.max(np.abs(g - gram(spec.coarse))))
+    if err > quad_tol:
+        raise QuadratureError(
+            f"quadrature did not converge: error estimate {err:.3e} > tol {quad_tol:.3e}"
+        )
     if np.min(np.linalg.eigvalsh(g)) <= 0.0:
         raise NonPositiveDefiniteError(f"Fisher metric at theta={theta} is not positive definite")
     if with_error:
@@ -226,7 +221,7 @@ def _stencil(x: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     flat[::2 * m + 1] += h
     flat[m::2 * m + 1] -= h
     if order == 2:
-        k, l = _triu(m, 1)
+        k, l = np.triu_indices(m, 1)
         corners = points[2 * m + 1:].reshape(-1, 4, m)
         corners[np.arange(k.size), :, k] += np.outer(h[k], [1.0, 1.0, -1.0, -1.0])
         corners[np.arange(k.size), :, l] += np.outer(h[l], [1.0, -1.0, 1.0, -1.0])
@@ -278,7 +273,7 @@ def metric_derivatives(field: MetricField, theta, order: int):
     points = _stencil(theta, h, order)
     if not field.domain.contains(points):
         i = next(i for i, row in enumerate(points) if not field.domain.contains(row))
-        pairs = list(zip(*_triu(m, 1)))
+        pairs = list(zip(*np.triu_indices(m, 1)))
         where = (f"coordinate {i // 2}" if i < 2 * m
                  else "the corner of coordinates {} and {}".format(*pairs[(i - 2 * m - 1) // 4]))
         raise DomainError(f"finite-difference stencil exits the domain at {where}")

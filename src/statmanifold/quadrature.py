@@ -21,8 +21,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
-
 DEFAULT_ORDER = 64
 _CHUNK = 1 << 14  # max nodes in a cached block and in one vectorized call
 
@@ -204,13 +202,3 @@ def integrate_with_error(fn, spec: IntegrationSpec):
     ref = integrate(fn, spec.coarse)
     err = np.max(np.abs(np.atleast_1d(val - ref)))
     return val, float(err)
-
-
-def integrate_checked(fn, spec: IntegrationSpec, tol: float):
-    """Integrate; raise :class:`QuadratureError` if the error estimate exceeds tol."""
-    val, err = integrate_with_error(fn, spec)
-    if err > tol:
-        raise QuadratureError(
-            f"quadrature did not converge: error estimate {err:.3e} > tol {tol:.3e}"
-        )
-    return val, err

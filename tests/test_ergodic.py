@@ -31,7 +31,7 @@ from statmanifold import (
     mvn_upper_bound,
     pdf_2d,
 )
-from statmanifold.ergodic import _grid_zoom_max, factorization_gap_2d
+from statmanifold.ergodic import _distinguishability_F_rows, _grid_zoom_max, factorization_gap_2d
 
 # frozen reference values, computed from the closed form and confirmed by the
 # independent grid-maximization oracle (they agree to ~1e-15)
@@ -288,14 +288,39 @@ def test_grid_zoom_stops_once_the_value_cannot_move(sd):
     # scale (the stop h < 1e-12 max(1, sd) took 25 at sd = 1)
     shapes = []
 
-    def objective(grid):
+    def objective(grid, rows):
         shapes.append(np.shape(grid))
-        u, v = np.asarray(grid) / sd
-        return -((u[:, None] - 0.3) ** 2) - (v + 0.2) ** 2
+        u, v = grid[0] / sd
+        return (-((u[:, None] - 0.3) ** 2) - (v + 0.2) ** 2)[None]
 
-    best = _grid_zoom_max(objective, [0.0, 0.0], [sd, sd], 241, 33, 42, 8.0)
-    assert shapes == [(2, 241)] + [(2, 33)] * 15
+    [best] = _grid_zoom_max(objective, [[0.0, 0.0]], [[sd, sd]], 241, 33, 42, 8.0)
+    assert shapes == [(1, 2, 241)] + [(1, 2, 33)] * 15
     assert best == pytest.approx(0.0, abs=1e-15)
+
+
+def test_F_rows_share_zoom_rounds_and_match_single_calls_bitwise():
+    # each row takes its own argmax and all rows stop on the same round, so a
+    # batch changes no bit
+    rng = np.random.default_rng(18)
+    rs = [0.0, 0.5, -0.5, BRANCH_SWITCH_R, -BRANCH_SWITCH_R, 0.999, -0.999, 1e-9]
+    rs += rng.uniform(-0.999, 0.999, 40).tolist()
+    params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs]
+    assert _distinguishability_F_rows(params) == [distinguishability_F_numeric(p) for p in params]
+
+
+def test_F_rows_scan_the_coarse_grid_one_row_at_a_time():
+    # a (39, 121, 121) coarse grid would hold 13.5 MB; one row's is 0.36 MB
+    def peak(k):
+        params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in np.linspace(-0.9, 0.9, k)]
+        tracemalloc.start()
+        try:
+            _distinguishability_F_rows(params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations stay out of the comparison
+    assert peak(39) <= 1.1 * peak(1)
 
 
 def test_F_numeric_degenerate():
@@ -484,17 +509,18 @@ def stacked_distinguishability(g, sign=1.0):
     marginals = [mvn_marginal(g, i) for i in range(g.dim)]
     det = np.linalg.det(g.covariance)
 
-    def objective(axes):
-        sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    def objective(grid, rows):
+        sparse = np.meshgrid(*grid[0], indexing="ij", sparse=True)
         prod = 1.0
         for m, x in zip(marginals, sparse):
             prod = prod * m.pdf(x)
         d = np.stack(np.broadcast_arrays(*sparse)).reshape(g.dim, -1) - g.mean[:, None]
         quad = np.sum(d * np.linalg.solve(g.covariance, d), axis=0)
         joint = np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** g.dim * det)
-        return sign * (joint.reshape(prod.shape) - prod)
+        return sign * (joint.reshape(prod.shape) - prod)[None]
 
-    return _grid_zoom_max(objective, g.mean, np.sqrt(np.diag(g.covariance)), 21, 7, 40, 8.0)
+    sds = np.sqrt(np.diag(g.covariance))
+    return _grid_zoom_max(objective, [g.mean], [sds], 21, 7, 40, 8.0)[0]
 
 
 def _random_gaussians(rng, n):

@@ -10,9 +10,11 @@ from statmanifold import (
     Correlated2DParams,
     DomainError,
     GeodesicState,
+    IntegrationSpec,
     MetricField,
     NonPositiveDefiniteError,
     ParameterDomain,
+    QuadratureError,
     SingularMetricError,
     christoffel,
     correlated_2d_family,
@@ -64,6 +66,28 @@ def test_fisher_metric_univariate_gaussian():
     g2, err = fisher_metric(fam, [0.5, 2.0], with_error=True)
     assert g2 == pytest.approx(np.diag([0.25, 0.5]), abs=1e-10)
     assert err < 1e-10
+
+
+@pytest.mark.parametrize("order", [8, 32, 64])
+def test_fisher_error_is_the_gap_to_the_half_order_metric(order):
+    # the estimate is max |G_n - G_n/2|, with G_n and G_n/2 each computed by its own call
+    fam = correlated_2d_family(0.6)
+    theta = [0.3, 1.5]
+    g, err = fisher_metric(fam, theta, order=order, quad_tol=1.0, with_error=True)
+    half = fisher_metric(fam, theta, order=order // 2, quad_tol=1.0)
+    assert np.array_equal(g, fisher_metric(fam, theta, order=order, quad_tol=1.0))
+    assert err == np.max(np.abs(g - half))
+    assert np.array_equal(g, g.T)
+
+
+def test_fisher_metric_raises_on_nonconvergence():
+    # a node cloud 20 times narrower than the density: the two rules disagree
+    fam = univariate_gaussian_family()
+    narrow = type(fam)(1, 2, fam.density, fam.log_density_grad_theta, fam.domain,
+                       lambda th: IntegrationSpec.axes([th[0]], [0.05 * th[1]], order=8),
+                       name="narrow")
+    with pytest.raises(QuadratureError, match="did not converge"):
+        fisher_metric(narrow, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
