@@ -176,25 +176,26 @@ def canonical_covariance_quadrature(h: QuadraticHamiltonian, bath: HeatBath,
     marginal standard deviations only, and no whitening is used.
     """
     spec = phase_space_spec(h, bath, order=order, rule="rectangle")
-    beta = bath.beta
+    return _canonical_covariance(lambda x: x - h.equilibrium[:, None], h.energy, bath, spec)
 
-    def weight(x):
-        return np.exp(-beta * h.energy(x))
 
-    z = float(integrate(weight, spec))
-    mu = h.equilibrium
-    d = h.phase_dim
-    iu = np.triu_indices(d)
+def _canonical_covariance(values: Callable, energy: Callable, bath: HeatBath,
+                          spec: IntegrationSpec) -> np.ndarray:
+    """Covariance of ``values(x)`` (m, k) under exp(-beta E)/Z, from one quadrature pass.
 
-    def integrand(x):
-        w = weight(x) / z
-        dev = x - mu[:, None]
-        return (w * dev[iu[0]] * dev[iu[1]]).T
+    The Gram matrix of a = [values; 1] weighted by exp(-beta E) holds the
+    second moments, Z times the means in its last column and Z in its corner.
+    """
 
-    vals = integrate(integrand, spec)
-    cov = np.zeros((d, d))
-    cov[iu] = vals
-    return np.triu(cov) + np.triu(cov, 1).T
+    def moments(x):
+        return np.vstack([values(x), np.ones(x.shape[1])]), np.exp(-bath.beta * energy(x))
+
+    gram = integrate(moments, spec)
+    z = gram[-1, -1]
+    if not (np.isfinite(z) and z > 0.0):
+        raise ValueError("partition function is not finite; energy is not confining")
+    mean = gram[:-1, -1] / z
+    return gram[:-1, :-1] / z - np.outer(mean, mean)
 
 
 def _theta_energy_gradient(energy: Callable, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -217,35 +218,13 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
     the canonical density at theta.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    beta = bath.beta
-    m = theta.shape[0]
-
-    def weight(x):
-        return np.exp(-beta * energy(x, theta))
-
-    z = float(integrate(weight, spec))
-    if not (np.isfinite(z) and z > 0.0):
-        raise ValueError("partition function is not finite; energy is not confining")
 
     def grads(x):
         if grad_theta is not None:
             return np.asarray(grad_theta(x, theta))
         return _theta_energy_gradient(energy, x, theta)
 
-    iu = np.triu_indices(m)
-    n_pairs = iu[0].size
-
-    def moments(x):
-        # one weight and one gradient per node serve the second moments and the means
-        w = weight(x) / z
-        g = grads(x)
-        return np.concatenate([w * g[iu[0]] * g[iu[1]], w * g]).T
-
-    vals = integrate(moments, spec)
-    mat = np.zeros((m, m))
-    mat[iu] = mat[iu[1], iu[0]] = vals[:n_pairs]
-    means = vals[n_pairs:]
-    return beta**2 * (mat - np.outer(means, means))
+    return bath.beta**2 * _canonical_covariance(grads, lambda x: energy(x, theta), bath, spec)
 
 
 def ce_upper_bound(h: QuadraticHamiltonian, bath: HeatBath, fs: TestFunctionSet) -> float:
@@ -455,11 +434,9 @@ class GoeModel:
         return self.joint_pdf(x[0], x[1], x[2], x[3])
 
     def integration_spec(self, order: int = 20) -> IntegrationSpec:
-        p = self.reduced
-        transform = np.zeros((4, 4))
-        transform[:2, :2] = np.linalg.cholesky(p.covariance())
-        transform[2, 2] = transform[3, 3] = self.off_diag_sigma
-        return IntegrationSpec([p.mu_x, 0.0, 0.0, 0.0], transform, order)
+        cov = np.diag([0.0, 0.0, self.off_diag_sigma**2, self.off_diag_sigma**2])
+        cov[:2, :2] = self.reduced.covariance()
+        return IntegrationSpec.for_gaussian([self.reduced.mu_x, 0.0, 0.0, 0.0], cov, order)
 
     def curvature(self) -> float:
         return curvature_2d_closed(self.reduced.r)

@@ -386,10 +386,7 @@ def main(argv=None) -> int:
         args.tol = DEFAULT_TOL[args.command]
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError,) as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ToleranceBreach as exc:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonPositiveDefiniteError, QuadratureError, SingularMetricError
-from .quadrature import IntegrationSpec, _node_chunks, integrate
+from .quadrature import IntegrationSpec, integrate, integrate_with_error
 
 COND_LIMIT = 1e12
 FD_REL_STEP = 1e-5
@@ -113,8 +113,9 @@ def fisher_metric(model: ModelFamily, theta, order: int | None = None,
                   quad_tol: float = 1e-6, with_error: bool = False):
     """Fisher information matrix of ``model`` at ``theta`` by quadrature.
 
-    Each rule sums one Gram product (grad log p * w p) grad log p^T per node
-    chunk.  Returns the symmetrized (m, m) matrix, and with ``with_error=True``
+    The integrand is the Gram form (grad log p, p) of :func:`integrate`, and
+    :func:`integrate_with_error` sums it on the order-n and the half-order
+    rule.  Returns the symmetrized (m, m) matrix, and with ``with_error=True``
     also the error estimate max |G - G'| against the half-order rule.  Raises
     :class:`QuadratureError` when that exceeds ``quad_tol``, and
     :class:`NonPositiveDefiniteError` when the result is not positive
@@ -124,16 +125,9 @@ def fisher_metric(model: ModelFamily, theta, order: int | None = None,
     spec = model.integration_spec(theta)
     if order is not None:
         spec = spec.with_order(order)
-
-    def gram(rule):
-        g = np.zeros((model.macro_dim,) * 2)
-        for x, w in _node_chunks(rule):
-            grad = model.log_density_grad_theta(x, theta)
-            g += (grad * (w * model.density(x, theta))) @ grad.T
-        return 0.5 * (g + g.T)
-
-    g = gram(spec)
-    err = float(np.max(np.abs(g - gram(spec.coarse))))
+    g, err = integrate_with_error(
+        lambda x: (model.log_density_grad_theta(x, theta), model.density(x, theta)), spec
+    )
     if err > quad_tol:
         raise QuadratureError(
             f"quadrature did not converge: error estimate {err:.3e} > tol {quad_tol:.3e}"

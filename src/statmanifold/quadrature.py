@@ -11,6 +11,11 @@ Two rules are provided for Gaussian-dominated integrands:
   deviations.  Used as an independent cross-check: for smooth integrands that
   decay like Gaussians the midpoint rule converges exponentially, and it
   shares no machinery with the Gauss-Hermite path.
+
+``integrate`` sums an integrand chunk by chunk into a float, a vector, or the
+Gram matrix of a weighted second moment, the form every second moment in the
+toolkit takes; ``integrate_with_error`` adds the difference to the half-order
+rule as the error estimate.
 """
 
 from __future__ import annotations
@@ -182,18 +187,23 @@ def _node_chunks(spec: IntegrationSpec):
 def integrate(fn, spec: IntegrationSpec):
     """Integrate ``fn`` over the microspace described by ``spec``.
 
-    ``fn`` maps an array of points with shape (d, k) to values of shape (k,)
-    or (k, m); the result is a float or an (m,) array accordingly.
+    ``fn`` maps points (d, k) to values (k,) or (k, m), giving a float or an
+    (m,) array, or to a pair ``(a, rho)`` of shapes (m, k) and (k,), giving
+    the symmetrized (m, m) Gram matrix, the integral of rho a a^T.  The Gram
+    form sums ``(a * (w * rho)) @ a.T`` per node chunk and builds no array of
+    pairwise products.
     """
     total = None
     for pts, w in _node_chunks(spec):
-        vals = np.asarray(fn(pts))
-        if vals.ndim == 1:
-            part = float(np.dot(w, vals))
+        vals = fn(pts)
+        if isinstance(vals, tuple):
+            a, rho = vals
+            part = (a * (w * rho)) @ a.T
         else:
-            part = w @ vals
+            vals = np.asarray(vals)
+            part = float(np.dot(w, vals)) if vals.ndim == 1 else w @ vals
         total = part if total is None else total + part
-    return total
+    return 0.5 * (total + total.T) if isinstance(vals, tuple) else total
 
 
 def integrate_with_error(fn, spec: IntegrationSpec):

@@ -165,7 +165,7 @@ def test_covariance_by_quadrature_matches_inverse():
     bath = HeatBath(1.3)
     cov = canonical_covariance_quadrature(h, bath)
     expected = np.linalg.inv(bath.beta * h.hessian)
-    assert np.abs(cov - expected).max() < 1e-4
+    assert np.abs(cov - expected).max() < 1e-10
 
 
 # ---------------------------------------------------- canonical Fisher metric
@@ -232,9 +232,9 @@ def test_ce_fisher_reduced_oscillator_matches_model_metric():
 
 @pytest.mark.parametrize("z_depends_on_theta", [False, True])
 def test_ce_fisher_calls_the_energy_once_per_role(z_depends_on_theta):
-    # one block of 32 x 32 nodes: the partition function, the weight and the
-    # two gradient points, which serve both the second moments and the means,
-    # whether the means vanish (a shifted well) or not (a stiffened one)
+    # one block of 32 x 32 nodes: the weight and the two gradient points, which
+    # serve the partition function, the means and the second moments in one
+    # pass, whether the means vanish (a shifted well) or not (a stiffened one)
     calls = []
 
     def energy(x, theta):
@@ -246,7 +246,17 @@ def test_ce_fisher_calls_the_energy_once_per_role(z_depends_on_theta):
     centre = 0.0 if z_depends_on_theta else 1.0
     spec = IntegrationSpec.axes([centre, 0.0], [math.sqrt(0.5), 1.0], 32)
     ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec)
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+def test_ce_fisher_rejects_a_non_confining_energy():
+    # exp(theta |x|^2) overflows on the node cloud, so Z read off the Gram
+    # matrix is not finite
+    energy = lambda x, theta: -theta[0] * np.sum(x**2, axis=0)
+    spec = IntegrationSpec.axes([0.0, 0.0], [3.0, 3.0], 32)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="partition function is not finite"):
+            ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec)
 
 
 def test_ce_fisher_analytic_gradient_path():

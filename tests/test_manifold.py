@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from statmanifold import manifold
+from statmanifold import manifold, quadrature
 from statmanifold import (
     Correlated2DParams,
     DomainError,
@@ -78,6 +78,19 @@ def test_fisher_error_is_the_gap_to_the_half_order_metric(order):
     assert np.array_equal(g, fisher_metric(fam, theta, order=order, quad_tol=1.0))
     assert err == np.max(np.abs(g - half))
     assert np.array_equal(g, g.T)
+
+
+def test_fisher_metric_integrates_through_integrate_at_both_orders(monkeypatch):
+    orders = []
+    original = quadrature.integrate
+
+    def recorded(fn, spec):
+        orders.append(spec.order)
+        return original(fn, spec)
+
+    monkeypatch.setattr(quadrature, "integrate", recorded)
+    fisher_metric(correlated_2d_family(0.6, order=48), [0.3, 1.5])
+    assert orders == [48, 24]
 
 
 def test_fisher_metric_raises_on_nonconvergence():

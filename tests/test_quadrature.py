@@ -85,7 +85,15 @@ def test_chunked_correlated_rule_second_moments():
     density = mvn_density(MEAN_4D, COV_4D)
     f = lambda x: (density(x) * (x[:, None, :] * x[None, :, :]).reshape(16, -1)).T
     moments = integrate(f, spec).reshape(4, 4)
-    np.testing.assert_allclose(moments, COV_4D + np.outer(MEAN_4D, MEAN_4D), rtol=1e-12)
+    exact = COV_4D + np.outer(MEAN_4D, MEAN_4D)
+    np.testing.assert_allclose(moments, exact, rtol=1e-12)
+    # the Gram form sums the same moments chunk by chunk without the pairwise products
+    gram = integrate(lambda x: (x, density(x)), spec)
+    np.testing.assert_allclose(gram, exact, rtol=1e-12)
+    assert np.array_equal(gram, gram.T)
+    rect = IntegrationSpec.axes(MEAN_4D, np.sqrt(np.diag(COV_4D)), order=20, rule="rectangle")
+    np.testing.assert_allclose(integrate(lambda x: (x, density(x)), rect),
+                               integrate(f, rect).reshape(4, 4), rtol=1e-13)
 
 
 @pytest.mark.parametrize("rule", ["gauss_hermite", "rectangle"])
