@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ from .ergodic import (
     mvn_upper_bound,
 )
 from .manifold import _fd_derivatives, _fd_steps, _stencil
-from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, pdf_2d
+from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, mvn_pdf
 from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
 
@@ -265,17 +266,8 @@ class OscillatorPair:
         return math.sqrt(kB * self.T0 / (self.m1 * self.omega1**2))
 
     def energy(self, x) -> np.ndarray:
-        """Total energy at phase points (q1, q2, p1, p2), shape (4,) or (4, k)."""
-        x = np.asarray(x, dtype=float)
-        pts = x[:, None] if x.ndim == 1 else x
-        q1, q2, p1, p2 = pts
-        d1 = q1 - self.q10
-        kin = p1**2 / (2.0 * self.m1) + p2**2 / (2.0 * self.m2)
-        pot = (0.5 * self.m1 * self.omega1**2 * d1**2
-               + 0.5 * self.m2 * self.omega2**2 * q2**2
-               - self.r * math.sqrt(self.m1 * self.m2) * self.omega1 * self.omega2 * d1 * q2)
-        vals = kin + pot
-        return float(vals[0]) if x.ndim == 1 else vals
+        """Quadratic energy of ``hessian()`` at phase points (q1, q2, p1, p2), (4,) or (4, k)."""
+        return QuadraticHamiltonian(2, [self.q10, 0.0, 0.0, 0.0], self.hessian()).energy(x)
 
     def hessian(self) -> np.ndarray:
         """Analytic phase-space Hessian in (q1, q2, p1, p2) order."""
@@ -423,20 +415,24 @@ class GoeModel:
     def off_diag_sigma(self) -> float:
         return self.reduced.sigma
 
+    @cached_property
+    def _gaussian(self) -> MultivariateGaussian:
+        """The joint: the diagonal block's covariance and two independent entries."""
+        cov = np.diag([0.0, 0.0, self.off_diag_sigma**2, self.off_diag_sigma**2])
+        cov[:2, :2] = self.reduced.covariance()
+        return MultivariateGaussian([self.reduced.mu_x, 0.0, 0.0, 0.0], cov)
+
     def joint_pdf(self, h11, h22, h12, h21):
-        s = self.off_diag_sigma
-        gauss = np.exp(-(np.asarray(h12, dtype=float) ** 2
-                         + np.asarray(h21, dtype=float) ** 2) / (2.0 * s**2))
-        return pdf_2d(h11, h22, self.reduced) * gauss / (2.0 * math.pi * s**2)
+        """Joint density; the four entries broadcast together."""
+        return mvn_pdf((h11, h22, h12, h21), self._gaussian)
 
     def joint_density(self, x):
         """Vectorized joint over points of shape (4, k)."""
-        return self.joint_pdf(x[0], x[1], x[2], x[3])
+        return mvn_pdf(x, self._gaussian)
 
     def integration_spec(self, order: int = 20) -> IntegrationSpec:
-        cov = np.diag([0.0, 0.0, self.off_diag_sigma**2, self.off_diag_sigma**2])
-        cov[:2, :2] = self.reduced.covariance()
-        return IntegrationSpec.for_gaussian([self.reduced.mu_x, 0.0, 0.0, 0.0], cov, order)
+        g = self._gaussian
+        return IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
 
     def curvature(self) -> float:
         return curvature_2d_closed(self.reduced.r)

@@ -161,8 +161,7 @@ class MetricField:
         return 0.5 * (g + g.T)
 
     @classmethod
-    def from_model(cls, model: ModelFamily, order: int | None = None,
-                   quad_tol: float = 1e-6) -> "MetricField":
+    def from_model(cls, model: ModelFamily) -> "MetricField":
         """Quadrature-backed field that computes each distinct theta once.
 
         The curvature functions ask for the metric at the same stencil points
@@ -180,7 +179,7 @@ class MetricField:
             key = (theta.shape, theta.tobytes())
             g = cache.get(key)
             if g is None:
-                g = fisher_metric(model, theta, order=order, quad_tol=quad_tol)
+                g = fisher_metric(model, theta)
                 g.flags.writeable = False
                 with lock:
                     if len(cache) >= size:

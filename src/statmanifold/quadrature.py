@@ -138,12 +138,12 @@ class IntegrationSpec:
         coarse.__dict__.update(vars(self), order=max(4, self.order // 2))
         return coarse
 
-    def axis_spec(self, i: int, order: int | None = None) -> "IntegrationSpec":
-        """1-D spec for axis ``i`` (used for marginal integrals)."""
+    def axis_spec(self, i: int) -> "IntegrationSpec":
+        """1-D spec for axis ``i`` at this spec's order (used for marginal integrals)."""
         return IntegrationSpec(
             self.center[i : i + 1],
             np.array([[self.axis_scales[i]]]),
-            order or self.order,
+            self.order,
             self.rule,
             self.half_width,
         )

@@ -59,6 +59,12 @@ def test_hessian_of_oscillator_pair_energy():
     assert hess == pytest.approx(o.hessian(), abs=1e-7)
     cross = -0.3 * math.sqrt(1.0 * 4.0) * 2.0 * 0.5
     assert hess[0, 1] == pytest.approx(cross, abs=1e-8)
+    # the energy written out: p1^2/2m1 + p2^2/2m2 + m1 w1^2 d1^2/2 + m2 w2^2 q2^2/2 + cross d1 q2
+    q1, q2, p1, p2 = 1.2, -0.4, 0.5, 2.0
+    d1 = q1 - 0.7
+    expected = p1**2 / 2.0 + p2**2 / 8.0 + 2.0 * d1**2 + 0.5 * q2**2 + cross * d1 * q2
+    assert o.energy([q1, q2, p1, p2]) == pytest.approx(expected, rel=1e-14)
+    assert o.energy(np.array([[q1], [q2], [p1], [p2]])) == pytest.approx([expected], rel=1e-14)
 
 
 def test_hessian_of_linear_energy_rejected_downstream():

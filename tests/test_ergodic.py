@@ -352,6 +352,31 @@ def test_F_sup_switches_branch_at_r_star():
         distinguishability_F_sup(1.5)
 
 
+# |r|, F_closed(|r|) and F_sup(|r|), computed in 50-digit mpmath from the
+# float |r|.  The direct forms lose 1 + a to rounding near 0 (F_closed 8e-4 off
+# at 1e-14) and cancel in 1 - a^2 near 1 (F_sup 2.5e-10 off at 1 - 1e-9).
+F_EDGE_REFERENCES = [
+    (1e-14, 3.6787944117144232e-15, 3.6787944117144232e-15),
+    (1e-12, 3.6787944117144231e-13, 3.6787944117144231e-13),
+    (1e-08, 3.6787944117144235e-9, 3.6787944117144235e-9),
+    (1e-04, 3.6787944362403328e-5, 3.6787944362403328e-5),
+    (0.3, 0.11806206579325545, 0.11806206579325545),
+    (BRANCH_SWITCH_R, 0.8392867552141614, 0.8392867552141614),
+    (0.9, 1.3399183311183296, 1.2941573387056179),
+    (1.0 - 1e-9, 125000004.76298056, 22359.68009678968),
+]
+
+
+@pytest.mark.parametrize("a, closed, sup", F_EDGE_REFERENCES)
+def test_supremum_keeps_precision_at_the_edges_of_r(a, closed, sup):
+    for r in (a, -a):
+        assert distinguishability_F_closed(r) == pytest.approx(closed, rel=1e-13, abs=0.0)
+        assert distinguishability_F_sup(r) == pytest.approx(sup, rel=1e-13, abs=0.0)
+        # unit sds keep rho exact in R, so only the maximizer's own rounding shows
+        g = MultivariateGaussian([0.3, -1.0], [[1.0, r], [r, 1.0]])
+        assert mvn_distinguishability(g) == pytest.approx(sup / (2.0 * math.pi), rel=1e-13, abs=0.0)
+
+
 def test_correlation_upper_bound_basics():
     fs = unit_height_bumps()  # ||f_1 f_2||_1 = 2 pi
     assert correlation_upper_bound(Correlated2DParams(0.0, 1.0, 0.0, 1.0), fs) == 0.0
@@ -721,6 +746,18 @@ def test_bump_closed_form_matches_quadrature(dim, order):
         scale = max(map(abs, identity_terms(g.mean, g.covariance, bumps)))
         quad = ig_correlation_2d(params, wrapped(bumps), order=48)
         assert abs(ig_correlation_2d(params, fs) - quad) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("order", [20, 48, 64])
+def test_2d_correlation_is_the_mvn_correlation(order):
+    # one routine behind both entry points: the same joint gives the same float
+    rng = np.random.default_rng(order)
+    for _ in range(6):
+        params = Correlated2DParams(rng.normal(), 10.0 ** rng.uniform(-0.5, 0.5),
+                                    rng.uniform(-0.95, 0.95), 10.0 ** rng.uniform(-0.5, 0.5))
+        g = MultivariateGaussian([params.mu_x, 0.0], params.covariance())
+        fs = wrapped(random_bumps(rng, g, [params.sigma, params.sigma_y], 1.5, 4.0))
+        assert ig_correlation_2d(params, fs, order=order) == mvn_ig_correlation(g, fs, order=order)
 
 
 def test_narrow_bumps_match_the_identity():
