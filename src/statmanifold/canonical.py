@@ -301,11 +301,13 @@ def effective_correlation(T: float, T0: float, coupling_sign: float = 1.0) -> fl
 def oscillator_reduce(o: OscillatorPair, bath: HeatBath) -> Correlated2DParams:
     """Position-space reduction of the oscillator pair at bath temperature T.
 
-    The Gaussian momentum factor separates and integrates out analytically,
-    leaving a correlated bivariate density in (q1, q2) that is a member of
-    the constrained family with sigma = sqrt(kB T0/(m1 w1^2)),
-    sigma_c^2 = kB T0/(sqrt(m1 m2) w1 w2) and an effective correlation
-    r_eff with 1 - r_eff^2 = T/T0 (sign carried from the physical coupling).
+    A canonical pair lies in the constrained family only when its coupling
+    satisfies 1 - r^2 = T/T0.  The reduction is therefore the position
+    marginal of the pair rebuilt at coupling r_eff(T), signed like ``o.r``:
+    the correlated model with sigma = sqrt(kB T0/(m1 w1^2)),
+    sigma_c^2 = kB T0/(sqrt(m1 m2) w1 w2) and correlation r_eff.  It equals
+    the position marginal of ``o`` itself only at T = T0 (1 - o.r^2); only
+    the sign of ``o.r`` is used.
     """
     r_eff = effective_correlation(bath.temperature, o.T0, 1.0 if o.r >= 0.0 else -1.0)
     return Correlated2DParams(

@@ -9,8 +9,9 @@ Subcommands::
     geodesic        geodesic trajectory with conservation diagnostic
 
 Common flags: --out PATH, --format csv|json, --tol FLOAT, --config FILE;
-curvature-scan alone also takes --quad-order INT.  Flags override an
-optional key=value config file.  Output is CSV (17 significant digits) or
+curvature-scan alone also takes --quad-order INT.  Each key = value line
+of the config file is parsed as the flag --key=value, and flags on the
+command line win over it.  Output is CSV (17 significant digits) or
 JSON lines with identical field names.
 Exit codes: 0 success, 2 validation error, 3 tolerance breach or numerical
 failure, 4 I/O error.
@@ -31,11 +32,7 @@ from .canonical import (
     oscillator_curvature,
     oscillator_mixing_trace,
 )
-from .ergodic import (
-    _distinguishability_F_rows,
-    distinguishability_F_closed,
-    factorization_gap_2d,
-)
+from .ergodic import _distinguishability_F_rows, distinguishability_F_closed, factorization_sup_2d
 from .errors import NumericalError
 from .manifold import (
     GeodesicState,
@@ -97,11 +94,16 @@ def _linspace(start: float, stop: float, count: int) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_f_curve(args) -> int:
+def _r_range(args) -> np.ndarray:
+    """The swept correlations, from --r-start, --r-stop and --r-count, inside (-1, 1)."""
     rs = _linspace(args.r_start, args.r_stop, args.r_count)
     if rs[0] <= -1.0 or rs[-1] >= 1.0:
         raise ValidationError("r range must lie inside (-1, 1)")
+    return rs
 
+
+def cmd_f_curve(args) -> int:
+    rs = _r_range(args)
     params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs.tolist()]
     closed = [distinguishability_F_closed(p.r) for p in params]
     rows = [{"r": p.r, "F_closed": c, "F_numeric": f, "abs_diff": abs(c - f)}
@@ -115,11 +117,9 @@ def cmd_f_curve(args) -> int:
 
 def cmd_curvature_scan(args) -> int:
     sigmas = _linspace(args.sigma_start, args.sigma_stop, args.sigma_count)
-    rs = _linspace(args.r_start, args.r_stop, args.r_count)
+    rs = _r_range(args)
     if sigmas[0] <= 0.0:
         raise ValidationError("sigma range must be positive")
-    if rs[0] <= -1.0 or rs[-1] >= 1.0:
-        raise ValidationError("r range must lie inside (-1, 1)")
 
     def row(point):
         sigma, r = point
@@ -173,26 +173,17 @@ def cmd_oscillator(args) -> int:
 
 
 def cmd_goe(args) -> int:
-    rs = _linspace(args.r_start, args.r_stop, args.r_count)
-    if rs[0] <= -1.0 or rs[-1] >= 1.0:
-        raise ValidationError("r range must lie inside (-1, 1)")
-
     def row(r):
-        model = goe_model(args.mu, args.sigma, float(r), args.sigma)
-        reduced = model.reduced
-        # factorization error of the diagonal block against its marginals
-        grid = np.linspace(-4.0, 4.0, 41)
-        x, y = np.meshgrid(args.mu + grid * reduced.sigma, grid * reduced.sigma_y,
-                           indexing="ij", sparse=True)
-        err = float(np.max(factorization_gap_2d(reduced, x, y)))
+        model = goe_model(args.mu, args.sigma, r, args.sigma)
         return {
-            "r": float(r),
+            "r": r,
             "R": model.curvature(),
-            "factorization_error": err,
+            # sup |p - p1 p2| of the diagonal block against its marginals
+            "factorization_error": factorization_sup_2d(model.reduced),
             "note": "R_min" if r == 0.0 else "",
         }
 
-    rows = [row(r) for r in rs]
+    rows = [row(r) for r in _r_range(args).tolist()]
     write_rows(rows, ["r", "R", "factorization_error", "note"], args.out, args.format)
     return EXIT_OK
 
@@ -354,6 +345,7 @@ DEFAULT_TOL = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:
         try:
@@ -364,24 +356,20 @@ def main(argv=None) -> int:
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        # command-line flags win over config values
-        defaults = parser.parse_args([args.command])
+        flags = []
         for key, raw in overrides.items():
+            # exact keys only: argparse would also take an abbreviation
             if not hasattr(args, key):
                 print(f"error: unknown config key {key!r}", file=sys.stderr)
                 return EXIT_VALIDATION
-            if getattr(args, key) == getattr(defaults, key, None):
-                current = getattr(args, key)
-                if key == "tol":
-                    caster = float
-                elif current is not None:
-                    caster = type(current)
-                else:
-                    caster = str
-                if caster is bool:
-                    setattr(args, key, raw.lower() in ("1", "true", "yes"))
-                else:
-                    setattr(args, key, caster(raw))
+            flag, switch = "--" + key.replace("_", "-"), isinstance(getattr(args, key), bool)
+            if switch and raw.lower() in ("1", "true", "yes"):
+                flags.append(flag)  # a store_true flag takes no value
+            elif not (switch and raw.lower() in ("0", "false", "no")):
+                flags.append(f"{flag}={raw}")  # argparse checks it, and rejects a value on a switch
+        # the config's flags go first, so argparse lets the command line's own win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     if args.tol is None:
         args.tol = DEFAULT_TOL[args.command]
     try:

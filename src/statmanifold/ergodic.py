@@ -260,12 +260,9 @@ def _standard_gap(r, u, v):
     return joint - np.exp(-0.5 * u * u) * np.exp(-0.5 * v * v)
 
 
-def factorization_gap_2d(params: Correlated2DParams, x, y):
-    """|p(x, y) - p1(x) p2(y)| of the correlated model, broadcast over x and y."""
-    params.require_nondegenerate()
-    u = (np.asarray(x, dtype=float) - params.mu_x) / params.sigma
-    v = np.asarray(y, dtype=float) / params.sigma_y
-    return np.abs(_standard_gap(params.r, u, v)) / (2.0 * math.pi * params.sigma_c**2)
+def factorization_sup_2d(params: Correlated2DParams) -> float:
+    """sup |p - p1 p2| of the correlated model, F_sup(r) / (2 pi sigma_c^2); math.inf at |r| = 1."""
+    return distinguishability_F_sup(params.r) / (2.0 * math.pi * params.sigma_c**2)
 
 
 def _grid_zoom_max(objective: Callable, centers, sds, coarse: int, zoom_points: int,
@@ -353,8 +350,7 @@ def correlation_upper_bound(params: Correlated2DParams, fs: TestFunctionSet) -> 
     narrow bumps at the point where the supremum is attained.
     """
     _require_arity(fs, 2)
-    scale = 2.0 * math.pi * params.sigma_c**2
-    return distinguishability_F_sup(params.r) / scale * fs.product_l1
+    return factorization_sup_2d(params) * fs.product_l1
 
 
 class IgehLevel(enum.Enum):

@@ -378,6 +378,21 @@ def test_reduced_density_matches_position_marginal():
     assert np.abs(gauss.covariance[:2, :2] - params.covariance()).max() < 1e-6
 
 
+@pytest.mark.parametrize("coupling", [0.3, -0.6])
+def test_reduction_is_the_marginal_of_the_pair_rebuilt_at_r_eff(coupling):
+    # at each T the reduction is the position block of the pair whose coupling
+    # solves 1 - r_eff^2 = T/T0; o's own coupling enters through its sign alone
+    o = OscillatorPair(m1=1.0, m2=2.0, omega1=1.5, omega2=0.7, T0=2.0, r=coupling, q10=0.4)
+    for T in np.linspace(0.0, o.T0, 42)[1:-1]:
+        bath = HeatBath(T)
+        r_eff = effective_correlation(T, o.T0, coupling)
+        rebuilt = OscillatorPair(o.m1, o.m2, o.omega1, o.omega2, o.T0, r=r_eff, q10=o.q10)
+        h = QuadraticHamiltonian(2, (o.q10, 0.0, 0.0, 0.0), rebuilt.hessian())
+        block = canonical_to_gaussian(h, bath).covariance[:2, :2]
+        reduced = oscillator_reduce(o, bath).covariance()
+        assert np.abs(block - reduced).max() <= 1e-13 * np.abs(reduced).max()
+
+
 def test_temperature_to_tau():
     assert temperature_to_tau(0.5, 1.0) == pytest.approx(2.0)
     assert temperature_to_tau(0.999999, 1.0) > 9.9e5

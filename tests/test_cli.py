@@ -1,10 +1,15 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from statmanifold import cli
+from statmanifold import cli, distinguishability_F_sup
 from statmanifold.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from statmanifold.errors import (
     NonSmoothEnergyError,
@@ -172,15 +177,31 @@ def test_goe_command(tmp_path):
     assert list(rows[0].keys()) == ["r", "R", "factorization_error", "note"]
     assert rows[0]["note"] == "R_min"
     assert float(rows[0]["R"]) == pytest.approx(-0.5)
-    assert float(rows[0]["factorization_error"]) < 1e-12
+    assert float(rows[0]["factorization_error"]) == 0.0
     curvatures = [float(row["R"]) for row in rows]
     assert all(b > a for a, b in zip(curvatures, curvatures[1:]))
-    # factorization error recorded before the grid used the shared gap helper
+    # F_sup(0.3) / (2 pi 1.3^2)
     out2 = tmp_path / "goe2.csv"
     assert main(["goe", "--out", str(out2), "--r-start", "0.3", "--r-stop", "0.6",
                  "--r-count", "2", "--mu", "0.4", "--sigma", "1.3"]) == EXIT_OK
     err = float(read_csv(str(out2))[0]["factorization_error"])
-    assert err == pytest.approx(0.011099752247325158, rel=1e-12, abs=0.0)
+    assert err == pytest.approx(0.011118438676116666, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.4, 1.3), (-2.0, 0.05), (7.0, 30.0)])
+def test_goe_factorization_error_is_the_exact_supremum(tmp_path, mu, sigma):
+    # sigma_c = sigma, so the column is F_sup(r) / (2 pi sigma^2) at every r
+    out = tmp_path / "goe.csv"
+    assert main(["goe", "--out", str(out), "--r-start=-0.99", "--r-stop=0.99", "--r-count=199",
+                 f"--mu={mu!r}", f"--sigma={sigma!r}"]) == EXIT_OK
+    rows = read_csv(str(out))
+    assert len(rows) == 199
+    for row in rows:
+        r = float(row["r"])
+        exact = distinguishability_F_sup(r) / (2.0 * math.pi * sigma**2)
+        assert float(row["factorization_error"]) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert float(rows[99]["r"]) == 0.0
+    assert float(rows[99]["factorization_error"]) == 0.0
 
 
 def test_geodesic_flat(tmp_path):
@@ -293,6 +314,52 @@ def test_config_file_precedence(tmp_path):
     bad.write_text("quad_order = 32\n")
     assert main(["f-curve", "--config", str(bad)]) == EXIT_VALIDATION
     assert main(["f-curve", "--config", str(tmp_path / "nope.txt")]) == EXIT_IO
+
+
+def test_explicit_flag_beats_a_config_line_even_at_its_default(tmp_path):
+    # 10 is also the default of goe's --r-count
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("r_count = 3\n")
+    out = tmp_path / "out.csv"
+    assert main(["goe", "--r-count", "10", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert len(read_csv(str(out))) == 10
+
+
+@pytest.mark.parametrize("line", ["r_count = abc", "format = xml", "schedule = foo", "flat = maybe"])
+def test_config_values_are_checked_like_flags(tmp_path, line):
+    # each config line is parsed as --key=value, so argparse rejects a bad value
+    command = {"schedule": "oscillator", "flat": "geodesic"}.get(line.split()[0], "goe")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("value,code", [("yes", EXIT_OK), ("1", EXIT_OK),
+                                        ("false", EXIT_VALIDATION), ("0", EXIT_VALIDATION)])
+def test_config_switch_becomes_a_bare_flag(tmp_path, value, code):
+    # theta0 = (0, 0) lies in the flat metric's domain but not in the half-plane sigma > 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"flat = {value}\n")
+    assert main(["geodesic", "--config", str(cfg), "--theta0=0,0", "--tau-end=0.1",
+                 "--step=0.01", "--out", str(tmp_path / "geo.csv")]) == code
+
+
+def test_module_entry_point(tmp_path):
+    # python -m statmanifold reads sys.argv through main(None), config lines too
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "statmanifold", "f-curve",
+            "--r-start=-0.3", "--r-stop=0.3", "--r-count=2"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK
+    assert done.stdout.splitlines()[0] == "r,F_closed,F_numeric,abs_diff"
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("format = xml\n")
+    done = subprocess.run(argv + ["--config", str(cfg)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == EXIT_VALIDATION
+    assert "invalid choice: 'xml'" in done.stderr
 
 
 def test_repeated_calls_share_one_parser_and_no_flags():

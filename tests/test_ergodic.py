@@ -31,7 +31,12 @@ from statmanifold import (
     mvn_upper_bound,
     pdf_2d,
 )
-from statmanifold.ergodic import _distinguishability_F_rows, _grid_zoom_max, factorization_gap_2d
+from statmanifold.ergodic import (
+    _distinguishability_F_rows,
+    _grid_zoom_max,
+    _standard_gap,
+    factorization_sup_2d,
+)
 
 # frozen reference values, computed from the closed form and confirmed by the
 # independent grid-maximization oracle (they agree to ~1e-15)
@@ -266,9 +271,9 @@ def test_F_numeric_matches_reference_maximizer_on_both_branches():
 
 
 def test_factorization_gap_matches_model_density():
-    # the gap in standard units against |pdf_2d - p1 p2| from the model's own
-    # densities; exponents near -700 carry a relative rounding of ~700 ulp, so
-    # the scale is the larger term's peak on the grid
+    # the gap in standard units, over 2 pi sigma_c^2, against |pdf_2d - p1 p2|
+    # from the model's own densities; exponents near -700 carry a relative
+    # rounding of ~700 ulp, so the scale is the larger term's peak on the grid
     rng = np.random.default_rng(17)
     t = np.linspace(-8.0, 8.0, 161)
     for _ in range(30):
@@ -277,7 +282,8 @@ def test_factorization_gap_matches_model_density():
         x, y = params.mu_x + t[:, None] * params.sigma, t * params.sigma_y
         p1, p2 = marginals_2d(params)
         joint, prod = pdf_2d(x, y, params), p1.pdf(x) * p2.pdf(y)
-        gap = factorization_gap_2d(params, x, y)
+        u, v = (x - params.mu_x) / params.sigma, y / params.sigma_y
+        gap = np.abs(_standard_gap(params.r, u, v)) / (2.0 * math.pi * params.sigma_c**2)
         assert np.max(np.abs(gap - np.abs(joint - prod))) <= 1e-14 * max(joint.max(), prod.max())
 
 
@@ -389,6 +395,16 @@ def test_correlation_upper_bound_basics():
     )
     with pytest.raises(ValueError):
         correlation_upper_bound(Correlated2DParams(0.0, 1.0, 0.5), TestFunctionSet.unit_l1_bumps([0.0]))
+
+
+def test_factorization_sup_is_the_scaled_supremum():
+    # no nondegeneracy check: at |r| = 1 the supremum is inf, as F_sup's is
+    for r in (0.0, -0.5, 0.9, -1.0, 1.0):
+        params = Correlated2DParams(0.3, 2.0, r, 0.7)
+        sup = distinguishability_F_sup(r) / (2.0 * math.pi * params.sigma_c**2)
+        assert factorization_sup_2d(params) == sup
+    assert factorization_sup_2d(Correlated2DParams(0.3, 2.0, 0.0, 0.7)) == 0.0
+    assert factorization_sup_2d(Correlated2DParams(0.3, 2.0, 1.0, 0.7)) == math.inf
 
 
 @pytest.mark.parametrize("sigma_c", [0.1, 0.3, 1.0, 3.0])
