@@ -199,7 +199,7 @@ def cmd_geodesic(args) -> int:
         raise ValidationError("theta0 and v0 must be comma-separated pairs")
 
     if args.flat:
-        field = MetricField.from_function(2, lambda th: np.eye(2), name="flat")
+        field = MetricField.from_function(2, lambda th: np.eye(2))
     else:
         if abs(args.coupling) >= 1.0:
             raise ValidationError("coupling must satisfy |r| < 1")
@@ -211,7 +211,6 @@ def cmd_geodesic(args) -> int:
         field = MetricField.from_function(
             2, closed_metric,
             domain=ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf]),
-            name="correlated2d",
         )
     if not field.domain.contains(theta0):
         raise ValidationError("initial position outside the metric domain")

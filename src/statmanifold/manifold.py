@@ -1,4 +1,4 @@
-"""Riemannian geometry of parametric statistical models.
+"""Riemannian geometry of Gaussian statistical models.
 
 The metric is the Fisher information bilinear form
 
@@ -20,14 +20,14 @@ with a classic fixed-step 4th-order scheme.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, NonPositiveDefiniteError, QuadratureError, SingularMetricError
-from .quadrature import IntegrationSpec, integrate, integrate_with_error
+from .quadrature import DEFAULT_ORDER, IntegrationSpec, integrate, integrate_with_error
 
 COND_LIMIT = 1e12
 FD_REL_STEP = 1e-5
@@ -82,31 +82,62 @@ class ParameterDomain:
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """Parametric family p(x; theta) over a microspace of dimension micro_dim.
+    """Gaussian family p(x; theta) = N(x; mu(theta), Sigma(theta)) over R^d.
 
-    ``density`` maps points of shape (micro_dim, k) and a theta vector to
-    density values (k,).  ``log_density_grad_theta`` returns the gradient of
-    log p in theta with shape (macro_dim, k).  ``integration_spec`` maps theta
-    to the quadrature description covering the effective support of
-    p(.; theta).  The map theta -> p(.; theta) is assumed injective.
+    ``moments(theta)`` returns ``(mean, cov, d_mean, d_cov)`` of shapes (d,),
+    (d, d), (m, d) and (m, d, d), with m = ``domain.dim``:
+    ``d_mean[i] = d mu / d theta_i`` and ``d_cov[i] = d Sigma / d theta_i``.
+    The density, the score and the quadrature rule of ``order`` nodes per
+    axis all derive from them (:func:`_gaussian_integrand`).  The map
+    theta -> p(.; theta) is assumed injective.
     """
 
-    micro_dim: int
-    macro_dim: int
-    density: Callable
-    log_density_grad_theta: Callable
+    moments: Callable
     domain: ParameterDomain
-    integration_spec: Callable[[np.ndarray], IntegrationSpec]
+    order: int = DEFAULT_ORDER
     name: str = ""
+
+
+def _gaussian_integrand(model: ModelFamily, theta, order: int | None = None):
+    """The whitened rule and the Gram integrand ``(score, density)`` at ``theta``.
+
+    With Sigma = L L^T, the rule is Gauss-Hermite on ``x = mu + sqrt(2) L t``,
+    the nodes of :meth:`IntegrationSpec.for_gaussian`.  With y = Sigma^-1 (x - mu),
+    the score is ``d_i log p = d_i mu . y + (y^T d_i Sigma y - tr(Sigma^-1 d_i Sigma)) / 2``,
+    summed in whitened form: with z = L^-1 (x - mu) and B_i = L^-1 d_i Sigma L^-T,
+    ``d_i log p = (L^-1 d_i mu) . z + (z^T B_i z - tr B_i) / 2``.
+    Raises :class:`NonPositiveDefiniteError` when Sigma has no Cholesky factor.
+    """
+    theta = model.domain.require(theta, model.name or "model")
+    mean, cov, d_mean, d_cov = model.moments(theta)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NonPositiveDefiniteError(
+            f"covariance at theta={theta} is not positive definite"
+        ) from None
+    white = np.linalg.inv(chol)
+    lin = d_mean @ white.T
+    half_b = 0.5 * (white @ d_cov @ white.T)
+    half_trace = np.trace(half_b, axis1=1, axis2=2)
+    norm = 1.0 / ((2.0 * np.pi) ** (0.5 * mean.shape[0]) * chol.diagonal().prod())
+
+    def integrand(x):
+        z = white @ (x - mean[:, None])
+        score = lin @ z
+        # row by row, in place: an (m, d, k) temporary made glibc trim and
+        # re-fault the heap on every order-64 metric after order-32 ones
+        for row, b, h in zip(score, half_b, half_trace):
+            row += np.einsum("ik,ik->k", b @ z, z) - h
+        return score, norm * np.exp(-0.5 * np.einsum("ik,ik->k", z, z))
+
+    return IntegrationSpec(mean, chol, model.order if order is None else order), integrand
 
 
 def density_normalization(model: ModelFamily, theta, order: int | None = None) -> float:
     """Quadrature of p(.; theta) over the microspace (should be 1)."""
-    theta = model.domain.require(theta, model.name or "model")
-    spec = model.integration_spec(theta)
-    if order is not None:
-        spec = spec.with_order(order)
-    return float(integrate(lambda x: model.density(x, theta), spec))
+    spec, integrand = _gaussian_integrand(model, theta, order)
+    return float(integrate(lambda x: integrand(x)[1], spec))
 
 
 def fisher_metric(model: ModelFamily, theta, order: int | None = None,
@@ -121,13 +152,8 @@ def fisher_metric(model: ModelFamily, theta, order: int | None = None,
     :class:`NonPositiveDefiniteError` when the result is not positive
     definite, which signals an invalid model or insufficient quadrature.
     """
-    theta = model.domain.require(theta, model.name or "model")
-    spec = model.integration_spec(theta)
-    if order is not None:
-        spec = spec.with_order(order)
-    g, err = integrate_with_error(
-        lambda x: (model.log_density_grad_theta(x, theta), model.density(x, theta)), spec
-    )
+    spec, integrand = _gaussian_integrand(model, theta, order)
+    g, err = integrate_with_error(integrand, spec)
     if err > quad_tol:
         raise QuadratureError(
             f"quadrature did not converge: error estimate {err:.3e} > tol {quad_tol:.3e}"
@@ -154,7 +180,6 @@ class MetricField:
     domain: ParameterDomain
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
-    name: str = ""
 
     def __call__(self, theta) -> np.ndarray:
         g = np.asarray(self.func(np.asarray(theta, dtype=float)), dtype=float)
@@ -166,33 +191,29 @@ class MetricField:
 
         The curvature functions ask for the metric at the same stencil points
         again and again (17 requests at 9 points for m = 2), so the field
-        keeps the last ``1 + 2m^2`` metrics, one order-2 stencil, keyed on the
-        shape and exact bytes of theta.  A theta that raises is not kept.  The kept
-        arrays are read-only; ``__call__`` returns a fresh array.
+        keeps the ``1 + 2m^2`` most recently used metrics, one order-2
+        stencil, keyed on the shape and exact bytes of theta.  A theta that
+        raises is not kept.  The kept arrays are read-only; ``__call__``
+        returns a fresh array.
         """
-        cache = {}
-        size = 1 + 2 * model.macro_dim**2
-        lock = threading.Lock()  # eviction checks the size, then deletes
+        m = model.domain.dim
+
+        @lru_cache(maxsize=1 + 2 * m * m)
+        def cached(shape, data):
+            g = fisher_metric(model, np.frombuffer(data).reshape(shape))
+            g.flags.writeable = False
+            return g
 
         def fn(theta):
             theta = np.asarray(theta, dtype=float)
-            key = (theta.shape, theta.tobytes())
-            g = cache.get(key)
-            if g is None:
-                g = fisher_metric(model, theta)
-                g.flags.writeable = False
-                with lock:
-                    if len(cache) >= size:
-                        del cache[next(iter(cache))]  # the oldest entry
-                    cache[key] = g
-            return g
+            return cached(theta.shape, theta.tobytes())
 
-        return cls(model.macro_dim, fn, model.domain, name=model.name or "fisher")
+        return cls(m, fn, model.domain)
 
     @classmethod
     def from_function(cls, dim: int, func, domain: ParameterDomain | None = None,
-                      d1=None, d2=None, name: str = "") -> "MetricField":
-        return cls(dim, func, domain or ParameterDomain.unbounded(dim), d1, d2, name)
+                      d1=None, d2=None) -> "MetricField":
+        return cls(dim, func, domain or ParameterDomain.unbounded(dim), d1, d2)
 
 
 def _fd_steps(x: np.ndarray, rel: float = FD_REL_STEP) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateCorrelationError, NonPositiveDefiniteError
 from .manifold import ModelFamily, ParameterDomain
-from .quadrature import DEFAULT_ORDER, IntegrationSpec
+from .quadrature import DEFAULT_ORDER
 
 TWO_PI = 2.0 * np.pi
 
@@ -149,62 +149,37 @@ def correlated_2d_family(r: float, sigma_c: float = 1.0,
     """The correlated model as a quadrature-backed family over theta = (mu_x, sigma).
 
     r and sigma_c are external parameters held fixed; geometry is computed on
-    the two-dimensional macrospace.
+    the two-dimensional macrospace.  The mean is (mu_x, 0) and the covariance
+    that of :class:`Correlated2DParams`, whose off-diagonal r sigma_c^2 does
+    not depend on theta.
     """
     if abs(r) >= 1.0:
         raise DegenerateCorrelationError("|r| = 1 is a boundary of the family")
     if not sigma_c > 0.0:
         raise ValueError("sigma_c must be positive")
+    d_mean = np.array([[1.0, 0.0], [0.0, 0.0]])
 
-    def params_at(theta):
-        return Correlated2DParams(theta[0], theta[1], r, sigma_c)
-
-    def density(x, theta):
-        return pdf_2d(x[0], x[1], params_at(theta))
-
-    def grad_log(x, theta):
+    def moments(theta):
         mu, s = theta
-        d = x[0] - mu
-        y = x[1]
-        one_m = 1.0 - r**2
-        gmu = (d / s**2 - r * y / sigma_c**2) / one_m
-        gs = (d**2 / s**3 - s * y**2 / sigma_c**4) / one_m
-        return np.stack([gmu, gs])
-
-    def spec(theta):
-        return IntegrationSpec.for_gaussian(
-            [theta[0], 0.0], params_at(theta).covariance(), order
-        )
+        d_cov = np.zeros((2, 2, 2))
+        d_cov[1] = np.diag([2.0 * s, -2.0 * sigma_c**4 / s**3])
+        cov = Correlated2DParams(mu, s, r, sigma_c).covariance()
+        return np.array([mu, 0.0]), cov, d_mean, d_cov
 
     domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
-    return ModelFamily(
-        micro_dim=2,
-        macro_dim=2,
-        density=density,
-        log_density_grad_theta=grad_log,
-        domain=domain,
-        integration_spec=spec,
-        name=f"correlated2d(r={r}, sigma_c={sigma_c})",
-    )
+    return ModelFamily(moments, domain, order, name=f"correlated2d(r={r}, sigma_c={sigma_c})")
 
 
 def univariate_gaussian_family(order: int = DEFAULT_ORDER) -> ModelFamily:
     """N(mu, sigma^2) over theta = (mu, sigma); Fisher metric diag(1, 2)/sigma^2."""
+    d_mean = np.array([[1.0], [0.0]])
 
-    def density(x, theta):
+    def moments(theta):
         mu, s = theta
-        return np.exp(-((x[0] - mu) ** 2) / (2.0 * s**2)) / np.sqrt(TWO_PI * s**2)
-
-    def grad_log(x, theta):
-        mu, s = theta
-        d = x[0] - mu
-        return np.stack([d / s**2, d**2 / s**3 - 1.0 / s])
-
-    def spec(theta):
-        return IntegrationSpec.axes([theta[0]], [theta[1]], order)
+        return np.array([mu]), np.array([[s * s]]), d_mean, np.array([[[0.0]], [[2.0 * s]]])
 
     domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
-    return ModelFamily(1, 2, density, grad_log, domain, spec, name="gaussian1d")
+    return ModelFamily(moments, domain, order, name="gaussian1d")
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ Two rules are provided for Gaussian-dominated integrands:
   ``L`` is a Cholesky factor of the covariance of the dominant Gaussian the
   reweighted integrand is polynomial-like and the rule is exact to machine
   precision at modest orders.
-* ``rectangle`` -- midpoint rule on a box of ``half_width`` axis standard
-  deviations.  Used as an independent cross-check: for smooth integrands that
-  decay like Gaussians the midpoint rule converges exponentially, and it
-  shares no machinery with the Gauss-Hermite path.
+* ``rectangle`` -- midpoint rule on a box of +-8 axis standard deviations.
+  Used as an independent cross-check: for smooth integrands that decay like
+  Gaussians the midpoint rule converges exponentially, and it shares no
+  machinery with the Gauss-Hermite path.
 
 ``integrate`` sums an integrand chunk by chunk into a float, a vector, or the
 Gram matrix of a weighted second moment, the form every second moment in the
@@ -28,6 +28,7 @@ import numpy as np
 
 DEFAULT_ORDER = 64
 _CHUNK = 1 << 14  # max nodes in a cached block and in one vectorized call
+_HALF_WIDTH = 8.0  # half-width of the rectangle rule's box, in axis standard deviations
 
 
 def default_order(dim: int) -> int:
@@ -85,7 +86,6 @@ class IntegrationSpec:
     transform: np.ndarray
     order: int = DEFAULT_ORDER
     rule: str = "gauss_hermite"
-    half_width: float = 8.0
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
@@ -107,10 +107,10 @@ class IntegrationSpec:
         return np.sqrt(np.sum(self.transform**2, axis=1))
 
     @classmethod
-    def axes(cls, center, scales, order: int = DEFAULT_ORDER, rule: str = "gauss_hermite",
-             half_width: float = 8.0) -> "IntegrationSpec":
+    def axes(cls, center, scales, order: int = DEFAULT_ORDER,
+             rule: str = "gauss_hermite") -> "IntegrationSpec":
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
-        return cls(np.asarray(center, dtype=float), np.diag(scales), order, rule, half_width)
+        return cls(np.asarray(center, dtype=float), np.diag(scales), order, rule)
 
     @classmethod
     def for_gaussian(cls, mean, covariance, order: int = DEFAULT_ORDER) -> "IntegrationSpec":
@@ -119,7 +119,7 @@ class IntegrationSpec:
         return cls(np.asarray(mean, dtype=float), L, order, "gauss_hermite")
 
     def with_order(self, order: int) -> "IntegrationSpec":
-        return IntegrationSpec(self.center, self.transform, order, self.rule, self.half_width)
+        return IntegrationSpec(self.center, self.transform, order, self.rule)
 
     @cached_property
     def jacobian(self) -> float:
@@ -145,7 +145,6 @@ class IntegrationSpec:
             np.array([[self.axis_scales[i]]]),
             self.order,
             self.rule,
-            self.half_width,
         )
 
 
@@ -163,8 +162,8 @@ def _node_chunks(spec: IntegrationSpec):
         map_pts = lambda T: spec.center[:, None] + np.sqrt(2.0) * (spec.transform @ T)
     else:
         scales = spec.axis_scales
-        lo = spec.center - spec.half_width * scales
-        hi = spec.center + spec.half_width * scales
+        lo = spec.center - _HALF_WIDTH * scales
+        hi = spec.center + _HALF_WIDTH * scales
         h = (hi - lo) / n
         axes_t = [lo[i] + (np.arange(n) + 0.5) * h[i] for i in range(d)]
         axes_w = [np.full(n, h[i]) for i in range(d)]

@@ -10,7 +10,6 @@ from statmanifold import (
     Correlated2DParams,
     DomainError,
     GeodesicState,
-    IntegrationSpec,
     MetricField,
     NonPositiveDefiniteError,
     ParameterDomain,
@@ -27,6 +26,7 @@ from statmanifold import (
     metric_2d_closed,
     metric_derivatives,
     metric_speed,
+    pdf_2d,
     ricci,
     ricci_2d_closed,
     riemann,
@@ -94,13 +94,9 @@ def test_fisher_metric_integrates_through_integrate_at_both_orders(monkeypatch):
 
 
 def test_fisher_metric_raises_on_nonconvergence():
-    # a node cloud 20 times narrower than the density: the two rules disagree
-    fam = univariate_gaussian_family()
-    narrow = type(fam)(1, 2, fam.density, fam.log_density_grad_theta, fam.domain,
-                       lambda th: IntegrationSpec.axes([th[0]], [0.05 * th[1]], order=8),
-                       name="narrow")
+    # the sigma-sigma integrand has degree 4: the order-4 half rule is exact, order 2 is not
     with pytest.raises(QuadratureError, match="did not converge"):
-        fisher_metric(narrow, [0.0, 1.0])
+        fisher_metric(univariate_gaussian_family(), [0.0, 1.0], order=2)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -115,6 +111,29 @@ def test_fisher_matches_closed_form_on_grid(sigma, r):
     assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_fisher_metric_matches_skovgaard_formula(d, m, seed):
+    # mu = mu0 + theta M and Sigma = A A^T + I with A linear in theta: both derivatives vary
+    rng = np.random.default_rng(seed)
+    mu0, M = rng.normal(size=d), rng.normal(size=(m, d))
+    A0, dA = rng.normal(size=(d, d)), rng.normal(size=(m, d, d))
+
+    def moments(theta):
+        A = A0 + np.tensordot(theta, dA, axes=1)
+        d_cov = dA @ A.T + A @ dA.transpose(0, 2, 1)
+        return mu0 + theta @ M, A @ A.T + np.eye(d), M, d_cov
+
+    fam = manifold.ModelFamily(moments, ParameterDomain.unbounded(m), order=8)
+    theta = rng.normal(size=m)
+    _, cov, d_mean, d_cov = moments(theta)
+    inv = np.linalg.inv(cov)
+    s = inv @ d_cov  # s[i] = Sigma^-1 d_i Sigma
+    expected = d_mean @ inv @ d_mean.T + 0.5 * np.einsum("iab,jba->ij", s, s)
+    g = fisher_metric(fam, theta)
+    assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_density_normalization_is_one():
     for r in (-0.7, 0.0, 0.4):
         fam = correlated_2d_family(r)
@@ -122,14 +141,27 @@ def test_density_normalization_is_one():
             assert abs(density_normalization(fam, theta) - 1.0) < 1e-6
 
 
+def _density(fam, x, theta):
+    return manifold._gaussian_integrand(fam, theta)[1](x)[1]
+
+
 def test_parameterization_is_injective_spot_check():
     fam = correlated_2d_family(0.3)
     probe = np.stack([np.linspace(-3, 3, 31), np.linspace(-3, 3, 31)])
-    p_a = fam.density(probe, np.array([0.0, 1.0]))
-    p_b = fam.density(probe, np.array([0.1, 1.0]))
-    p_c = fam.density(probe, np.array([0.0, 1.1]))
+    p_a = _density(fam, probe, [0.0, 1.0])
+    p_b = _density(fam, probe, [0.1, 1.0])
+    p_c = _density(fam, probe, [0.0, 1.1])
     assert np.max(np.abs(p_a - p_b)) > 1e-4
     assert np.max(np.abs(p_a - p_c)) > 1e-4
+    # the derived density is the paper's formula within 6 whitened standard deviations
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        r, sigma_c = rng.uniform(-0.95, 0.95), 10.0 ** rng.uniform(-1, 1)
+        params = Correlated2DParams(rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2), r, sigma_c)
+        z = rng.uniform(-6.0, 6.0, (2, 200))
+        x = np.array([[params.mu_x], [0.0]]) + np.linalg.cholesky(params.covariance()) @ z
+        derived = _density(correlated_2d_family(r, sigma_c), x, [params.mu_x, params.sigma])
+        assert derived == pytest.approx(pdf_2d(x[0], x[1], params), rel=1e-12)
 
 
 def test_fisher_metric_domain_violation():
@@ -590,16 +622,24 @@ def test_geodesic_rejects_bad_step():
 
 
 def test_fisher_metric_rejects_invalid_model():
-    # a "family" whose score is orthogonal to one direction yields a singular metric
+    # a "family" whose moments do not depend on theta has a zero score and a zero metric
     fam = univariate_gaussian_family()
     broken = type(fam)(
-        micro_dim=1,
-        macro_dim=2,
-        density=fam.density,
-        log_density_grad_theta=lambda x, th: np.stack([np.zeros_like(x[0]), np.zeros_like(x[0])]),
-        domain=fam.domain,
-        integration_spec=fam.integration_spec,
+        lambda th: (np.zeros(1), np.eye(1), np.zeros((2, 1)), np.zeros((2, 1, 1))),
+        fam.domain,
         name="broken",
     )
     with pytest.raises(NonPositiveDefiniteError):
         fisher_metric(broken, [0.0, 1.0])
+
+
+def test_fisher_metric_rejects_a_covariance_without_cholesky_factor():
+    fam = univariate_gaussian_family()
+    indefinite = type(fam)(
+        lambda th: (np.zeros(2), np.diag([1.0, -th[1]]), np.zeros((2, 2)), np.zeros((2, 2, 2))),
+        fam.domain,
+    )
+    with pytest.raises(NonPositiveDefiniteError, match="covariance"):
+        fisher_metric(indefinite, [0.0, 1.0])
+    with pytest.raises(NonPositiveDefiniteError, match="covariance"):
+        density_normalization(indefinite, [0.0, 1.0])
