@@ -418,7 +418,7 @@ class GoeModel:
         return self.reduced.sigma
 
     @cached_property
-    def _gaussian(self) -> MultivariateGaussian:
+    def gaussian(self) -> MultivariateGaussian:
         """The joint: the diagonal block's covariance and two independent entries."""
         cov = np.diag([0.0, 0.0, self.off_diag_sigma**2, self.off_diag_sigma**2])
         cov[:2, :2] = self.reduced.covariance()
@@ -426,15 +426,7 @@ class GoeModel:
 
     def joint_pdf(self, h11, h22, h12, h21):
         """Joint density; the four entries broadcast together."""
-        return mvn_pdf((h11, h22, h12, h21), self._gaussian)
-
-    def joint_density(self, x):
-        """Vectorized joint over points of shape (4, k)."""
-        return mvn_pdf(x, self._gaussian)
-
-    def integration_spec(self, order: int = 20) -> IntegrationSpec:
-        g = self._gaussian
-        return IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
+        return mvn_pdf((h11, h22, h12, h21), self.gaussian)
 
     def curvature(self) -> float:
         return curvature_2d_closed(self.reduced.r)

@@ -37,7 +37,10 @@ F_sup(r) / (2 pi sigma_c^2) * ||f_1 f_2||_1.
 
 Every joint here is Gaussian, so C of Gaussian bumps is exact at any
 dimension (the product-of-Gaussians identity); other test functions are
-integrated by Gauss-Hermite quadrature, the identity's cross-check.
+integrated by Gauss-Hermite quadrature, the identity's cross-check.  Since
+int p_i f_i dx_i = E[f_i] under the joint, quadrature needs no marginal
+density: one pass on the joint's rule sums E[f_1 ... f_N], each E[f_i] and
+the mass, and the same pass on the half-order rule is the error estimate.
 """
 
 from __future__ import annotations
@@ -50,11 +53,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import QuadratureError
-from .models import Correlated2DParams, MultivariateGaussian, mvn_marginal, mvn_pdf
+from .models import Correlated2DParams, MultivariateGaussian, mvn_pdf
 from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-NORM_SPOT_TOL = 1e-6
+QUAD_RTOL = 1e-6
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
@@ -119,10 +122,6 @@ def _require_arity(fs: TestFunctionSet, *dims: int) -> None:
         raise ValueError("joint and test functions must agree: one test function per coordinate")
 
 
-def _all_bumps(fs: TestFunctionSet) -> bool:
-    return all(isinstance(f, GaussianBump) for f in fs.fs)
-
-
 def _bump_correlation(mean, cov, fs: TestFunctionSet) -> float:
     """Exact C of Gaussian bumps under N(mean, cov) (The Matrix Cookbook, 8.1.8).
 
@@ -143,43 +142,36 @@ def _bump_correlation(mean, cov, fs: TestFunctionSet) -> float:
     return joint - product
 
 
-def ig_correlation(joint: Callable, marginals: Sequence[Callable],
-                   fs: TestFunctionSet, spec: IntegrationSpec,
-                   check: bool = True) -> float:
-    """Correlation of the test functions under ``joint`` minus the product route.
+def ig_correlation(joint: Callable, fs: TestFunctionSet, spec: IntegrationSpec) -> float:
+    """C = E[f_1 ... f_N] - E[f_1] ... E[f_N] under ``joint``, in one pass per rule.
 
-    ``joint`` maps points of shape (N, k) to density values (k,); each
-    marginal maps (k,) to (k,).  ``spec`` covers the joint's effective
-    support; per-axis 1-D rules derived from it integrate the marginals.
-    With ``check`` the joint and marginal normalizations are spot-checked by
-    quadrature.
+    ``joint`` maps points of shape (N, k) to density values (k,), and
+    ``spec`` covers its support.  Every term is an expectation under the
+    joint, so one ``integrate`` call sums the block (prod f_i, f_1, ...,
+    f_N, 1) times the density: the joint term, the factors of the product
+    term and the mass.  The same call on ``spec.coarse`` is the error
+    estimate.  Raises :class:`QuadratureError` when the mass is off 1, or C
+    moves between the rules, by more than ``QUAD_RTOL`` (of the larger term).
     """
-    _require_arity(fs, len(marginals), spec.dim)
-    if check:
-        total = float(integrate(joint, spec))
-        if abs(total - 1.0) > NORM_SPOT_TOL:
-            raise QuadratureError(
-                f"joint density normalization off by {total - 1.0:.3e}"
-            )
+    _require_arity(fs, spec.dim)
 
-    def joint_integrand(x):
-        vals = joint(x)
-        for i, f in enumerate(fs.fs):
-            vals = vals * f(x[i])
-        return vals
+    def moments(x):
+        # filled by rows, returned as (k, N + 2): filling by columns was 1.6x slower at 4-D
+        block = np.empty((len(fs) + 2, x.shape[1]))
+        for row, f, xi in zip(block[1:], fs.fs, x):
+            row[:] = f(xi)
+        np.prod(block[1:-1], axis=0, out=block[0])
+        block[-1] = joint(x)
+        block[:-1] *= block[-1]
+        return block.T
 
-    joint_term = float(integrate(joint_integrand, spec))
-
-    prod_term = 1.0
-    for i, (p_i, f_i) in enumerate(zip(marginals, fs.fs)):
-        spec_i = spec.axis_spec(i)
-        if check:
-            mass = float(integrate(lambda x, p=p_i: p(x[0]), spec_i))
-            if abs(mass - 1.0) > NORM_SPOT_TOL:
-                raise QuadratureError(
-                    f"marginal {i} inconsistent with joint: mass {mass:.8f}"
-                )
-        prod_term *= float(integrate(lambda x, p=p_i, f=f_i: p(x[0]) * f(x[0]), spec_i))
+    fine, coarse = integrate(moments, spec).tolist(), integrate(moments, spec.coarse).tolist()
+    if abs(fine[-1] - 1.0) > QUAD_RTOL:
+        raise QuadratureError(f"joint density normalization off by {fine[-1] - 1.0:.3e}")
+    joint_term, prod_term = fine[0], math.prod(fine[1:-1])
+    err = abs(joint_term - prod_term - (coarse[0] - math.prod(coarse[1:-1])))
+    if err > QUAD_RTOL * max(abs(joint_term), abs(prod_term)):
+        raise QuadratureError(f"correlation did not converge: error estimate {err:.3e}")
     return joint_term - prod_term
 
 
@@ -190,14 +182,13 @@ def _gaussian_correlation(mean, cov, fs: TestFunctionSet, order: int | None) -> 
     over ``mvn_pdf`` on the whitened rule of ``order`` (desk scale: dim <= 4).
     """
     _require_arity(fs, len(mean))
-    if _all_bumps(fs):
+    if all(isinstance(f, GaussianBump) for f in fs.fs):
         return _bump_correlation(mean, cov, fs)
     if len(mean) > 4:
         raise ValueError("quadrature path supports dimension <= 4 (desk scale)")
     g = MultivariateGaussian(mean, cov)
     spec = IntegrationSpec.for_gaussian(g.mean, g.covariance, order or default_order(g.dim))
-    marginals = [mvn_marginal(g, i) for i in range(g.dim)]
-    return ig_correlation(lambda x: mvn_pdf(x, g), marginals, fs, spec, check=False)
+    return ig_correlation(lambda x: mvn_pdf(x, g), fs, spec)
 
 
 def ig_correlation_2d(params: Correlated2DParams, fs: TestFunctionSet,

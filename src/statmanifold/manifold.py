@@ -98,7 +98,7 @@ class ModelFamily:
     name: str = ""
 
 
-def _gaussian_integrand(model: ModelFamily, theta, order: int | None = None):
+def _gaussian_integrand(model: ModelFamily, theta):
     """The whitened rule and the Gram integrand ``(score, density)`` at ``theta``.
 
     With Sigma = L L^T, the rule is Gauss-Hermite on ``x = mu + sqrt(2) L t``,
@@ -131,28 +131,27 @@ def _gaussian_integrand(model: ModelFamily, theta, order: int | None = None):
             row += np.einsum("ik,ik->k", b @ z, z) - h
         return score, norm * np.exp(-0.5 * np.einsum("ik,ik->k", z, z))
 
-    return IntegrationSpec(mean, chol, model.order if order is None else order), integrand
+    return IntegrationSpec(mean, chol, model.order), integrand
 
 
-def density_normalization(model: ModelFamily, theta, order: int | None = None) -> float:
+def density_normalization(model: ModelFamily, theta) -> float:
     """Quadrature of p(.; theta) over the microspace (should be 1)."""
-    spec, integrand = _gaussian_integrand(model, theta, order)
+    spec, integrand = _gaussian_integrand(model, theta)
     return float(integrate(lambda x: integrand(x)[1], spec))
 
 
-def fisher_metric(model: ModelFamily, theta, order: int | None = None,
-                  quad_tol: float = 1e-6, with_error: bool = False):
+def fisher_metric(model: ModelFamily, theta, quad_tol: float = 1e-6, with_error: bool = False):
     """Fisher information matrix of ``model`` at ``theta`` by quadrature.
 
     The integrand is the Gram form (grad log p, p) of :func:`integrate`, and
-    :func:`integrate_with_error` sums it on the order-n and the half-order
-    rule.  Returns the symmetrized (m, m) matrix, and with ``with_error=True``
-    also the error estimate max |G - G'| against the half-order rule.  Raises
+    :func:`integrate_with_error` sums it on the rule of ``model.order`` and on
+    the half-order rule.  Returns the symmetrized (m, m) matrix, and with
+    ``with_error=True`` also the error estimate max |G - G'|.  Raises
     :class:`QuadratureError` when that exceeds ``quad_tol``, and
     :class:`NonPositiveDefiniteError` when the result is not positive
     definite, which signals an invalid model or insufficient quadrature.
     """
-    spec, integrand = _gaussian_integrand(model, theta, order)
+    spec, integrand = _gaussian_integrand(model, theta)
     g, err = integrate_with_error(integrand, spec)
     if err > quad_tol:
         raise QuadratureError(

@@ -86,9 +86,6 @@ class UnivariateGaussian:
             TWO_PI * self.variance
         )
 
-    def __call__(self, x):
-        return self.pdf(x)
-
 
 def pdf_2d(x, y, params: Correlated2DParams):
     """Density of the correlated model; vectorized over x, y."""

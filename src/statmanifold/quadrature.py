@@ -118,9 +118,6 @@ class IntegrationSpec:
         L = np.linalg.cholesky(np.atleast_2d(np.asarray(covariance, dtype=float)))
         return cls(np.asarray(mean, dtype=float), L, order, "gauss_hermite")
 
-    def with_order(self, order: int) -> "IntegrationSpec":
-        return IntegrationSpec(self.center, self.transform, order, self.rule)
-
     @cached_property
     def jacobian(self) -> float:
         """sqrt(2)^d |det transform|, the Jacobian of the Gauss-Hermite node map."""
@@ -137,15 +134,6 @@ class IntegrationSpec:
         coarse = object.__new__(IntegrationSpec)
         coarse.__dict__.update(vars(self), order=max(4, self.order // 2))
         return coarse
-
-    def axis_spec(self, i: int) -> "IntegrationSpec":
-        """1-D spec for axis ``i`` at this spec's order (used for marginal integrals)."""
-        return IntegrationSpec(
-            self.center[i : i + 1],
-            np.array([[self.axis_scales[i]]]),
-            self.order,
-            self.rule,
-        )
 
 
 def _node_chunks(spec: IntegrationSpec):

@@ -476,7 +476,8 @@ def test_goe_joint_factorizes_at_zero_correlation():
 
 def test_goe_joint_normalizes():
     model = goe_model(0.3, 1.2, 0.5, 1.0)
-    total = integrate(model.joint_density, model.integration_spec(order=20))
+    spec = IntegrationSpec.for_gaussian(model.gaussian.mean, model.gaussian.covariance, 20)
+    total = integrate(lambda x: model.joint_pdf(*x), spec)
     assert total == pytest.approx(1.0, abs=1e-6)
 
 

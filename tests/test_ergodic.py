@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from statmanifold import ergodic, quadrature
 from statmanifold import (
     BRANCH_SWITCH_R,
     Correlated2DParams,
@@ -112,16 +113,16 @@ def test_correlation_matches_riemann_oracle():
     assert value == pytest.approx(C_BUMPS_05, abs=1e-9)
 
 
-def test_correlation_consistency_check_catches_bad_marginals():
+def test_correlation_mass_check_catches_a_bad_joint():
+    # the mass is one column of the correlation's own pass, so it is always checked
     params = Correlated2DParams(0.0, 1.0, 0.5, 1.0)
     fs = unit_height_bumps()
     spec = IntegrationSpec.for_gaussian([0.0, 0.0], params.covariance(), 48)
-    wrong = [lambda x: np.exp(-x**2) for _ in range(2)]  # not normalized
-    with pytest.raises(QuadratureError):
-        ig_correlation(lambda x: pdf_2d(x[0], x[1], params), wrong, fs, spec, check=True)
+    with pytest.raises(QuadratureError, match="normalization off by 1.000e"):
+        ig_correlation(lambda x: 2.0 * pdf_2d(x[0], x[1], params), fs, spec)
     with pytest.raises(ValueError):
         ig_correlation(lambda x: pdf_2d(x[0], x[1], params),
-                       [lambda x: x], TestFunctionSet((lambda x: x,), (1.0,)), spec)
+                       TestFunctionSet((lambda x: x,), (1.0,)), spec)
 
 
 def test_correlation_bounded_by_distinguishability():
@@ -747,8 +748,7 @@ def test_bump_closed_form_matches_quadrature(dim, order):
         bumps = random_bumps(rng, g, sd, 1.5, 4.0)
         fs = TestFunctionSet.from_bumps(bumps)
         spec = IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
-        marginals = [mvn_marginal(g, i) for i in range(dim)]
-        quad = ig_correlation(lambda x: mvn_pdf(x, g), marginals, fs, spec)
+        quad = ig_correlation(lambda x: mvn_pdf(x, g), fs, spec)
         scale = max(map(abs, identity_terms(g.mean, g.covariance, bumps)))
         assert abs(mvn_ig_correlation(g, fs) - quad) <= 1e-12 * scale
         # plain callables take the quadrature path of the same entry point
@@ -762,6 +762,45 @@ def test_bump_closed_form_matches_quadrature(dim, order):
         scale = max(map(abs, identity_terms(g.mean, g.covariance, bumps)))
         quad = ig_correlation_2d(params, wrapped(bumps), order=48)
         assert abs(ig_correlation_2d(params, fs) - quad) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_quadrature_correlation_is_one_pass_per_rule(dim, monkeypatch):
+    # E[prod f_i], each E[f_i] and the mass share one integrate call per rule
+    orders = []
+    original = quadrature.integrate
+
+    def recorded(fn, spec):
+        orders.append(spec.order)
+        return original(fn, spec)
+
+    monkeypatch.setattr(quadrature, "integrate", recorded)
+    monkeypatch.setattr(ergodic, "integrate", recorded)
+    rng = np.random.default_rng(dim)
+    g, sd = random_joint(rng, dim)
+    bumps = random_bumps(rng, g, sd, 1.5, 4.0)
+    c = mvn_ig_correlation(g, wrapped(bumps), order=16)
+    assert orders == [16, 8]
+    joint, product = identity_terms(g.mean, g.covariance, bumps)
+    assert abs(c - (joint - product)) <= 1e-12 * max(abs(joint), abs(product))
+
+
+@pytest.mark.parametrize("dim, order", [(2, 64), (3, 30), (4, 20)])
+def test_narrow_plain_callables_raise_or_match(dim, order):
+    # bumps 0.2-0.6 sd wide that the nodes under-resolve: one pass per
+    # marginal returned all 48 of these draws without raising, up to 87 % off
+    rng = np.random.default_rng(10 * dim + order)
+    for _ in range(8):
+        g, sd = random_joint(rng, dim)
+        with pytest.raises(QuadratureError, match="did not converge"):
+            mvn_ig_correlation(g, wrapped(random_bumps(rng, g, sd, 0.2, 0.2)), order=order)
+        bumps = random_bumps(rng, g, sd, 0.2, 0.6)
+        joint, product = identity_terms(g.mean, g.covariance, bumps)
+        try:
+            c = mvn_ig_correlation(g, wrapped(bumps), order=order)
+        except QuadratureError:
+            continue
+        assert abs(c - (joint - product)) <= 1e-6 * max(abs(joint), abs(product))
 
 
 @pytest.mark.parametrize("order", [20, 48, 64])
@@ -831,9 +870,8 @@ def test_bump_correlation_beyond_four_dimensions():
     ]
     pair_spec = IntegrationSpec.for_gaussian(mean[:2], pair_cov, 48)
     pair_g = MultivariateGaussian(mean[:2], pair_cov)
-    pair_marginals = [mvn_marginal(pair_g, i) for i in range(2)]
-    pair_c = ig_correlation(lambda x: mvn_pdf(x, pair_g), pair_marginals,
-                            TestFunctionSet.from_bumps(bumps[:2]), pair_spec)
+    pair_c = ig_correlation(lambda x: mvn_pdf(x, pair_g), TestFunctionSet.from_bumps(bumps[:2]),
+                            pair_spec)
     # int N(x; m, s^2) h exp(-(x - c)^2 / 2 w^2) dx = h w / sqrt(s^2 + w^2) exp(-(c - m)^2 / 2 (s^2 + w^2))
     singles = [b.height * b.width / math.sqrt(s**2 + b.width**2)
                * math.exp(-((b.center - m) ** 2) / (2.0 * (s**2 + b.width**2)))
