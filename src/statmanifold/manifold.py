@@ -4,7 +4,10 @@ The metric is the Fisher information bilinear form
 
     g_ij(theta) = int p(x; theta) d_i log p(x; theta) d_j log p(x; theta) dx,
 
-computed by quadrature over the microspace.  Connection and curvature are
+computed on a Gauss-Hermite rule over the microspace.  The score of a
+Gaussian family is quadratic in whitened coordinates, so the node sum is
+G = C M C^T: per-theta score coefficients C and the moment table M of the
+rule, built once per family and kept on it.  Connection and curvature are
 obtained by finite differencing the metric field with the standard
 Levi-Civita formulas:
 
@@ -20,6 +23,7 @@ with a classic fixed-step 4th-order scheme.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -27,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonPositiveDefiniteError, QuadratureError, SingularMetricError
-from .quadrature import DEFAULT_ORDER, IntegrationSpec, integrate, integrate_with_error
+from .quadrature import DEFAULT_ORDER, IntegrationSpec, integrate
 
 COND_LIMIT = 1e12
 FD_REL_STEP = 1e-5
@@ -87,26 +91,25 @@ class ModelFamily:
     ``moments(theta)`` returns ``(mean, cov, d_mean, d_cov)`` of shapes (d,),
     (d, d), (m, d) and (m, d, d), with m = ``domain.dim``:
     ``d_mean[i] = d mu / d theta_i`` and ``d_cov[i] = d Sigma / d theta_i``.
-    The density, the score and the quadrature rule of ``order`` nodes per
-    axis all derive from them (:func:`_gaussian_integrand`).  The map
-    theta -> p(.; theta) is assumed injective.
+    The density and the score derive from them.  ``order`` is the number of
+    Gauss-Hermite nodes per axis of the rule whose moment tables give the
+    Fisher metric (:func:`fisher_metric`); the tables of that rule and of its
+    half-order rule are built on the first metric and kept in ``_tables``,
+    keyed on d.  The map theta -> p(.; theta) is assumed injective.
     """
 
     moments: Callable
     domain: ParameterDomain
     order: int = DEFAULT_ORDER
     name: str = ""
+    _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _gaussian_integrand(model: ModelFamily, theta):
-    """The whitened rule and the Gram integrand ``(score, density)`` at ``theta``.
+def _factor(model: ModelFamily, theta):
+    """``(mean, chol, d_mean, d_cov)`` at ``theta``, with Sigma = chol chol^T.
 
-    With Sigma = L L^T, the rule is Gauss-Hermite on ``x = mu + sqrt(2) L t``,
-    the nodes of :meth:`IntegrationSpec.for_gaussian`.  With y = Sigma^-1 (x - mu),
-    the score is ``d_i log p = d_i mu . y + (y^T d_i Sigma y - tr(Sigma^-1 d_i Sigma)) / 2``,
-    summed in whitened form: with z = L^-1 (x - mu) and B_i = L^-1 d_i Sigma L^-T,
-    ``d_i log p = (L^-1 d_i mu) . z + (z^T B_i z - tr B_i) / 2``.
-    Raises :class:`NonPositiveDefiniteError` when Sigma has no Cholesky factor.
+    Raises :class:`DomainError` outside the domain and
+    :class:`NonPositiveDefiniteError` when Sigma has no Cholesky factor.
     """
     theta = model.domain.require(theta, model.name or "model")
     mean, cov, d_mean, d_cov = model.moments(theta)
@@ -116,43 +119,107 @@ def _gaussian_integrand(model: ModelFamily, theta):
         raise NonPositiveDefiniteError(
             f"covariance at theta={theta} is not positive definite"
         ) from None
+    return mean, chol, d_mean, d_cov
+
+
+def _gaussian_density(model: ModelFamily, theta):
+    """The whitened rule and the density ``p(.; theta)`` at ``theta``.
+
+    With Sigma = L L^T, the rule is Gauss-Hermite on ``x = mu + sqrt(2) L t``,
+    the nodes of :meth:`IntegrationSpec.for_gaussian`, and the density is
+    evaluated on z = L^-1 (x - mu).
+    """
+    mean, chol, _, _ = _factor(model, theta)
     white = np.linalg.inv(chol)
-    lin = d_mean @ white.T
-    half_b = 0.5 * (white @ d_cov @ white.T)
-    half_trace = np.trace(half_b, axis1=1, axis2=2)
     norm = 1.0 / ((2.0 * np.pi) ** (0.5 * mean.shape[0]) * chol.diagonal().prod())
 
-    def integrand(x):
+    def density(x):
         z = white @ (x - mean[:, None])
-        score = lin @ z
-        # row by row, in place: an (m, d, k) temporary made glibc trim and
-        # re-fault the heap on every order-64 metric after order-32 ones
-        for row, b, h in zip(score, half_b, half_trace):
-            row += np.einsum("ik,ik->k", b @ z, z) - h
-        return score, norm * np.exp(-0.5 * np.einsum("ik,ik->k", z, z))
+        return norm * np.exp(-0.5 * np.einsum("ik,ik->k", z, z))
 
-    return IntegrationSpec(mean, chol, model.order), integrand
+    return IntegrationSpec(mean, chol, model.order), density
 
 
 def density_normalization(model: ModelFamily, theta) -> float:
     """Quadrature of p(.; theta) over the microspace (should be 1)."""
-    spec, integrand = _gaussian_integrand(model, theta)
-    return float(integrate(lambda x: integrand(x)[1], spec))
+    spec, density = _gaussian_density(model, theta)
+    return float(integrate(density, spec))
+
+
+def _monomial_powers(d: int) -> np.ndarray:
+    """Exponents (p, d) of phi = (1, z_a, z_a z_b for a <= b), p = 1 + d + d(d+1)/2."""
+    a, b = np.triu_indices(d)
+    eye = np.eye(d, dtype=int)
+    return np.vstack([np.zeros((1, d), dtype=int), eye, eye[a] + eye[b]])
+
+
+def _score_map(d: int) -> np.ndarray:
+    """P (d^2 + d, p) with the score coefficients c_i = [vec B_i, L^-1 d_i mu] P.
+
+    c_i = (-tr B_i / 2, L^-1 d_i mu, B_i,aa / 2 or B_i,ab for a < b), in the
+    order of :func:`_monomial_powers`; B_i is symmetric, so B_i,ab is read as
+    (B_i,ab + B_i,ba) / 2.
+    """
+    a, b = np.triu_indices(d)
+    diag, cols = np.arange(d), 1 + d + np.arange(a.size)
+    proj = np.zeros((d * d + d, 1 + d + a.size))
+    proj[diag * (d + 1), 0] = -0.5
+    proj[d * d + diag, 1 + diag] = 1.0
+    proj[a * d + b, cols] = 0.5
+    proj[b * d + a, cols] = 0.5  # the same cell as the line above when a = b
+    return proj
+
+
+def _moment_table(spec: IntegrationSpec, d: int) -> np.ndarray:
+    """M = sum_nodes w phi phi^T of the standard d-dimensional rule of ``spec.order``.
+
+    The rule is a tensor product of the 1-D rule, so each entry is the product
+    over axes of the 1-D moments m_k = E[z^k], k <= 4, which one
+    :func:`integrate` call on the 1-D standard rule ``spec`` gives.
+    """
+    mk = integrate(lambda x: np.power.outer(x[0], np.arange(5))
+                   * np.exp(-0.5 * x[0] ** 2)[:, None] / np.sqrt(2.0 * np.pi), spec)
+    powers = _monomial_powers(d)
+    return mk[powers[:, None] + powers[None]].prod(axis=-1)
+
+
+def _moment_tables(model: ModelFamily, d: int):
+    """``(P, M_n, M_n/2)`` for d-dimensional ``model``, built once per family and d.
+
+    P is :func:`_score_map`; M_n and M_n/2 are the moment tables of the rule of
+    ``model.order`` and of its half-order rule (:attr:`IntegrationSpec.coarse`).
+    """
+    tables = model._tables.get(d)
+    if tables is None:
+        spec = IntegrationSpec(np.zeros(1), np.eye(1), model.order)
+        tables = (_score_map(d), _moment_table(spec, d), _moment_table(spec.coarse, d))
+        model._tables[d] = tables
+    return tables
 
 
 def fisher_metric(model: ModelFamily, theta, quad_tol: float = 1e-6, with_error: bool = False):
     """Fisher information matrix of ``model`` at ``theta`` by quadrature.
 
-    The integrand is the Gram form (grad log p, p) of :func:`integrate`, and
-    :func:`integrate_with_error` sums it on the rule of ``model.order`` and on
-    the half-order rule.  Returns the symmetrized (m, m) matrix, and with
-    ``with_error=True`` also the error estimate max |G - G'|.  Raises
+    With Sigma = L L^T, z = L^-1 (x - mu) and B_i = L^-1 d_i Sigma L^-T, the
+    score is ``d_i log p = (L^-1 d_i mu) . z + (z^T B_i z - tr B_i) / 2``, a
+    polynomial c_i . phi(z) in the monomials phi = (1, z_a, z_a z_b for a <= b).
+    The Gauss-Hermite sum of the score outer product is therefore G = C M C^T,
+    with M the moment table of the rule of ``model.order`` nodes per axis
+    (:func:`_moment_tables`), and the error estimate is max |G - G'| against
+    the half-order table.  Returns the symmetrized (m, m) matrix, and with
+    ``with_error=True`` also the error estimate.  Raises
     :class:`QuadratureError` when that exceeds ``quad_tol``, and
     :class:`NonPositiveDefiniteError` when the result is not positive
     definite, which signals an invalid model or insufficient quadrature.
     """
-    spec, integrand = _gaussian_integrand(model, theta)
-    g, err = integrate_with_error(integrand, spec)
+    mean, chol, d_mean, d_cov = _factor(model, theta)
+    m, d = d_mean.shape
+    proj, *tables = _moment_tables(model, d)
+    white = np.linalg.inv(chol)
+    coef = np.hstack([(white @ d_cov @ white.T).reshape(m, d * d), d_mean @ white.T]) @ proj
+    fine, coarse = (coef @ table @ coef.T for table in tables)
+    g = 0.5 * (fine + fine.T)
+    err = float(np.max(np.abs(g - 0.5 * (coarse + coarse.T))))
     if err > quad_tol:
         raise QuadratureError(
             f"quadrature did not converge: error estimate {err:.3e} > tol {quad_tol:.3e}"

@@ -184,7 +184,8 @@ class MultivariateGaussian:
     """Gaussian over a 2n-dimensional microspace with full covariance.
 
     The covariance is factored once, C = L L^T; the factorization is the
-    positive-definiteness check.  ``whitening`` is W = L^-1, lower triangular
+    positive-definiteness check.  A non-finite mean or covariance raises
+    ``ValueError``.  ``whitening`` is W = L^-1, lower triangular
     and read-only, and ``normalizer`` is 1 / ((2 pi)^(dim/2) prod L_ii).
     """
 
@@ -200,7 +201,9 @@ class MultivariateGaussian:
         object.__setattr__(self, "covariance", cov)
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise ValueError("covariance shape does not match mean length")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(cov).max())):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
+        if np.abs(cov - cov.T).max() > 1e-12 * max(1.0, np.abs(cov).max()):
             raise NonPositiveDefiniteError("covariance must be symmetric")
         try:
             chol = np.linalg.cholesky(cov)

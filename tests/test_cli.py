@@ -377,3 +377,26 @@ def test_stdout_output(capsys):
     lines = captured.out.strip().splitlines()
     assert lines[0] == "r,F_closed,F_numeric,abs_diff"
     assert len(lines) == 4
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux minor-fault counts")
+def test_order_64_curvature_scan_takes_no_page_faults(capsys):
+    # a metric that allocates per-node temporaries makes the heap grow and shrink
+    # on every order-64 op after order-32 ones: hundreds of faults per op
+    resource = pytest.importorskip("resource")
+
+    def scan(order):
+        assert main(["curvature-scan", "--sigma-start", "0.7", "--sigma-stop", "1.4",
+                     "--sigma-count", "2", "--r-start", "-0.5", "--r-stop", "0.5",
+                     "--r-count", "2", f"--quad-order={order}"]) == EXIT_OK
+        capsys.readouterr()
+
+    scan(32)
+    scan(64)
+    faults = []
+    for _ in range(3):
+        scan(32)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        scan(64)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert sum(faults) <= 32 * len(faults), faults

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -82,16 +83,74 @@ def test_fisher_error_is_the_gap_to_the_half_order_metric(order):
 
 
 def test_fisher_metric_integrates_through_integrate_at_both_orders(monkeypatch):
+    # the 1-D moments of the rule and of its half-order rule, once per family instance
     orders = []
-    original = quadrature.integrate
+    original = manifold.integrate
 
     def recorded(fn, spec):
         orders.append(spec.order)
         return original(fn, spec)
 
-    monkeypatch.setattr(quadrature, "integrate", recorded)
-    fisher_metric(correlated_2d_family(0.6, order=48), [0.3, 1.5])
+    monkeypatch.setattr(manifold, "integrate", recorded)
+    fam = correlated_2d_family(0.6, order=48)
+    fisher_metric(fam, [0.3, 1.5])
     assert orders == [48, 24]
+    orders.clear()
+    fisher_metric(fam, [-1.0, 0.7])
+    assert orders == []
+    fisher_metric(dataclasses.replace(fam), [0.3, 1.5])
+    assert orders == [48, 24]
+
+
+def _monomials(d):
+    """phi = (1, z_a, z_a z_b for a <= b) as tuples of axis indices."""
+    return [()] + [(a,) for a in range(d)] + [(a, b) for a in range(d) for b in range(a, d)]
+
+
+def _isserlis(axes):
+    """E[z_i1 ... z_ik] for a standard normal z: the sum over pairings of products of deltas."""
+    if not axes:
+        return 1.0
+    first, rest = axes[0], axes[1:]
+    return sum(_isserlis(rest[:j] + rest[j + 1:]) for j, b in enumerate(rest) if b == first)
+
+
+def _tables(d, order):
+    fam = manifold.ModelFamily(None, ParameterDomain.unbounded(1), order)
+    return manifold._moment_tables(fam, d)[1:]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [3, 4, 7, 20, 32, 64])
+def test_moment_tables_are_the_gaussian_moments(d, order):
+    phi = _monomials(d)
+    expected = np.array([[_isserlis(a + b) for b in phi] for a in phi])
+    for table in _tables(d, order):
+        assert np.abs(table - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, 5])
+def test_moment_table_is_the_sum_over_the_full_rule(d, order):
+    # the tensor-product identity, checked against the d-dimensional node sum
+    a, b = np.triu_indices(d)
+    spec = quadrature.IntegrationSpec(np.zeros(d), np.eye(d), order)
+    density = lambda z: np.exp(-0.5 * (z * z).sum(axis=0)) / (2.0 * np.pi) ** (0.5 * d)
+    phi = lambda z: (np.vstack([np.ones((1, z.shape[1])), z, z[a] * z[b]]), density(z))
+    assert np.abs(_tables(d, order)[0] - quadrature.integrate(phi, spec)).max() <= 1e-14
+
+
+def test_order_2_table_reads_1_for_the_fourth_moment():
+    # two nodes per axis are exact to degree 3 only: E[z^4] = 1, not 3, so the
+    # order-2 metric and its order-4 reference disagree (next test)
+    d = 3
+    phi = _monomials(d)
+    expected = np.array([[_isserlis(a + b) for b in phi] for a in phi])
+    fourth = np.array([[len(set(a + b)) == 1 and len(a + b) == 4 for b in phi] for a in phi])
+    table = _tables(d, 2)[0]
+    assert np.array_equal(table[fourth], np.ones(d))
+    assert np.array_equal(expected[fourth], np.full(d, 3.0))
+    assert np.abs(table - expected)[~fourth].max() <= 1e-14
 
 
 def test_fisher_metric_raises_on_nonconvergence():
@@ -112,9 +171,8 @@ def test_fisher_matches_closed_form_on_grid(sigma, r):
     assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**32 - 1))
-def test_fisher_metric_matches_skovgaard_formula(d, m, seed):
+def _skovgaard_case(d, m, seed, order=quadrature.DEFAULT_ORDER):
+    """A random family, a theta, and the closed-form metric there (Skovgaard 1984)."""
     # mu = mu0 + theta M and Sigma = A A^T + I with A linear in theta: both derivatives vary
     rng = np.random.default_rng(seed)
     mu0, M = rng.normal(size=d), rng.normal(size=(m, d))
@@ -125,13 +183,29 @@ def test_fisher_metric_matches_skovgaard_formula(d, m, seed):
         d_cov = dA @ A.T + A @ dA.transpose(0, 2, 1)
         return mu0 + theta @ M, A @ A.T + np.eye(d), M, d_cov
 
-    fam = manifold.ModelFamily(moments, ParameterDomain.unbounded(m), order=8)
+    fam = manifold.ModelFamily(moments, ParameterDomain.unbounded(m), order=order)
     theta = rng.normal(size=m)
     _, cov, d_mean, d_cov = moments(theta)
     inv = np.linalg.inv(cov)
     s = inv @ d_cov  # s[i] = Sigma^-1 d_i Sigma
-    expected = d_mean @ inv @ d_mean.T + 0.5 * np.einsum("iab,jba->ij", s, s)
+    return fam, theta, d_mean @ inv @ d_mean.T + 0.5 * np.einsum("iab,jba->ij", s, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_fisher_metric_matches_skovgaard_formula(d, m, seed):
+    fam, theta, expected = _skovgaard_case(d, m, seed, order=8)
     g = fisher_metric(fam, theta)
+    assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_4d_family_at_the_default_order_is_fast():
+    # a node sum would visit 64^4 = 16.8M nodes per metric; the table costs the same at any d
+    fam, theta, expected = _skovgaard_case(4, 3, seed=11)
+    assert fam.order == 64
+    start = time.perf_counter()
+    g = fisher_metric(fam, theta)
+    assert time.perf_counter() - start < 0.05
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
@@ -143,7 +217,7 @@ def test_density_normalization_is_one():
 
 
 def _density(fam, x, theta):
-    return manifold._gaussian_integrand(fam, theta)[1](x)[1]
+    return manifold._gaussian_density(fam, theta)[1](x)
 
 
 def test_parameterization_is_injective_spot_check():

@@ -228,3 +228,23 @@ def test_mvn_rejects_bad_covariance():
         MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(IndexError):
         mvn_marginal(MultivariateGaussian(np.zeros(2), np.eye(2)), 5)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_mvn_rejects_non_finite_mean_or_covariance(bad):
+    # an infinite variance used to give normalizer 0.0: a density that is 0 everywhere
+    with pytest.raises(ValueError, match="finite"):
+        MultivariateGaussian(np.zeros(2), np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        MultivariateGaussian(np.zeros(2), np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        MultivariateGaussian(np.array([0.0, bad]), np.eye(2))
+
+
+def test_mvn_symmetry_tolerance_is_1e12_of_the_largest_entry():
+    with pytest.raises(NonPositiveDefiniteError, match="symmetric"):
+        MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.5 + 1e-9], [0.5, 1.0]]))
+    with pytest.raises(NonPositiveDefiniteError, match="symmetric"):
+        MultivariateGaussian(np.zeros(2), np.array([[1e3, 0.5 + 1e-9 * 1e3], [0.5, 1.0]]))
+    near = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]]))
+    assert near.normalizer > 0.0
