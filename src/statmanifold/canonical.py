@@ -287,11 +287,11 @@ def effective_correlation(T: float, T0: float, coupling_sign: float = 1.0) -> fl
     Valid for 0 <= T <= T0; T = 0 gives the maximally correlated boundary
     |r_eff| = 1 and T = T0 gives r_eff = 0.
     """
-    if T < 0.0 or T0 <= 0.0:
-        raise TemperatureRangeError("need 0 <= T and T0 > 0")
-    if T > T0:
+    if not T0 > 0.0:
+        raise TemperatureRangeError("need T0 > 0")
+    if not 0.0 <= T <= T0:
         raise TemperatureRangeError(
-            f"T = {T} exceeds the reference temperature T0 = {T0}; "
+            f"T = {T} lies outside [0, T0 = {T0}]; "
             "the mapping 1 - r^2 = T/T0 leaves [-1, 1]"
         )
     magnitude = math.sqrt(1.0 - T / T0)

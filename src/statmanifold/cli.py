@@ -197,6 +197,8 @@ def cmd_geodesic(args) -> int:
     v0 = np.asarray([float(v) for v in args.v0.split(",")])
     if theta0.shape != (2,) or v0.shape != (2,):
         raise ValidationError("theta0 and v0 must be comma-separated pairs")
+    if not np.isfinite([args.step, args.tau_end, args.coupling, *theta0, *v0]).all():
+        raise ValidationError("step, tau-end, coupling, theta0 and v0 must be finite")
 
     if args.flat:
         field = MetricField.from_function(2, lambda th: np.eye(2))

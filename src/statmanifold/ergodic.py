@@ -70,8 +70,10 @@ class GaussianBump:
     height: float = 1.0
 
     def __post_init__(self):
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError("width must be finite and positive")
+        if not (math.isfinite(self.center) and math.isfinite(self.height)):
+            raise ValueError("center and height must be finite")
 
     @property
     def l1_norm(self) -> float:
@@ -216,7 +218,7 @@ def distinguishability_F_closed(r: float) -> float:
     exceeds the attained supremum (it remains a valid upper bound).
     """
     a = abs(r)
-    if a > 1.0:
+    if not a <= 1.0:
         raise ValueError("correlation coefficient must lie in [-1, 1]")
     if a == 0.0:
         return 0.0
@@ -383,6 +385,8 @@ class CorrelationTrace:
         object.__setattr__(self, "values", values)
         if taus.ndim != 1 or taus.shape != values.shape:
             raise ValueError("taus and values must be 1-D arrays of equal length")
+        if not (np.isfinite(taus).all() and np.isfinite(values).all()):
+            raise ValueError("taus and values must be finite")
         if taus.size >= 2 and np.any(np.diff(taus) <= 0.0):
             raise ValueError("taus must be strictly increasing")
 

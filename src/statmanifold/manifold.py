@@ -7,7 +7,7 @@ The metric is the Fisher information bilinear form
 computed on a Gauss-Hermite rule over the microspace.  The score of a
 Gaussian family is quadratic in whitened coordinates, so the node sum is
 G = C M C^T: per-theta score coefficients C and the moment table M of the
-rule, built once per family and kept on it.  Connection and curvature are
+rule, built once per (order, d) and shared.  Connection and curvature are
 obtained by finite differencing the metric field with the standard
 Levi-Civita formulas:
 
@@ -23,7 +23,6 @@ with a classic fixed-step 4th-order scheme.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -93,57 +92,14 @@ class ModelFamily:
     ``d_mean[i] = d mu / d theta_i`` and ``d_cov[i] = d Sigma / d theta_i``.
     The density and the score derive from them.  ``order`` is the number of
     Gauss-Hermite nodes per axis of the rule whose moment tables give the
-    Fisher metric (:func:`fisher_metric`); the tables of that rule and of its
-    half-order rule are built on the first metric and kept in ``_tables``,
-    keyed on d.  The map theta -> p(.; theta) is assumed injective.
+    Fisher metric (:func:`fisher_metric`).  The map theta -> p(.; theta) is
+    assumed injective.
     """
 
     moments: Callable
     domain: ParameterDomain
     order: int = DEFAULT_ORDER
     name: str = ""
-    _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-def _factor(model: ModelFamily, theta):
-    """``(mean, chol, d_mean, d_cov)`` at ``theta``, with Sigma = chol chol^T.
-
-    Raises :class:`DomainError` outside the domain and
-    :class:`NonPositiveDefiniteError` when Sigma has no Cholesky factor.
-    """
-    theta = model.domain.require(theta, model.name or "model")
-    mean, cov, d_mean, d_cov = model.moments(theta)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise NonPositiveDefiniteError(
-            f"covariance at theta={theta} is not positive definite"
-        ) from None
-    return mean, chol, d_mean, d_cov
-
-
-def _gaussian_density(model: ModelFamily, theta):
-    """The whitened rule and the density ``p(.; theta)`` at ``theta``.
-
-    With Sigma = L L^T, the rule is Gauss-Hermite on ``x = mu + sqrt(2) L t``,
-    the nodes of :meth:`IntegrationSpec.for_gaussian`, and the density is
-    evaluated on z = L^-1 (x - mu).
-    """
-    mean, chol, _, _ = _factor(model, theta)
-    white = np.linalg.inv(chol)
-    norm = 1.0 / ((2.0 * np.pi) ** (0.5 * mean.shape[0]) * chol.diagonal().prod())
-
-    def density(x):
-        z = white @ (x - mean[:, None])
-        return norm * np.exp(-0.5 * np.einsum("ik,ik->k", z, z))
-
-    return IntegrationSpec(mean, chol, model.order), density
-
-
-def density_normalization(model: ModelFamily, theta) -> float:
-    """Quadrature of p(.; theta) over the microspace (should be 1)."""
-    spec, density = _gaussian_density(model, theta)
-    return float(integrate(density, spec))
 
 
 def _monomial_powers(d: int) -> np.ndarray:
@@ -183,17 +139,18 @@ def _moment_table(spec: IntegrationSpec, d: int) -> np.ndarray:
     return mk[powers[:, None] + powers[None]].prod(axis=-1)
 
 
-def _moment_tables(model: ModelFamily, d: int):
-    """``(P, M_n, M_n/2)`` for d-dimensional ``model``, built once per family and d.
+@lru_cache(maxsize=64)
+def _moment_tables(order: int, d: int):
+    """``(P, M_n, M_n/2)`` for a d-dimensional family of ``order``, cached per (order, d).
 
     P is :func:`_score_map`; M_n and M_n/2 are the moment tables of the rule of
-    ``model.order`` and of its half-order rule (:attr:`IntegrationSpec.coarse`).
+    ``order`` and of its half-order rule (:attr:`IntegrationSpec.coarse`).  The
+    arrays are shared by every caller and therefore read-only.
     """
-    tables = model._tables.get(d)
-    if tables is None:
-        spec = IntegrationSpec(np.zeros(1), np.eye(1), model.order)
-        tables = (_score_map(d), _moment_table(spec, d), _moment_table(spec.coarse, d))
-        model._tables[d] = tables
+    spec = IntegrationSpec(np.zeros(1), np.eye(1), order)
+    tables = (_score_map(d), _moment_table(spec, d), _moment_table(spec.coarse, d))
+    for a in tables:
+        a.flags.writeable = False
     return tables
 
 
@@ -207,14 +164,22 @@ def fisher_metric(model: ModelFamily, theta, quad_tol: float = 1e-6, with_error:
     with M the moment table of the rule of ``model.order`` nodes per axis
     (:func:`_moment_tables`), and the error estimate is max |G - G'| against
     the half-order table.  Returns the symmetrized (m, m) matrix, and with
-    ``with_error=True`` also the error estimate.  Raises
-    :class:`QuadratureError` when that exceeds ``quad_tol``, and
-    :class:`NonPositiveDefiniteError` when the result is not positive
-    definite, which signals an invalid model or insufficient quadrature.
+    ``with_error=True`` also the error estimate.  Raises :class:`DomainError`
+    outside the domain and :class:`QuadratureError` when the error estimate
+    exceeds ``quad_tol``.  Raises :class:`NonPositiveDefiniteError` when Sigma
+    has no Cholesky factor or the result is not positive definite, which
+    signals an invalid model or insufficient quadrature.
     """
-    mean, chol, d_mean, d_cov = _factor(model, theta)
+    theta = model.domain.require(theta, model.name or "model")
+    _, cov, d_mean, d_cov = model.moments(theta)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NonPositiveDefiniteError(
+            f"covariance at theta={theta} is not positive definite"
+        ) from None
     m, d = d_mean.shape
-    proj, *tables = _moment_tables(model, d)
+    proj, *tables = _moment_tables(model.order, d)
     white = np.linalg.inv(chol)
     coef = np.hstack([(white @ d_cov @ white.T).reshape(m, d * d), d_mean @ white.T]) @ proj
     fine, coarse = (coef @ table @ coef.T for table in tables)
@@ -236,12 +201,12 @@ class MetricField:
     """A map theta -> symmetric positive-definite matrix g(theta).
 
     Either quadrature-backed (``from_model``) or closed-form
-    (``from_function``).  Closed-form fields may carry analytic derivative
-    callables which override the finite-difference path: ``d1(theta)[i,j,k] =
-    g_ij,k`` and ``d2(theta)[i,j,k,l] = g_ij,kl``.
+    (``from_function``); its dimension is that of its domain.  Closed-form
+    fields may carry analytic derivative callables which override the
+    finite-difference path: ``d1(theta)[i,j,k] = g_ij,k`` and
+    ``d2(theta)[i,j,k,l] = g_ij,kl``.
     """
 
-    dim: int
     func: Callable[[np.ndarray], np.ndarray]
     domain: ParameterDomain
     d1: Optional[Callable] = None
@@ -274,12 +239,17 @@ class MetricField:
             theta = np.asarray(theta, dtype=float)
             return cached(theta.shape, theta.tobytes())
 
-        return cls(m, fn, model.domain)
+        return cls(fn, model.domain)
 
     @classmethod
     def from_function(cls, dim: int, func, domain: ParameterDomain | None = None,
                       d1=None, d2=None) -> "MetricField":
-        return cls(dim, func, domain or ParameterDomain.unbounded(dim), d1, d2)
+        """A closed-form field over ``domain`` (default unbounded), which must be ``dim``-dimensional."""
+        domain = domain or ParameterDomain.unbounded(dim)
+        if domain.dim != dim:
+            raise ValueError(f"a {dim}-dimensional field needs a {dim}-dimensional domain, "
+                             f"got {domain.dim}")
+        return cls(func, domain, d1, d2)
 
 
 def _fd_steps(x: np.ndarray, rel: float = FD_REL_STEP) -> np.ndarray:
@@ -343,7 +313,7 @@ def metric_derivatives(field: MetricField, theta, order: int):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     theta = field.domain.require(theta, "the metric field")
-    m = field.dim
+    m = field.domain.dim
     if order == 1 and field.d1 is not None:
         return np.asarray(field.d1(theta), dtype=float)
     if order == 2 and field.d2 is not None:

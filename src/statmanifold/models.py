@@ -24,6 +24,7 @@ for the canonical-ensemble bridge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +46,13 @@ class Correlated2DParams:
     sigma_c: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.sigma_c > 0.0:
-            raise ValueError("sigma_c must be positive")
-        if abs(self.r) > 1.0:
+        if not math.isfinite(self.mu_x):
+            raise ValueError("mu_x must be finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and positive")
+        if not 0.0 < self.sigma_c < math.inf:
+            raise ValueError("sigma_c must be finite and positive")
+        if not abs(self.r) <= 1.0:
             raise ValueError("correlation coefficient must lie in [-1, 1]")
 
     @property
@@ -136,7 +139,7 @@ def ricci_2d_closed(sigma: float) -> np.ndarray:
 
 def curvature_2d_closed(r: float) -> float:
     """Scalar curvature R(r) = -(1 - r^2)/2; minimum -1/2 at r = 0, 0 at |r| = 1."""
-    if abs(r) > 1.0:
+    if not abs(r) <= 1.0:
         raise ValueError("correlation coefficient must lie in [-1, 1]")
     return -0.5 * (1.0 - r**2)
 
@@ -150,7 +153,9 @@ def correlated_2d_family(r: float, sigma_c: float = 1.0,
     that of :class:`Correlated2DParams`, whose off-diagonal r sigma_c^2 does
     not depend on theta.
     """
-    if abs(r) >= 1.0:
+    if not abs(r) <= 1.0:
+        raise ValueError("correlation coefficient must lie in [-1, 1]")
+    if abs(r) == 1.0:
         raise DegenerateCorrelationError("|r| = 1 is a boundary of the family")
     if not sigma_c > 0.0:
         raise ValueError("sigma_c must be positive")

@@ -345,6 +345,13 @@ def test_effective_correlation_boundaries():
         effective_correlation(1.5, 1.0)
 
 
+@pytest.mark.parametrize("T,T0", [(np.nan, 1.0), (0.5, np.nan), (np.inf, 1.0), (-0.1, 1.0),
+                                  (1.5, 1.0), (0.0, 0.0)])
+def test_effective_correlation_requires_t_in_0_t0(T, T0):
+    with pytest.raises(TemperatureRangeError):
+        effective_correlation(T, T0)
+
+
 def test_oscillator_reduce_parameters():
     o = OscillatorPair(m1=2.0, m2=0.5, omega1=1.5, omega2=3.0, T0=2.0, r=0.4, q10=0.9)
     bath = HeatBath(1.0, kB=1.0)

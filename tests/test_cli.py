@@ -188,6 +188,12 @@ def test_goe_command(tmp_path):
     assert err == pytest.approx(0.011118438676116666, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("flag", ["--sigma=inf", "--sigma=nan", "--mu=nan"])
+def test_goe_rejects_non_finite_input(flag, capsys):
+    assert main(["goe", flag]) == EXIT_VALIDATION
+    assert "must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.4, 1.3), (-2.0, 0.05), (7.0, 30.0)])
 def test_goe_factorization_error_is_the_exact_supremum(tmp_path, mu, sigma):
     # sigma_c = sigma, so the column is F_sup(r) / (2 pi sigma^2) at every r
@@ -232,6 +238,13 @@ def test_geodesic_validation(tmp_path):
     assert main(["geodesic", "--theta0", "0,1", "--v0", "1", "--flat"]) == EXIT_VALIDATION
     assert main(["geodesic", "--step", "-1", "--flat"]) == EXIT_VALIDATION
     assert main(["geodesic", "--samples", "0", "--flat"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("flag", ["--step=nan", "--tau-end=inf", "--theta0=0,inf",
+                                  "--v0=nan,0.1", "--coupling=nan"])
+def test_geodesic_rejects_non_finite_input(flag, capsys):
+    assert main(["geodesic", flag]) == EXIT_VALIDATION
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_geodesic_leaving_the_domain_is_a_breach(tmp_path, capsys):

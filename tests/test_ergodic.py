@@ -467,6 +467,18 @@ def test_trace_validation():
         CorrelationTrace(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_and_bump_reject_non_finite_values(bad):
+    taus = np.linspace(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match="finite"):
+        CorrelationTrace(np.where(np.arange(16) == 15, bad, taus), np.zeros(16))
+    with pytest.raises(ValueError, match="finite"):
+        CorrelationTrace(taus, np.where(np.arange(16) == 3, bad, 0.0))
+    for args in [(bad, 1.0), (0.0, bad), (0.0, 1.0, bad)]:
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBump(*args)
+
+
 def test_levels_ordering():
     assert IgehLevel.BERNOULLI.implies(IgehLevel.MIXING)
     assert IgehLevel.MIXING.implies(IgehLevel.ERGODIC)

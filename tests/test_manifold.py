@@ -13,6 +13,7 @@ from statmanifold import (
     DomainError,
     GeodesicState,
     MetricField,
+    MultivariateGaussian,
     NonPositiveDefiniteError,
     ParameterDomain,
     QuadratureError,
@@ -20,7 +21,6 @@ from statmanifold import (
     christoffel,
     correlated_2d_family,
     curvature_2d_closed,
-    density_normalization,
     fisher_metric,
     geodesic_integrate,
     geometry_report,
@@ -28,6 +28,7 @@ from statmanifold import (
     metric_2d_closed,
     metric_derivatives,
     metric_speed,
+    mvn_pdf,
     pdf_2d,
     ricci,
     ricci_2d_closed,
@@ -83,7 +84,10 @@ def test_fisher_error_is_the_gap_to_the_half_order_metric(order):
 
 
 def test_fisher_metric_integrates_through_integrate_at_both_orders(monkeypatch):
-    # the 1-D moments of the rule and of its half-order rule, once per family instance
+    # the 1-D moments of the rule and of its half-order rule, once per (order, d) per process
+    assert [f.name for f in dataclasses.fields(manifold.ModelFamily)] == [
+        "moments", "domain", "order", "name"]
+    manifold._moment_tables.cache_clear()
     orders = []
     original = manifold.integrate
 
@@ -97,9 +101,11 @@ def test_fisher_metric_integrates_through_integrate_at_both_orders(monkeypatch):
     assert orders == [48, 24]
     orders.clear()
     fisher_metric(fam, [-1.0, 0.7])
-    assert orders == []
+    fisher_metric(correlated_2d_family(-0.2, order=48), [0.3, 1.5])
     fisher_metric(dataclasses.replace(fam), [0.3, 1.5])
-    assert orders == [48, 24]
+    assert orders == []
+    fisher_metric(correlated_2d_family(0.6, order=40), [0.3, 1.5])
+    assert orders == [40, 20]
 
 
 def _monomials(d):
@@ -116,8 +122,7 @@ def _isserlis(axes):
 
 
 def _tables(d, order):
-    fam = manifold.ModelFamily(None, ParameterDomain.unbounded(1), order)
-    return manifold._moment_tables(fam, d)[1:]
+    return manifold._moment_tables(order, d)[1:]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -203,21 +208,17 @@ def test_4d_family_at_the_default_order_is_fast():
     # a node sum would visit 64^4 = 16.8M nodes per metric; the table costs the same at any d
     fam, theta, expected = _skovgaard_case(4, 3, seed=11)
     assert fam.order == 64
+    manifold._moment_tables.cache_clear()  # time the build of the tables too
     start = time.perf_counter()
     g = fisher_metric(fam, theta)
     assert time.perf_counter() - start < 0.05
     assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_density_normalization_is_one():
-    for r in (-0.7, 0.0, 0.4):
-        fam = correlated_2d_family(r)
-        for theta in ([0.0, 1.0], [2.0, 0.5], [-1.0, 3.0]):
-            assert abs(density_normalization(fam, theta) - 1.0) < 1e-6
-
-
 def _density(fam, x, theta):
-    return manifold._gaussian_density(fam, theta)[1](x)
+    """N(mu, Sigma) at the points x (2, k), from the family's moments at theta."""
+    mean, cov, _, _ = fam.moments(np.asarray(theta, dtype=float))
+    return mvn_pdf(x, MultivariateGaussian(mean, cov))
 
 
 def test_parameterization_is_injective_spot_check():
@@ -248,6 +249,15 @@ def test_fisher_metric_domain_violation():
 
 
 # ---------------------------------------------------------- metric derivatives
+
+def test_metric_field_takes_its_dimension_from_its_domain():
+    box = ParameterDomain.box(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="got 3"):
+        MetricField.from_function(2, lambda th: np.eye(2), domain=box)
+    field = MetricField.from_function(3, lambda th: np.diag(1.0 + th), domain=box)
+    assert "dim" not in {f.name for f in dataclasses.fields(MetricField)}
+    assert christoffel(field, np.full(3, 0.5)).shape == (3, 3, 3)
+
 
 def test_constant_metric_has_zero_derivatives():
     field = MetricField.from_function(2, lambda th: np.diag([2.0, 3.0]))
@@ -716,5 +726,3 @@ def test_fisher_metric_rejects_a_covariance_without_cholesky_factor():
     )
     with pytest.raises(NonPositiveDefiniteError, match="covariance"):
         fisher_metric(indefinite, [0.0, 1.0])
-    with pytest.raises(NonPositiveDefiniteError, match="covariance"):
-        density_normalization(indefinite, [0.0, 1.0])

@@ -11,6 +11,7 @@ from statmanifold import (
     christoffel_2d_closed,
     correlated_2d_family,
     curvature_2d_closed,
+    distinguishability_F_closed,
     fisher_metric,
     integrate,
     marginals_2d,
@@ -104,6 +105,34 @@ def test_metric_closed_examples():
 def test_metric_closed_diverges_at_unit_correlation():
     with pytest.raises(DegenerateCorrelationError):
         metric_2d_closed(Correlated2DParams(0.0, 1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["mu_x", "sigma", "sigma_c"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_values(name, bad):
+    values = {"mu_x": 0.0, "sigma": 1.0, "r": 0.5, "sigma_c": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        Correlated2DParams(**values)
+
+
+@pytest.mark.parametrize("guard", [
+    lambda r: Correlated2DParams(0.0, 1.0, r),
+    curvature_2d_closed,
+    correlated_2d_family,
+    distinguishability_F_closed,
+], ids=["params", "curvature_2d_closed", "correlated_2d_family", "distinguishability_F_closed"])
+def test_every_r_guard_rejects_nan(guard):
+    for r in (np.nan, -np.inf, 1.5):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            guard(r)
+
+
+def test_unit_r_keeps_its_meaning():
+    assert Correlated2DParams(0.0, 1.0, -1.0).r == -1.0
+    assert curvature_2d_closed(1.0) == 0.0
+    assert distinguishability_F_closed(-1.0) == np.inf
+    with pytest.raises(DegenerateCorrelationError):
+        correlated_2d_family(1.0)
 
 
 def test_curvature_closed_values():
