@@ -37,9 +37,9 @@ from .ergodic import (
     CorrelationTrace,
     IgehClass,
     TestFunctionSet,
+    _gaussian_correlation,
     classify,
-    correlation_upper_bound,
-    ig_correlation_2d,
+    factorization_sup_2d,
     mvn_upper_bound,
 )
 from .manifold import _fd_derivatives, _fd_steps, _stencil
@@ -331,9 +331,9 @@ def temperature_to_tau(T: float, T0: float) -> float:
 
 def oscillator_curvature(T: float, T0: float) -> float:
     """Scalar curvature R = -T/(2 T0) of the reduced model; decreasing in T."""
-    if T < 0.0 or T0 <= 0.0:
+    if not (0.0 <= T and T0 > 0.0):  # written so that NaN fails it
         raise TemperatureRangeError("need 0 <= T and T0 > 0")
-    if T > T0:
+    if not T <= T0:
         raise TemperatureRangeError("curvature law is derived for T <= T0")
     return -T / (2.0 * T0)
 
@@ -361,14 +361,19 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
 
     tau follows 1/(1 - T/T0) when the schedule is strictly increasing and
     stays below T0; otherwise (constant schedules, or schedules touching T0
-    where tau diverges) the sample index is used as tau.  Bump correlations
-    are exact; ``order`` applies only to other test functions.  The trace is
-    classified and checked against the envelope
-    F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1.
+    where tau diverges) the sample index is used as tau.  Every sample's
+    reduced model comes from ``oscillator_reduce``; their covariances are
+    stacked into one correlation call, exact for bumps in one batched pass,
+    while ``order`` applies only to other test functions, which are
+    integrated sample by sample.  The trace is classified and checked against
+    the envelope F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1; the first
+    sample above it raises :class:`NumericalError`.
     """
     temps = np.asarray(list(T_schedule), dtype=float)
     if temps.size < 1:
         raise ValueError("empty temperature schedule")
+    if not np.isfinite(temps).all():
+        raise TemperatureRangeError("temperatures must be finite")
     if np.any(temps <= 0.0):
         raise TemperatureRangeError("temperatures must be positive")
     if np.any(temps > o.T0):
@@ -382,20 +387,21 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
     else:
         taus = np.arange(temps.size, dtype=float)
 
-    values = np.empty(temps.size)
-    r_eff = np.empty(temps.size)
-    envelope = np.empty(temps.size)
-    for k, t in enumerate(temps):
-        params = oscillator_reduce(o, HeatBath(t, kB))
-        r_eff[k] = params.r
-        values[k] = ig_correlation_2d(params, fs, order=order)
-        envelope[k] = correlation_upper_bound(params, fs)
-        # the atol absorbs rounding at r_eff = 0, where the bound is 0
-        atol = 1e-12 * max(1.0, fs.product_l1)
-        if abs(values[k]) > envelope[k] + atol:
-            raise NumericalError(
-                f"correlation {values[k]:.3e} exceeds its envelope {envelope[k]:.3e}"
-            )
+    params = [oscillator_reduce(o, HeatBath(t, kB)) for t in temps.tolist()]
+    for p in params:
+        p.require_nondegenerate()
+    r_eff = np.array([p.r for p in params])
+    envelope = np.array([factorization_sup_2d(p) for p in params]) * fs.product_l1
+    values = _gaussian_correlation([o.q10, 0.0], np.array([p.covariance() for p in params]),
+                                   fs, order)
+    # the atol absorbs rounding at r_eff = 0, where the bound is 0
+    above = np.flatnonzero(np.abs(values) > envelope + 1e-12 * max(1.0, fs.product_l1))
+    if above.size:
+        k = int(above[0])
+        raise NumericalError(
+            f"correlation {values[k]:.3e} at sample {k} (T = {temps[k]:.6g}) "
+            f"exceeds its envelope {envelope[k]:.3e}"
+        )
     trace = CorrelationTrace(taus, values, meta=f"oscillator pair, T schedule of {temps.size}")
     return OscillatorTraceResult(trace, classify(trace, tol=tol), r_eff, envelope)
 

@@ -8,19 +8,21 @@ Subcommands::
     goe             2x2 random-matrix ensemble report
     geodesic        geodesic trajectory with conservation diagnostic
 
-Common flags: --out PATH, --format csv|json, --tol FLOAT, --config FILE;
-curvature-scan alone also takes --quad-order INT.  Each key = value line
-of the config file is parsed as the flag --key=value, and flags on the
-command line win over it.  Output is CSV (17 significant digits) or
-JSON lines with identical field names.
+Common flags: --out PATH, --format csv|json, --tol FLOAT (finite, >= 0),
+--config FILE; curvature-scan alone also takes --quad-order INT (2 to
+MAX_QUAD_ORDER).  Each key = value line of the config file is parsed as
+the flag --key=value, and flags on the command line win over it.  Output
+is CSV (17 significant digits) or JSON lines with identical field names.
 Exit codes: 0 success, 2 validation error, 3 tolerance breach or numerical
-failure, 4 I/O error.
+failure, 4 I/O error.  Every validation error is one stderr line, and the
+range checks of the flags name the flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -54,6 +56,17 @@ EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_IO = 4
 
+# hermgauss(order) builds an order x order matrix, and above order 370 its
+# smallest weights underflow (NumPy 2.4); 256 keeps both far off
+MAX_QUAD_ORDER = 256
+# the oscillator's masses, frequencies and T0 and the goe sigma lie in
+# [1/SCALE_LIMIT, SCALE_LIMIT], so every product and square of them the
+# reduced model forms stays a finite, nonzero float
+SCALE_LIMIT = 1e50
+# bounds a geodesic run's time and the states it keeps; an infinite
+# --tau-end / --step would not even convert to a step count
+MAX_GEODESIC_STEPS = 10**6
+
 
 class ValidationError(Exception):
     pass
@@ -86,17 +99,32 @@ def write_rows(rows, headers, out_path: str, fmt: str) -> None:
         fh.write(text)
 
 
-def _linspace(start: float, stop: float, count: int) -> np.ndarray:
+def _linspace(args, name: str, count: int) -> np.ndarray:
+    """``count`` points from --NAME-start to --NAME-stop, both checked to be finite."""
+    start, stop = getattr(args, name + "_start"), getattr(args, name + "_stop")
+    flag = "--" + name.replace("_", "-")
+    for end, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag}-{end} must be finite, got {value!r}")
     if count < 2:
         raise ValidationError("count must be >= 2")
     if not start < stop:
-        raise ValidationError("start must be < stop")
+        raise ValidationError(f"{flag}-start must be < {flag}-stop")
     return np.linspace(start, stop, count)
+
+
+def _require_scales(args, *names: str) -> None:
+    """Each of the physical-scale flags ``names`` lies in [1/SCALE_LIMIT, SCALE_LIMIT]."""
+    for name in names:
+        value = getattr(args, name)
+        if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:
+            raise ValidationError(f"--{name} must be finite and within "
+                                  f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}], got {value!r}")
 
 
 def _r_range(args) -> np.ndarray:
     """The swept correlations, from --r-start, --r-stop and --r-count, inside (-1, 1)."""
-    rs = _linspace(args.r_start, args.r_stop, args.r_count)
+    rs = _linspace(args, "r", args.r_count)
     if rs[0] <= -1.0 or rs[-1] >= 1.0:
         raise ValidationError("r range must lie inside (-1, 1)")
     return rs
@@ -116,7 +144,7 @@ def cmd_f_curve(args) -> int:
 
 
 def cmd_curvature_scan(args) -> int:
-    sigmas = _linspace(args.sigma_start, args.sigma_stop, args.sigma_count)
+    sigmas = _linspace(args, "sigma", args.sigma_count)
     rs = _r_range(args)
     if sigmas[0] <= 0.0:
         raise ValidationError("sigma range must be positive")
@@ -149,9 +177,10 @@ def cmd_oscillator(args) -> int:
     if args.schedule == "geometric":
         ratios = 1.0 - 0.5 ** np.arange(1, args.steps + 1)
     else:
-        ratios = _linspace(args.t_ratio_start, args.t_ratio_stop, args.steps)
+        ratios = _linspace(args, "t_ratio", args.steps)
     if np.any(ratios <= 0.0) or np.any(ratios > 1.0):
         raise ValidationError("temperature ratios must lie in (0, 1]")
+    _require_scales(args, "m1", "m2", "omega1", "omega2", "t0")
 
     pair = OscillatorPair(m1=args.m1, m2=args.m2, omega1=args.omega1,
                           omega2=args.omega2, T0=args.t0, r=args.coupling)
@@ -173,6 +202,8 @@ def cmd_oscillator(args) -> int:
 
 
 def cmd_goe(args) -> int:
+    _require_scales(args, "sigma")
+
     def row(r):
         model = goe_model(args.mu, args.sigma, r, args.sigma)
         return {
@@ -199,6 +230,8 @@ def cmd_geodesic(args) -> int:
         raise ValidationError("theta0 and v0 must be comma-separated pairs")
     if not np.isfinite([args.step, args.tau_end, args.coupling, *theta0, *v0]).all():
         raise ValidationError("step, tau-end, coupling, theta0 and v0 must be finite")
+    if args.tau_end / args.step > MAX_GEODESIC_STEPS:
+        raise ValidationError(f"--tau-end / --step asks for more than {MAX_GEODESIC_STEPS} steps")
 
     if args.flat:
         field = MetricField.from_function(2, lambda th: np.eye(2))
@@ -264,17 +297,38 @@ def _load_config(path: str) -> dict:
     return values
 
 
+def _number_in(kind, lo, hi):
+    """An argparse type: a finite ``kind(text)`` within [lo, hi]."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise argparse.ArgumentTypeError(f"must be finite and within [{lo:g}, {hi:g}], got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names a value kind() rejects by it
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, like every other."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; each ``parse_args`` returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statmanifold",
         description="parameter sweeps and scenario runs for Gaussian statistical manifolds",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--out", default="-", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--tol", type=float, default=None,
+    # finite and >= 0: every breach test reads worst > tol, which no row passes at NaN
+    common.add_argument("--tol", type=_number_in(float, 0.0, math.inf), default=None,
                         help="breach tolerance (default depends on the command)")
     common.add_argument("--config", default=None, help="optional key=value config file")
 
@@ -295,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-start", type=float, default=-0.9)
     p.add_argument("--r-stop", type=float, default=0.9)
     p.add_argument("--r-count", type=int, default=5)
-    p.add_argument("--quad-order", type=int, default=64, dest="quad_order")
+    p.add_argument("--quad-order", type=_number_in(int, 2, MAX_QUAD_ORDER), default=64,
+                   dest="quad_order")
     p.set_defaults(func=cmd_curvature_scan)
 
     p = sub.add_parser("oscillator", parents=[common],

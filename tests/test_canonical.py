@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from statmanifold import canonical, ergodic
 from statmanifold import (
     Correlated2DParams,
+    GaussianBump,
     HeatBath,
     IgehLevel,
     IntegrationSpec,
     NonPositiveDefiniteError,
     NonSmoothEnergyError,
+    NumericalError,
     OscillatorPair,
     QuadraticHamiltonian,
     TemperatureRangeError,
@@ -24,6 +27,7 @@ from statmanifold import (
     effective_correlation,
     goe_model,
     hessian_of_energy,
+    ig_correlation_2d,
     integrate,
     marginals_2d,
     metric_2d_closed,
@@ -464,6 +468,82 @@ def test_mixing_trace_validation():
         oscillator_mixing_trace(o, [0.5, 1.5])
     with pytest.raises(ValueError):
         oscillator_mixing_trace(o, [])
+
+
+@pytest.mark.parametrize("fn,args", [
+    (oscillator_curvature, (math.nan, 1.0)),
+    (oscillator_curvature, (0.5, math.nan)),
+    (temperature_to_tau, (math.nan, 1.0)),
+    (temperature_to_tau, (0.5, math.nan)),
+    (effective_correlation, (math.nan, 1.0)),
+])
+def test_temperature_maps_reject_nan(fn, args):
+    with pytest.raises(TemperatureRangeError):
+        fn(*args)
+
+
+def test_mixing_trace_rejects_a_nan_schedule_before_any_sample(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sample was reduced or correlated")
+
+    monkeypatch.setattr(canonical, "oscillator_reduce", unreachable)
+    monkeypatch.setattr(canonical, "_gaussian_correlation", unreachable)
+    o = OscillatorPair(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, T0=1.0, r=0.5)
+    with pytest.raises(TemperatureRangeError, match="finite"):
+        oscillator_mixing_trace(o, [0.2, math.nan, 0.6] + [0.7] * 14)
+
+
+def test_stacked_trace_equals_the_per_sample_correlations():
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    for _ in range(200):
+        m1, m2, w1, w2, t0 = (10.0 ** rng.uniform(-0.5, 0.5, 5)).tolist()
+        o = OscillatorPair(m1, m2, w1, w2, t0, r=float(rng.uniform(-0.95, 0.95)),
+                           q10=float(rng.uniform(-1.0, 1.0)))
+        schedule = t0 * np.sort(rng.uniform(0.01, 1.0, int(rng.integers(16, 25))))
+        fs = TestFunctionSet.unit_l1_bumps(rng.uniform(-1.0, 1.0, 2).tolist(),
+                                           float(10.0 ** rng.uniform(-0.5, 0.5)))
+        values = oscillator_mixing_trace(o, schedule, fs).trace.values
+        singles = [ig_correlation_2d(oscillator_reduce(o, HeatBath(t)), fs) for t in schedule.tolist()]
+        worst = max(worst, float(np.abs(values - singles).max()))
+    assert worst <= 1e-15
+
+
+def test_trace_of_other_test_functions_takes_quadrature_at_its_order(monkeypatch):
+    bumps = [GaussianBump(0.1, 1.2), GaussianBump(-0.2, 1.5)]
+    fs = TestFunctionSet(tuple(lambda x, b=b: b(x) for b in bumps), tuple(b.l1_norm for b in bumps))
+    orders = []
+    integrate_correlation = ergodic.ig_correlation
+
+    def spy(joint, fs, spec):
+        orders.append(spec.order)
+        return integrate_correlation(joint, fs, spec)
+
+    monkeypatch.setattr(ergodic, "ig_correlation", spy)
+    o = OscillatorPair(m1=1.0, m2=2.0, omega1=1.0, omega2=0.5, T0=1.0, r=0.5)
+    schedule = [1.0 - 0.5**k for k in range(1, 17)]
+    values = oscillator_mixing_trace(o, schedule, fs, order=40).trace.values
+    assert orders == [40] * len(schedule)
+    singles = [ig_correlation_2d(oscillator_reduce(o, HeatBath(t)), fs, order=40) for t in schedule]
+    assert values.tolist() == singles
+    exact = [ig_correlation_2d(oscillator_reduce(o, HeatBath(t)), TestFunctionSet.from_bumps(bumps))
+             for t in schedule]
+    assert values == pytest.approx(exact, rel=1e-9, abs=1e-15)
+
+
+def test_envelope_breach_names_the_first_sample_above_it(monkeypatch):
+    exact = canonical._gaussian_correlation
+
+    def inflated(mean, cov, fs, order):
+        values = exact(mean, cov, fs, order)
+        values[[5, 9]] = 1.0
+        return values
+
+    monkeypatch.setattr(canonical, "_gaussian_correlation", inflated)
+    o = OscillatorPair(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, T0=1.0, r=0.5)
+    schedule = [1.0 - 0.5**k for k in range(1, 21)]
+    with pytest.raises(NumericalError, match=r"at sample 5 \(T = 0\.984375\) exceeds its envelope"):
+        oscillator_mixing_trace(o, schedule)
 
 
 # ----------------------------------------------------------------- 2x2 matrices

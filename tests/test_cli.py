@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statmanifold import cli, distinguishability_F_sup
+from statmanifold import canonical, cli, distinguishability_F_sup, ergodic
 from statmanifold.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from statmanifold.errors import (
     NonSmoothEnergyError,
@@ -156,6 +156,33 @@ def test_quad_order_belongs_to_curvature_scan(command):
     assert exc.value.code == EXIT_VALIDATION
 
 
+def test_oscillator_stdout_is_that_of_the_per_sample_route(monkeypatch, capsys):
+    # the schedule's one stacked correlation pass prints what one call per sample printed
+    rng = np.random.default_rng(26)
+    argvs = [["oscillator"]]
+    for i in range(20):
+        m1, m2, w1, w2 = (10.0 ** rng.uniform(-0.5, 0.5, 4)).tolist()
+        argv = ["oscillator", f"--m1={m1!r}", f"--m2={m2!r}", f"--omega1={w1!r}", f"--omega2={w2!r}",
+                f"--t0={10.0 ** rng.uniform(-0.5, 0.5)!r}", f"--coupling={rng.uniform(-0.9, 0.9)!r}"]
+        if i % 2:
+            argv += ["--schedule=linear", f"--t-ratio-start={rng.uniform(0.05, 0.5)!r}",
+                     f"--t-ratio-stop={rng.uniform(0.9, 0.999)!r}"]
+        argvs.append(argv)
+
+    def stdout():
+        texts = []
+        for argv in argvs:
+            assert main(argv) == EXIT_OK
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    stacked = stdout()
+    one_joint = ergodic._gaussian_correlation
+    monkeypatch.setattr(canonical, "_gaussian_correlation", lambda mean, cov, fs, order: np.array(
+        [one_joint(mean, c, fs, order) for c in cov]))
+    assert stdout() == stacked
+
+
 def test_oscillator_constant_schedule_bernoulli(tmp_path):
     out = tmp_path / "osc.csv"
     code = main(["oscillator", "--out", str(out), "--schedule", "linear",
@@ -208,6 +235,57 @@ def test_goe_factorization_error_is_the_exact_supremum(tmp_path, mu, sigma):
         assert float(row["factorization_error"]) == pytest.approx(exact, rel=1e-13, abs=0.0)
     assert float(rows[99]["r"]) == 0.0
     assert float(rows[99]["factorization_error"]) == 0.0
+
+
+@pytest.mark.parametrize("flag", ["--sigma-start=nan", "--sigma-stop=inf", "--r-start=-inf", "--r-stop=nan"])
+def test_scan_range_ends_must_be_finite(flag, capsys):
+    assert main(["curvature-scan", flag]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and flag.split("=")[0] in err[0]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+def test_tol_must_be_finite_and_nonnegative(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["f-curve", f"--tol={tol}"])
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--tol" in err[0]
+
+
+def test_f_curve_defaults_still_breach(capsys):
+    # its default range passes |r| = 0.839, where the two columns part
+    assert main(["f-curve"]) == EXIT_TOLERANCE
+    default = capsys.readouterr().out
+    assert main(["f-curve", "--tol=1"]) == EXIT_OK
+    assert capsys.readouterr().out == default
+    assert len(default.splitlines()) == 40
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["oscillator", "--omega1=1e308"], "--omega1"),
+    (["oscillator", "--omega2=1e-200"], "--omega2"),
+    (["goe", "--sigma=1e308"], "--sigma"),
+    (["goe", "--sigma=1e-300"], "--sigma"),
+    (["geodesic", "--tau-end=1e308"], "--tau-end"),
+    (["curvature-scan", "--quad-order=100000"], "--quad-order"),
+])
+def test_overflowing_numeric_flags_exit_2_naming_the_flag(argv, flag, capsys):
+    if flag == "--quad-order":
+        # the parser alone: a missing bound must fail here, not build a 100000-point rule
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and flag in err[0]
+
+
+@pytest.mark.parametrize("order", [2, 32, 64])
+def test_benchmark_quad_orders_stay_valid(order):
+    assert cli.build_parser().parse_args(["curvature-scan", f"--quad-order={order}"]).quad_order == order
 
 
 def test_geodesic_flat(tmp_path):

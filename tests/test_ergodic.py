@@ -900,6 +900,28 @@ def test_bump_correlation_beyond_four_dimensions():
         mvn_ig_correlation(g, wrapped(bumps))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_bump_correlation_equals_the_per_joint_calls(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(3, 5, dim, dim))
+    covs = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(dim)
+    means = rng.normal(size=(3, 5, dim))
+    fs = TestFunctionSet.from_bumps([GaussianBump(c, w, h) for c, w, h in zip(
+        rng.normal(size=dim).tolist(), (10.0 ** rng.uniform(-0.5, 0.5, dim)).tolist(),
+        rng.uniform(0.5, 2.0, dim).tolist())])
+    stacked = ergodic._gaussian_correlation(means, covs, fs, None)
+    assert stacked.shape == (3, 5)
+
+    def per_joint(means):
+        return [[mvn_ig_correlation(MultivariateGaussian(m, c), fs) for m, c in zip(mr, cr)]
+                for mr, cr in zip(np.broadcast_to(means, covs.shape[:-1]), covs)]
+
+    assert np.abs(stacked - per_joint(means)).max() <= 1e-15
+    # a mean shared by the whole stack broadcasts against it
+    shared = ergodic._gaussian_correlation(means[0, 0], covs, fs, None)
+    assert np.abs(shared - per_joint(means[0, 0])).max() <= 1e-15
+
+
 def test_bump_path_keeps_validation():
     fs2 = TestFunctionSet.unit_l1_bumps([0.0, 0.0])
     with pytest.raises(DegenerateCorrelationError):
