@@ -10,12 +10,14 @@ Subcommands::
 
 Common flags: --out PATH, --format csv|json, --tol FLOAT (finite, >= 0),
 --config FILE; curvature-scan alone also takes --quad-order INT (2 to
-MAX_QUAD_ORDER).  Each key = value line of the config file is parsed as
-the flag --key=value, and flags on the command line win over it.  Output
-is CSV (17 significant digits) or JSON lines with identical field names.
-Exit codes: 0 success, 2 validation error, 3 tolerance breach or numerical
-failure, 4 I/O error.  Every validation error is one stderr line, and the
-range checks of the flags name the flag.
+MAX_QUAD_ORDER).  --tol is the breach tolerance of f-curve, curvature-scan
+and geodesic; oscillator and goe have no breach check and reject it.
+Each key = value line of the config file is parsed as the flag --key=value,
+and flags on the command line win over it.  Output is CSV (17 significant
+digits) or JSON lines with identical field names.  Exit codes: 0 success,
+2 validation error, 3 tolerance breach or numerical failure, 4 I/O error.
+Every validation error is one stderr line, and the range checks of the
+flags name the flag.
 """
 
 from __future__ import annotations
@@ -59,10 +61,13 @@ EXIT_IO = 4
 # hermgauss(order) builds an order x order matrix, and above order 370 its
 # smallest weights underflow (NumPy 2.4); 256 keeps both far off
 MAX_QUAD_ORDER = 256
-# the oscillator's masses, frequencies and T0 and the goe sigma lie in
-# [1/SCALE_LIMIT, SCALE_LIMIT], so every product and square of them the
-# reduced model forms stays a finite, nonzero float
+# the oscillator's masses, frequencies and T0, the goe sigma and the ends of
+# curvature-scan's sigma range lie in [1/SCALE_LIMIT, SCALE_LIMIT], so every
+# product and square of them the models form stays a finite, nonzero float
 SCALE_LIMIT = 1e50
+# the linear schedule's default temperature ratios; the geometric schedule
+# takes neither flag
+LINEAR_T_RATIOS = {"t_ratio_start": 0.5, "t_ratio_stop": 0.999}
 # bounds a geodesic run's time and the states it keeps; an infinite
 # --tau-end / --step would not even convert to a step count
 MAX_GEODESIC_STEPS = 10**6
@@ -118,7 +123,7 @@ def _require_scales(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
         if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:
-            raise ValidationError(f"--{name} must be finite and within "
+            raise ValidationError(f"--{name.replace('_', '-')} must be finite and within "
                                   f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}], got {value!r}")
 
 
@@ -145,9 +150,8 @@ def cmd_f_curve(args) -> int:
 
 def cmd_curvature_scan(args) -> int:
     sigmas = _linspace(args, "sigma", args.sigma_count)
+    _require_scales(args, "sigma_start", "sigma_stop")
     rs = _r_range(args)
-    if sigmas[0] <= 0.0:
-        raise ValidationError("sigma range must be positive")
 
     def row(point):
         sigma, r = point
@@ -174,6 +178,11 @@ def cmd_curvature_scan(args) -> int:
 
 
 def cmd_oscillator(args) -> int:
+    for name, default in LINEAR_T_RATIOS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.schedule == "geometric":
+            raise ValidationError(f"--{name.replace('_', '-')} applies only to --schedule linear")
     if args.schedule == "geometric":
         ratios = 1.0 - 0.5 ** np.arange(1, args.steps + 1)
     else:
@@ -329,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     # finite and >= 0: every breach test reads worst > tol, which no row passes at NaN
     common.add_argument("--tol", type=_number_in(float, 0.0, math.inf), default=None,
-                        help="breach tolerance (default depends on the command)")
+                        help="breach tolerance (default depends on the command); "
+                             "oscillator and goe reject it")
     common.add_argument("--config", default=None, help="optional key=value config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -357,8 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coupled-oscillator transition along a temperature schedule")
     p.add_argument("--schedule", choices=("geometric", "linear"), default="geometric")
     p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--t-ratio-start", type=float, default=0.5)
-    p.add_argument("--t-ratio-stop", type=float, default=0.999)
+    p.add_argument("--t-ratio-start", type=float, default=None,
+                   help="linear schedule only (default 0.5)")
+    p.add_argument("--t-ratio-stop", type=float, default=None,
+                   help="linear schedule only (default 0.999)")
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--m1", type=float, default=1.0)
     p.add_argument("--m2", type=float, default=1.0)
@@ -393,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 DEFAULT_TOL = {
     "f-curve": 1e-6,
     "curvature-scan": 1e-4,
-    "oscillator": 1e-4,
-    "goe": 1e-4,
     "geodesic": 1e-6,
 }
 
@@ -426,7 +436,12 @@ def main(argv=None) -> int:
         # the config's flags go first, so argparse lets the command line's own win
         at = argv.index(args.command) + 1
         args = parser.parse_args(argv[:at] + flags + argv[at:])
-    if args.tol is None:
+    if args.command not in DEFAULT_TOL:  # oscillator and goe have no breach check
+        if args.tol is not None:
+            print(f"error: --tol is not read by {args.command}, which has no breach check",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
+    elif args.tol is None:
         args.tol = DEFAULT_TOL[args.command]
     try:
         return args.func(args)

@@ -257,16 +257,26 @@ def distinguishability_F_sup(r: float) -> float:
     return distinguishability_F_closed(a)
 
 
-def _standard_gap(r, u, v):
-    """(p - p1 p2) * 2 pi sigma_c^2 of the correlated model in standard units.
+def _principal_coefficients(r):
+    """``_principal_gap``'s a, b = -1 / (2 (1 +- r)), c = 1 / sqrt((1 - r)(1 + r)), each (k, 1)."""
+    r = np.asarray(r, dtype=float).reshape(-1, 1)
+    return -0.5 / (1.0 + r), -0.5 / (1.0 - r), 1.0 / np.sqrt((1.0 - r) * (1.0 + r))
 
-    r, u = (x - mu_x) / sigma and v = y / sigma_y broadcast together.  The
-    joint is one exponential of the 1-D terms plus the cross term; the product
-    of marginals is exp(-u^2 / 2) exp(-v^2 / 2).
+
+def _principal_gap(a, b, c, s, d):
+    """(p - p1 p2) * 2 pi sigma_c^2 of the correlated model on its principal axes.
+
+    The axes s, d = (u +- v) / sqrt(2) of the standard units u = (x - mu_x) / sigma,
+    v = y / sigma_y make the joint N(0, 1 + r) x N(0, 1 - r) and the product
+    N(0, I), so the gap is c exp(a s^2) exp(b d^2) - exp(-s^2 / 2) exp(-d^2 / 2)
+    with the (k, 1) a, b and c of ``_principal_coefficients``.  On (k, n) s and d
+    it takes 1-D exponentials only, and outer products give each row's (k, n, n)
+    ``ij`` grid.  At r = 0 both terms are the same floats.
     """
-    a = -0.5 / (1.0 - r * r)
-    joint = np.exp((a * u * u + a * v * v) + (-2.0 * a * r * u) * v) / np.sqrt(1.0 - r * r)
-    return joint - np.exp(-0.5 * u * u) * np.exp(-0.5 * v * v)
+    ss, dd = s * s, d * d
+    gap = np.exp(a * ss)[:, :, None] * (c * np.exp(b * dd))[:, None, :]
+    gap -= np.exp(-0.5 * ss)[:, :, None] * np.exp(-0.5 * dd)[:, None, :]
+    return gap
 
 
 def factorization_sup_2d(params: Correlated2DParams) -> float:
@@ -328,10 +338,11 @@ def _distinguishability_F_rows(params: Sequence[Correlated2DParams]) -> list:
     """``distinguishability_F_numeric`` of each of ``params``, the rows zoomed together."""
     for p in params:
         p.require_nondegenerate()
-    r = np.array([p.r for p in params])[:, None, None]
+    abc = _principal_coefficients([p.r for p in params])  # once, not per zoom round
 
-    def objective(grid, rows):
-        return np.abs(_standard_gap(r[rows], grid[:, 0, :, None], grid[:, 1, None, :]))
+    def objective(grid, rows):  # the grid's axes are (s, d)
+        gap = _principal_gap(*(x[rows] for x in abc), grid[:, 0], grid[:, 1])
+        return np.abs(gap, out=gap)
 
     centers = np.zeros((len(params), 2))
     return _grid_zoom_max(objective, centers, centers + 1.0, 121, 7, 40, 8.0).tolist()
@@ -340,11 +351,11 @@ def _distinguishability_F_rows(params: Sequence[Correlated2DParams]) -> list:
 def distinguishability_F_numeric(params: Correlated2DParams) -> float:
     """Brute-force oracle for the closed form: maximize |p - p1 p2| by ``_grid_zoom_max``.
 
-    The scan runs in standard units, around (0, 0) with unit sds, and the
-    maximum is reported in units of the joint's central prefactor
-    1/(2 pi sigma_c^2): it depends on r alone and compares directly with the
-    closed form.  Agrees with it for |r| <= BRANCH_SWITCH_R; above that it
-    converges to the central value 1/sqrt(1 - r^2) - 1, the actual supremum.
+    The scan runs on the principal axes of the standard units (``_principal_gap``),
+    around (0, 0) with unit sds, and the maximum is reported in units of the
+    joint's central prefactor 1/(2 pi sigma_c^2): it depends on r alone, is 0 at
+    r = 0 and compares directly with the closed form.  Agrees with it for |r| <=
+    BRANCH_SWITCH_R; above that it converges to 1/sqrt(1 - r^2) - 1, the supremum.
 
     The grid spans +-8 sds with 121 coarse points per axis, 2/15 sd apart and
     finer than every basin, and 7-point zooms (README, "Numerical conventions").

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -281,6 +282,101 @@ def test_overflowing_numeric_flags_exit_2_naming_the_flag(argv, flag, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and flag in err[0]
+
+
+# one cheap run per subcommand: each case adds one flag to it
+CHEAP_ARGV = {
+    "f-curve": ["--r-count=2"],
+    "curvature-scan": ["--sigma-count=2", "--r-count=2"],
+    "oscillator": ["--schedule=linear"],  # where the --t-ratio-* flags are read
+    "goe": ["--r-count=2"],
+    "geodesic": ["--tau-end=0.01", "--step=1e-3"],
+}
+PROBE_VALUES = {"float": ["nan", "inf", "-inf", "0", "-1", "1e308"], "int": ["0", "-1", "1"]}
+
+
+def numeric_flag_cases():
+    """(subcommand, flag, value) for every float and int flag the parser declares."""
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, subparser in sub.choices.items():
+        for action in subparser._actions:
+            kind = getattr(action.type, "__name__", None)  # _number_in keeps its kind's name
+            for value in PROBE_VALUES.get(kind, []):
+                yield command, action.option_strings[0], value
+
+
+@pytest.mark.parametrize("command,flag,value", list(numeric_flag_cases()))
+def test_every_numeric_flag_exits_cleanly(command, flag, value, capsys):
+    # a value either runs (0 or 3) or is refused (2), with one stderr line and no traceback;
+    # warnings are errors under pytest, so a NumPy overflow warning fails here too
+    try:
+        code = main([command, *CHEAP_ARGV[command], f"{flag}={value}"])
+    except SystemExit as exc:  # argparse's own rejection
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_TOLERANCE)
+    err = capsys.readouterr().err.splitlines()
+    if code != EXIT_OK:
+        assert len(err) == 1 and "Traceback" not in err[0]
+
+
+def test_numeric_flag_table_covers_every_subcommand():
+    cases = list(numeric_flag_cases())
+    assert {c for c, _, _ in cases} == set(CHEAP_ARGV)
+    assert ("oscillator", "--tol", "nan") in cases and ("geodesic", "--samples", "-1") in cases
+    assert ("curvature-scan", "--quad-order", "0") in cases
+
+
+def test_curvature_scan_sigma_range_lies_within_the_scale_limit(capsys):
+    # sigma^4 and 1/sigma^3 enter the model's moments, which overflow far beyond 1e50
+    for flag in ("--sigma-stop=1e308", "--sigma-start=0"):
+        assert main(["curvature-scan", "--sigma-count=2", "--r-count=2", flag]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag.split("=")[0] in err[0]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("command", ["oscillator", "goe"])
+def test_tol_is_rejected_where_there_is_no_breach_check(command, route, tmp_path, capsys):
+    # oscillator and goe have no breach check, so an explicit --tol would be ignored
+    assert command not in cli.DEFAULT_TOL
+    if route == "flag":
+        argv = [command, "--tol=1e-300"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("tol = 1e-3\n")
+        argv = [command, "--config", str(cfg)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--tol" in err[0] and command in err[0]
+    assert main([command]) == EXIT_OK
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("name", ["t-ratio-start", "t-ratio-stop"])
+def test_t_ratio_flags_need_the_linear_schedule(name, route, tmp_path, capsys):
+    # the geometric schedule 1 - 2^-k takes no ratio range, so the flag would be ignored
+    if route == "flag":
+        argv = ["oscillator", f"--{name}=0.3"]
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{name.replace('-', '_')} = 0.3\n")
+        argv = ["oscillator", "--schedule=geometric", "--config", str(cfg)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"--{name}" in err[0]
+
+
+def test_linear_schedule_reads_the_t_ratio_flags(capsys):
+    # their defaults, 0.5 and 0.999, apply to the linear schedule alone
+    linear = ["oscillator", "--schedule=linear"]
+    assert main(linear) == EXIT_OK
+    default = capsys.readouterr().out
+    assert main(linear + ["--t-ratio-start=0.5", "--t-ratio-stop=0.999"]) == EXIT_OK
+    assert capsys.readouterr().out == default
+    for flag in ("--t-ratio-start=0.3", "--t-ratio-stop=0.9"):
+        assert main(linear + [flag]) == EXIT_OK
+        assert capsys.readouterr().out != default
 
 
 @pytest.mark.parametrize("order", [2, 32, 64])

@@ -35,7 +35,8 @@ from statmanifold import (
 from statmanifold.ergodic import (
     _distinguishability_F_rows,
     _grid_zoom_max,
-    _standard_gap,
+    _principal_coefficients,
+    _principal_gap,
     factorization_sup_2d,
 )
 
@@ -161,9 +162,24 @@ def test_F_closed_strictly_increasing():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def standard_gap(r, u, v):
+    """Reference for ``_principal_gap``: (p - p1 p2) * 2 pi sigma_c^2 at standard units u, v.
+
+    exp(-(u^2 + v^2 - 2 r u v) / (2 (1 - r^2))) / sqrt(1 - r^2) - exp(-u^2/2) exp(-v^2/2),
+    with the joint as one 2-D exponential.
+    """
+    a = -0.5 / (1.0 - r * r)
+    joint = np.exp((a * u * u + a * v * v) + (-2.0 * a * r * u) * v) / np.sqrt(1.0 - r * r)
+    return joint - np.exp(-0.5 * u * u) * np.exp(-0.5 * v * v)
+
+
 def test_F_numeric_zero_at_zero_correlation():
-    params = Correlated2DParams(0.0, 1.0, 0.0, 1.0)
-    assert distinguishability_F_numeric(params) < 1e-12
+    # at r = 0 the gap's joint and product terms are the same floats
+    t = np.linspace(-8.0, 8.0, 161)[None]
+    assert not np.any(_principal_gap(*_principal_coefficients(0.0), t, t))
+    assert distinguishability_F_numeric(Correlated2DParams(0.7, 1.3, 0.0, 0.6)) == 0.0
+    assert _distinguishability_F_rows([Correlated2DParams(0.0, 1.0, r, 1.0)
+                                       for r in (0.5, 0.0, -0.0)])[1:] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("r", [-0.8, -0.5, 0.3, 0.5, 0.7, 0.8])
@@ -271,20 +287,35 @@ def test_F_numeric_matches_reference_maximizer_on_both_branches():
             reference_F_numeric(params), rel=1e-12, abs=0.0)
 
 
+def test_principal_gap_matches_the_standard_units_expression():
+    # each random (u, v) is its own one-point row, at its own r; the scale is
+    # the joint's peak 1/sqrt(1 - r^2), which reaches 22 at |r| = 0.999
+    rng = np.random.default_rng(16)
+    r = rng.uniform(-0.999, 0.999, 4000)
+    u, v = rng.normal(scale=3.0, size=(2, r.size, 1))
+    s, d = (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
+    a, b, c = _principal_coefficients(r)
+    gap = _principal_gap(a, b, c, s, d)
+    assert gap.shape == (r.size, 1, 1)
+    assert np.all(np.abs(gap[:, 0] - standard_gap(r[:, None], u, v)) <= 1e-14 * c)
+
+
 def test_factorization_gap_matches_model_density():
-    # the gap in standard units, over 2 pi sigma_c^2, against |pdf_2d - p1 p2|
-    # from the model's own densities; exponents near -700 carry a relative
-    # rounding of ~700 ulp, so the scale is the larger term's peak on the grid
+    # the gap on an (s, d) grid of principal axes, over 2 pi sigma_c^2, against
+    # |pdf_2d - p1 p2| from the model's own densities at the rotated points;
+    # exponents near -700 carry a relative rounding of ~700 ulp, so the scale is
+    # the larger term's peak on the grid
     rng = np.random.default_rng(17)
     t = np.linspace(-8.0, 8.0, 161)
     for _ in range(30):
         params = Correlated2DParams(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.0, 1.0),
                                     rng.uniform(-0.97, 0.97), 10.0 ** rng.uniform(-1.0, 1.0))
-        x, y = params.mu_x + t[:, None] * params.sigma, t * params.sigma_y
+        u, v = (t[:, None] + t) / math.sqrt(2.0), (t[:, None] - t) / math.sqrt(2.0)
+        x, y = params.mu_x + u * params.sigma, v * params.sigma_y
         p1, p2 = marginals_2d(params)
         joint, prod = pdf_2d(x, y, params), p1.pdf(x) * p2.pdf(y)
-        u, v = (x - params.mu_x) / params.sigma, y / params.sigma_y
-        gap = np.abs(_standard_gap(params.r, u, v)) / (2.0 * math.pi * params.sigma_c**2)
+        gap = _principal_gap(*_principal_coefficients(params.r), t[None], t[None])[0]
+        gap = np.abs(gap) / (2.0 * math.pi * params.sigma_c**2)
         assert np.max(np.abs(gap - np.abs(joint - prod))) <= 1e-14 * max(joint.max(), prod.max())
 
 
