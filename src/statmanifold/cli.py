@@ -49,8 +49,8 @@ from .manifold import (
 from .models import (
     Correlated2DParams,
     correlated_2d_family,
+    correlated_2d_metric,
     curvature_2d_closed,
-    metric_2d_closed,
 )
 
 EXIT_OK = 0
@@ -229,6 +229,9 @@ def cmd_goe(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    if args.flat and args.coupling is not None:
+        raise ValidationError("--coupling does not apply to --flat, whose metric has no correlation")
+    r = 0.0 if args.coupling is None else args.coupling
     if args.step <= 0.0 or args.tau_end <= 0.0:
         raise ValidationError("step and tau-end must be positive")
     if args.samples < 1:
@@ -237,7 +240,7 @@ def cmd_geodesic(args) -> int:
     v0 = np.asarray([float(v) for v in args.v0.split(",")])
     if theta0.shape != (2,) or v0.shape != (2,):
         raise ValidationError("theta0 and v0 must be comma-separated pairs")
-    if not np.isfinite([args.step, args.tau_end, args.coupling, *theta0, *v0]).all():
+    if not np.isfinite([args.step, args.tau_end, r, *theta0, *v0]).all():
         raise ValidationError("step, tau-end, coupling, theta0 and v0 must be finite")
     if args.tau_end / args.step > MAX_GEODESIC_STEPS:
         raise ValidationError(f"--tau-end / --step asks for more than {MAX_GEODESIC_STEPS} steps")
@@ -245,15 +248,11 @@ def cmd_geodesic(args) -> int:
     if args.flat:
         field = MetricField.from_function(2, lambda th: np.eye(2))
     else:
-        if abs(args.coupling) >= 1.0:
+        if abs(r) >= 1.0:
             raise ValidationError("coupling must satisfy |r| < 1")
-        r = args.coupling
-
-        def closed_metric(th):
-            return metric_2d_closed(Correlated2DParams(th[0], th[1], r, 1.0))
-
+        # r is checked once here, and the box checks sigma > 0 before every evaluation
         field = MetricField.from_function(
-            2, closed_metric,
+            2, lambda th: correlated_2d_metric(th[1], r),
             domain=ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf]),
         )
     if not field.domain.contains(theta0):
@@ -391,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geodesic", parents=[common],
                        help="geodesic trajectory with conserved-speed diagnostic")
     p.add_argument("--flat", action="store_true", help="use the flat metric")
-    p.add_argument("--coupling", type=float, default=0.0)
+    p.add_argument("--coupling", type=float, default=None,
+                   help="correlation r of the curved metric (default 0); --flat rejects it")
     p.add_argument("--theta0", default="0.0,1.0")
     p.add_argument("--v0", default="0.1,0.1")
     p.add_argument("--tau-end", type=float, default=1.0)

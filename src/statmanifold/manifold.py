@@ -257,15 +257,15 @@ def _fd_steps(x: np.ndarray, rel: float = FD_REL_STEP) -> np.ndarray:
     return np.maximum(rel, rel * np.abs(x))
 
 
-def _stencil(x: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
+def _stencil(x: np.ndarray, h: np.ndarray, order: int, centre: bool = False) -> np.ndarray:
     """The central-difference points around ``x`` as one (k, m) array.
 
-    Rows 2k and 2k+1 are ``x + h_k e_k`` and ``x - h_k e_k``.  Order 2 adds
-    row 2m, ``x`` itself, and then for each k < l the four corners
-    ``x ± h_k e_k ± h_l e_l`` (signs ++, +-, -+, --).
+    Rows 2k and 2k+1 are ``x + h_k e_k`` and ``x - h_k e_k``.  Order 2, or
+    ``centre`` at order 1, adds row 2m, ``x`` itself; order 2 then adds for
+    each k < l the four corners ``x ± h_k e_k ± h_l e_l`` (signs ++, +-, -+, --).
     """
     m = x.shape[0]
-    points = np.empty((2 * m if order == 1 else 1 + 2 * m * m, m))
+    points = np.empty((2 * m + centre if order == 1 else 1 + 2 * m * m, m))
     points[:] = x
     flat = points[:2 * m].reshape(-1)  # row 2k holds entry k at k(2m+1), row 2k+1 at m + k(2m+1)
     flat[::2 * m + 1] += h
@@ -313,21 +313,37 @@ def metric_derivatives(field: MetricField, theta, order: int):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     theta = field.domain.require(theta, "the metric field")
-    m = field.domain.dim
     if order == 1 and field.d1 is not None:
         return np.asarray(field.d1(theta), dtype=float)
     if order == 2 and field.d2 is not None:
         return np.asarray(field.d2(theta), dtype=float)
 
+    values, h = _sweep(field, theta, order)
+    return _fd_derivatives(values, h, order)
+
+
+def _sweep(field: MetricField, theta, order: int, centre: bool = False):
+    """``(values, h)``: the field at each row of :func:`_stencil` around theta, and its steps.
+
+    One ``ParameterDomain.contains`` call checks every row before the metric
+    is evaluated anywhere.  A theta of the wrong shape or outside the domain
+    raises the :meth:`ParameterDomain.require` error; otherwise the error
+    names the first stencil row outside.
+    """
+    domain, m = field.domain, field.domain.dim
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (m,):
+        domain.require(theta, "the metric field")  # raises its shape error
     h = _fd_steps(theta)
-    points = _stencil(theta, h, order)
-    if not field.domain.contains(points):
-        i = next(i for i, row in enumerate(points) if not field.domain.contains(row))
+    points = _stencil(theta, h, order, centre)
+    if not domain.contains(points):
+        domain.require(theta, "the metric field")
+        i = next(i for i, row in enumerate(points) if not domain.contains(row))
         pairs = list(zip(*np.triu_indices(m, 1)))
         where = (f"coordinate {i // 2}" if i < 2 * m
                  else "the corner of coordinates {} and {}".format(*pairs[(i - 2 * m - 1) // 4]))
         raise DomainError(f"finite-difference stencil exits the domain at {where}")
-    return _fd_derivatives([field(p) for p in points], h, order)
+    return [field(p) for p in points], h
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
@@ -342,9 +358,19 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 
 
 def christoffel(field: MetricField, theta) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma[k, i, j], symmetric in (i, j)."""
-    d1 = metric_derivatives(field, theta, 1)  # checks theta before the metric is evaluated
-    gi = inverse_metric(field(theta))
+    """Levi-Civita connection coefficients Gamma[k, i, j], symmetric in (i, j).
+
+    Without an analytic ``d1`` the field is swept once (:func:`_sweep`): the
+    first-order stencil with theta itself as row 2m, whose 2m + 1 rows one
+    domain check covers, gives both g_ij,k and g(theta).
+    """
+    if field.d1 is not None:
+        theta = field.domain.require(theta, "the metric field")
+        d1, g = np.asarray(field.d1(theta), dtype=float), field(theta)
+    else:
+        values, h = _sweep(field, theta, 1, centre=True)
+        d1, g = _fd_derivatives(values, h, 1), values[-1]
+    gi = inverse_metric(g)
     # Gamma^k_ij = 1/2 g^{km} (g_mi,j + g_mj,i - g_ij,m); d1[i,j,k] = g_ij,k
     gam = 0.5 * np.einsum(
         "km,mij->kij",
@@ -444,13 +470,29 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
 
     Terminates early, with the ``exit_reason`` of :class:`GeodesicResult`, if
     the trajectory or a stencil around it leaves the parameter domain; a
-    singular metric on the path raises :class:`SingularMetricError`.
+    singular metric on the path raises :class:`SingularMetricError`.  Before
+    the metric is evaluated anywhere, ``ValueError`` names the argument
+    unless ``step`` is positive and finite, ``init.tau`` finite, ``tau_end``
+    finite and ``>= init.tau``, ``(tau_end - init.tau) / step`` finite, and
+    ``init.velocity`` finite and of the position's shape; a position outside
+    the domain raises :class:`DomainError`.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    tau = float(init.tau)
+    if not np.isfinite(tau):
+        raise ValueError(f"init.tau must be finite, got {tau!r}")
+    if not tau <= tau_end < np.inf:
+        raise ValueError(f"tau_end must be finite and >= init.tau = {tau!r}, got {tau_end!r}")
     pos = field.domain.require(init.position, "the metric field")
     vel = np.asarray(init.velocity, dtype=float)
-    tau = float(init.tau)
+    if vel.shape != pos.shape:
+        raise ValueError(f"init.velocity has shape {vel.shape}, expected {pos.shape}")
+    if not np.isfinite(vel).all():
+        raise ValueError(f"init.velocity must be finite, got {vel}")
+    steps = (tau_end - tau) / step
+    if not np.isfinite(steps):
+        raise ValueError(f"(tau_end - init.tau) / step = {steps!r} is not a finite number of steps")
     stage = pos  # the point of the last rhs call, to tell the two domain exits apart
 
     def rhs(p, v):
@@ -460,7 +502,7 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
         return v, -np.einsum("kij,i,j->k", gam, v, v)
 
     states = [GeodesicState(pos.copy(), vel.copy(), tau)]
-    n_steps = int(np.ceil((tau_end - tau) / step - 1e-12))
+    n_steps = int(np.ceil(steps - 1e-12)) or int(steps > 0.0)  # under 1e-12 steps still take one
     for _ in range(n_steps):
         h = min(step, tau_end - tau)
         if h <= 0.0:

@@ -115,7 +115,17 @@ def marginals_2d(params: Correlated2DParams):
 def metric_2d_closed(params: Correlated2DParams) -> np.ndarray:
     """Closed-form Fisher metric diag(1, 4) / (sigma^2 (1 - r^2))."""
     params.require_nondegenerate()
-    denom = params.sigma**2 * (1.0 - params.r**2)
+    return correlated_2d_metric(params.sigma, params.r)
+
+
+def correlated_2d_metric(sigma: float, r: float) -> np.ndarray:
+    """The formula of :func:`metric_2d_closed` on plain numbers, with no check.
+
+    The caller has established 0 < sigma < inf and |r| < 1, as
+    ``Correlated2DParams`` and :meth:`Correlated2DParams.require_nondegenerate`
+    do for :func:`metric_2d_closed`.
+    """
+    denom = sigma**2 * (1.0 - r**2)
     return np.array([[1.0 / denom, 0.0], [0.0, 4.0 / denom]])
 
 

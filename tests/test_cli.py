@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statmanifold import canonical, cli, distinguishability_F_sup, ergodic
+from statmanifold import canonical, cli, distinguishability_F_sup, ergodic, manifold, models
 from statmanifold.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
 from statmanifold.errors import (
     NonSmoothEnergyError,
@@ -419,6 +419,66 @@ def test_geodesic_validation(tmp_path):
 def test_geodesic_rejects_non_finite_input(flag, capsys):
     assert main(["geodesic", flag]) == EXIT_VALIDATION
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "config", "config flat"])
+@pytest.mark.parametrize("coupling", ["0.9", "1.5", "0"])
+def test_flat_geodesic_rejects_coupling(coupling, route, tmp_path, capsys):
+    # the flat metric has no correlation, so --coupling would be ignored
+    cfg = tmp_path / "cfg.txt"
+    argv = ["geodesic", "--theta0=0,0", "--tau-end=0.1", "--step=0.01"]
+    if route == "flag":
+        argv += ["--flat", f"--coupling={coupling}"]
+    elif route == "config":
+        cfg.write_text(f"coupling = {coupling}\n")
+        argv += ["--flat", "--config", str(cfg)]
+    else:
+        cfg.write_text("flat = true\n")
+        argv += [f"--coupling={coupling}", "--config", str(cfg)]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "--coupling" in err[0] and "--flat" in err[0] and captured.out == ""
+
+
+def _two_pass_christoffel(field, theta):
+    """The connection from metric_derivatives(., 1) and a separate field(theta)."""
+    d1 = manifold.metric_derivatives(field, theta, 1)
+    gi = manifold.inverse_metric(field(theta))
+    return 0.5 * np.einsum("km,mij->kij", gi, d1 + d1.transpose(0, 2, 1) - d1.transpose(2, 0, 1))
+
+
+def test_geodesic_stdout_is_that_of_the_two_pass_route(monkeypatch, capsys):
+    # one checked sweep per stage and the shared closed form print what two checks per
+    # stage and a Correlated2DParams per metric printed, breaches and exit codes included
+    rng = np.random.default_rng(28)
+    argvs = [["geodesic"],
+             ["geodesic", "--theta0=0,0.002", "--v0=0,-0.002", "--step=0.01"],  # drift breach
+             ["geodesic", "--theta0=0,0.5", "--v0=0,-1000", "--step=0.01"],  # left_domain
+             ["geodesic", "--theta0=0,5e-6", "--v0=0,1"]]  # stencil_left_domain
+    for i in range(20):
+        # sigma0 down to 1e-3, where the finite-difference drift breaches the tolerance
+        sigma0 = 10.0 ** rng.uniform(-3.0, -1.3) if i % 2 else 10.0 ** rng.uniform(-0.7, 3.0)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        argvs.append(["geodesic", f"--theta0={sigma0 * rng.uniform(-1.0, 1.0)!r},{sigma0!r}",
+                      f"--v0={sigma0 * np.cos(angle)!r},{sigma0 * np.sin(angle)!r}",
+                      f"--coupling={rng.uniform(-0.9, 0.9)!r}", "--tau-end=1.0", "--step=0.01",
+                      f"--samples={rng.integers(1, 120)}", f"--format={('csv', 'json')[i % 3 == 0]}"])
+
+    def run():
+        results = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    swept = run()
+    assert [code for code, _, _ in swept[:4]] == [EXIT_OK] + 3 * [EXIT_TOLERANCE]
+    monkeypatch.setattr(manifold, "christoffel", _two_pass_christoffel)
+    monkeypatch.setattr(cli, "correlated_2d_metric", lambda sigma, r: models.metric_2d_closed(
+        models.Correlated2DParams(0.0, sigma, r, 1.0)))
+    assert run() == swept
 
 
 def test_geodesic_leaving_the_domain_is_a_breach(tmp_path, capsys):

@@ -390,6 +390,77 @@ def test_christoffel_torsion_free_symmetry():
     assert np.abs(gam - gam.transpose(0, 2, 1)).max() < 1e-10
 
 
+def _two_pass_christoffel(field, theta):
+    """The connection from metric_derivatives(., 1) and a separate field(theta): the reference."""
+    d1 = metric_derivatives(field, theta, 1)
+    gi = inverse_metric(field(theta))
+    return 0.5 * np.einsum("km,mij->kij", gi, d1 + d1.transpose(0, 2, 1) - d1.transpose(2, 0, 1))
+
+
+def _random_field(m, seed, kind):
+    """A random m-dimensional field over (-2, 2)^m and a theta well inside."""
+    rng = np.random.default_rng(seed)
+    box = ParameterDomain.box(np.full(m, -2.0), np.full(m, 2.0))
+    theta = rng.uniform(-1.0, 1.0, m)
+    if kind == "from_model":
+        fam, _, _ = _skovgaard_case(int(rng.integers(2, 5)), m, seed, order=8)
+        return MetricField.from_model(dataclasses.replace(fam, domain=box)), theta
+    A0, dA = rng.normal(size=(m, m)), rng.normal(size=(m, m, m))
+
+    def g(th):
+        A = A0 + np.tensordot(np.sin(th), dA, axes=1)
+        return A @ A.T + np.eye(m)
+
+    return MetricField.from_function(m, g, domain=box), theta
+
+
+def _count_requests(monkeypatch):
+    """Lists that collect each MetricField.__call__ theta and each ParameterDomain.contains argument."""
+    requests, checks = [], []
+    call, contains = MetricField.__call__, ParameterDomain.contains
+    monkeypatch.setattr(MetricField, "__call__", lambda self, th: requests.append(th) or call(self, th))
+    monkeypatch.setattr(ParameterDomain, "contains", lambda self, th: checks.append(th) or contains(self, th))
+    return requests, checks
+
+
+@pytest.mark.parametrize("kind", ["from_function", "from_model"])
+@pytest.mark.parametrize("seed", range(8))
+def test_christoffel_sweep_is_the_two_pass_connection(kind, seed, monkeypatch):
+    # one sweep of 2m + 1 rows gives the same bits as the stencil plus a separate g(theta)
+    m = 2 + seed % 3
+    field, theta = _random_field(m, seed, kind)
+    expected = _two_pass_christoffel(field, theta)
+    field, theta = _random_field(m, seed, kind)  # a fresh cache for the from_model field
+    requests, checks = _count_requests(monkeypatch)
+    gam = christoffel(field, theta)
+    assert gam.tobytes() == expected.tobytes()
+    assert len(requests) == 2 * m + 1 and np.array_equal(requests[-1], theta)
+    # one check of the whole sweep; fisher_metric also checks each theta it computes
+    assert [np.shape(c) for c in checks if np.ndim(c) == 2] == [(2 * m + 1, m)]
+    assert len(checks) == 1 + (2 * m + 1 if kind == "from_model" else 0)
+
+
+@pytest.mark.parametrize("kind", ["from_function", "from_model"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_christoffel_sweep_keeps_the_domain_errors(kind, m, monkeypatch):
+    field, _ = _random_field(m, m, kind)
+    cases = {  # theta: the start of the message
+        (2.5,) * m: "theta [",
+        (0.0,) * (m - 1) + (2.0 - 5e-6,): f"finite-difference stencil exits the domain at coordinate {m - 1}",
+        (-2.0,) + (0.0,) * (m - 1): "theta [",  # theta and its stencil both outside
+        (0.0,) * (m + 1): "theta has shape",
+    }
+    for theta, start in cases.items():
+        with pytest.raises(DomainError) as reference:
+            _two_pass_christoffel(field, theta)
+        requests, _ = _count_requests(monkeypatch)
+        with pytest.raises(DomainError) as raised:
+            christoffel(field, theta)
+        monkeypatch.undo()
+        assert str(raised.value) == str(reference.value) and str(raised.value).startswith(start)
+        assert requests == []  # raised before the metric was evaluated anywhere
+
+
 def _spd(dim, log_cond, seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
@@ -704,6 +775,37 @@ def test_geodesic_rejects_bad_step():
     init = GeodesicState(np.zeros(2), np.ones(2), 0.0)
     with pytest.raises(ValueError):
         geodesic_integrate(field, init, 1.0, -0.1)
+
+
+BAD_GEODESIC_INPUT = {  # case: (velocity, tau_end, step, the argument the error names)
+    "infinite-step": ([1.0, 0.0], 1.0, np.inf, "step"),
+    "tau_end-before-init.tau": ([1.0, 0.0], 0.25, 0.01, "tau_end"),
+    "nan-velocity": ([np.nan, 0.0], 1.0, 0.01, "init.velocity"),
+    "nan-tau_end": ([1.0, 0.0], np.nan, 0.01, "tau_end"),
+    "infinite-tau_end": ([1.0, 0.0], np.inf, 0.01, "tau_end"),
+    "velocity-of-the-wrong-shape": ([1.0, 0.0, 0.0], 1.0, 0.01, "init.velocity"),
+    "infinitely-many-steps": ([1.0, 0.0], 1e300, 1e-300, "step"),
+}
+
+
+@pytest.mark.parametrize("velocity,tau_end,step,name", BAD_GEODESIC_INPUT.values(), ids=BAD_GEODESIC_INPUT)
+def test_geodesic_rejects_bad_input_before_evaluating(velocity, tau_end, step, name):
+    # each of these returned a silent result or raised a bare conversion or broadcast error
+    requests = []
+    field = MetricField.from_function(2, lambda th: requests.append(th) or np.eye(2))
+    init = GeodesicState(np.zeros(2), np.array(velocity), 0.5)
+    with pytest.raises(ValueError, match=name):
+        geodesic_integrate(field, init, tau_end, step)
+    assert requests == []
+
+
+def test_geodesic_span_below_one_step_takes_one_step():
+    # (tau_end - tau) / step under 1e-12 used to round to 0 steps and end at tau = 0
+    field = MetricField.from_function(2, lambda th: np.eye(2))
+    res = geodesic_integrate(field, GeodesicState(np.zeros(2), np.array([1.0, 2.0]), 0.0), 0.01, 1e308)
+    assert res.exit_reason == "completed" and [s.tau for s in res.states] == [0.0, 0.01]
+    assert res.states[-1].position == pytest.approx([0.01, 0.02], abs=1e-15)
+    assert len(geodesic_integrate(field, GeodesicState(np.zeros(2), np.ones(2), 0.5), 0.5, 0.1).states) == 1
 
 
 def test_fisher_metric_rejects_invalid_model():
