@@ -9,9 +9,10 @@ Subcommands::
     geodesic        geodesic trajectory with conservation diagnostic
 
 Common flags: --out PATH, --format csv|json, --tol FLOAT (finite, >= 0),
---config FILE; curvature-scan alone also takes --quad-order INT (2 to
-MAX_QUAD_ORDER).  --tol is the breach tolerance of f-curve, curvature-scan
-and geodesic; oscillator and goe have no breach check and reject it.
+--config FILE; curvature-scan alone also accepts --quad-order INT (2 to
+MAX_QUAD_ORDER), which selects nothing, since the Fisher metric is exact.
+--tol is the breach tolerance of f-curve, curvature-scan and geodesic;
+oscillator and goe have no breach check and reject it.
 Each key = value line of the config file is parsed as the flag --key=value,
 and flags on the command line win over it.  Output is CSV (17 significant
 digits) or JSON lines with identical field names.  Exit codes: 0 success,
@@ -37,8 +38,9 @@ from .canonical import (
     oscillator_mixing_trace,
 )
 from .ergodic import _distinguishability_F_rows, distinguishability_F_closed, factorization_sup_2d
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 from .manifold import (
+    MAX_GEODESIC_STEPS,
     GeodesicState,
     MetricField,
     ParameterDomain,
@@ -58,19 +60,17 @@ EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 EXIT_IO = 4
 
-# hermgauss(order) builds an order x order matrix, and above order 370 its
-# smallest weights underflow (NumPy 2.4); 256 keeps both far off
+# the bound --quad-order has always had; the flag selects nothing
 MAX_QUAD_ORDER = 256
-# the oscillator's masses, frequencies and T0, the goe sigma and the ends of
-# curvature-scan's sigma range lie in [1/SCALE_LIMIT, SCALE_LIMIT], so every
-# product and square of them the models form stays a finite, nonzero float
+# the oscillator's masses, frequencies and T0, the goe sigma, the ends of
+# curvature-scan's sigma range and geodesic's sigma lie in
+# [1/SCALE_LIMIT, SCALE_LIMIT], and geodesic's other coordinates and velocity
+# within SCALE_LIMIT of 0, so every product and square of them the models
+# form stays a finite, nonzero float
 SCALE_LIMIT = 1e50
 # the linear schedule's default temperature ratios; the geometric schedule
 # takes neither flag
 LINEAR_T_RATIOS = {"t_ratio_start": 0.5, "t_ratio_stop": 0.999}
-# bounds a geodesic run's time and the states it keeps; an infinite
-# --tau-end / --step would not even convert to a step count
-MAX_GEODESIC_STEPS = 10**6
 
 
 class ValidationError(Exception):
@@ -142,8 +142,8 @@ def cmd_f_curve(args) -> int:
     rows = [{"r": p.r, "F_closed": c, "F_numeric": f, "abs_diff": abs(c - f)}
             for p, c, f in zip(params, closed, _distinguishability_F_rows(params))]
     write_rows(rows, ["r", "F_closed", "F_numeric", "abs_diff"], args.out, args.format)
-    worst = max(row["abs_diff"] for row in rows)
-    if worst > args.tol:
+    worst = np.max([row["abs_diff"] for row in rows])  # NaN if any row is NaN, unlike max()
+    if not worst <= args.tol:
         raise ToleranceBreach(f"max |F_closed - F_numeric| = {worst:.3e} > tol")
     return EXIT_OK
 
@@ -153,11 +153,17 @@ def cmd_curvature_scan(args) -> int:
     _require_scales(args, "sigma_start", "sigma_stop")
     rs = _r_range(args)
 
+    if args.quad_order is not None:
+        print("note: --quad-order selects nothing: the Fisher metric is Skovgaard's closed form",
+              file=sys.stderr)
+
     def row(point):
         sigma, r = point
-        family = correlated_2d_family(r, 1.0, order=args.quad_order)
-        numeric_field = MetricField.from_model(family)
-        r_numeric = scalar_curvature(numeric_field, np.array([0.0, sigma]))
+        numeric_field = MetricField.from_model(correlated_2d_family(r, 1.0))
+        try:
+            r_numeric = scalar_curvature(numeric_field, np.array([0.0, sigma]))
+        except DomainError as exc:  # sigma is inside the half-plane, so this is its stencil
+            raise ToleranceBreach(f"{exc} (sigma = {sigma:.17g}, r = {r:.17g})") from None
         r_closed = curvature_2d_closed(r)
         return {
             "sigma": float(sigma),
@@ -171,8 +177,8 @@ def cmd_curvature_scan(args) -> int:
     rows = [row(point) for point in points]
     write_rows(rows, ["sigma", "r", "R_closed", "R_numeric", "abs_diff"],
                args.out, args.format)
-    worst = max(row["abs_diff"] for row in rows)
-    if worst > args.tol:
+    worst = np.max([row["abs_diff"] for row in rows])
+    if not worst <= args.tol:
         raise ToleranceBreach(f"max |R_closed - R_numeric| = {worst:.3e} > tol")
     return EXIT_OK
 
@@ -236,12 +242,15 @@ def cmd_geodesic(args) -> int:
         raise ValidationError("step and tau-end must be positive")
     if args.samples < 1:
         raise ValidationError("samples must be >= 1")
-    theta0 = np.asarray([float(v) for v in args.theta0.split(",")])
-    v0 = np.asarray([float(v) for v in args.v0.split(",")])
+    theta0, v0 = np.asarray(args.theta0), np.asarray(args.v0)
     if theta0.shape != (2,) or v0.shape != (2,):
         raise ValidationError("theta0 and v0 must be comma-separated pairs")
-    if not np.isfinite([args.step, args.tau_end, r, *theta0, *v0]).all():
-        raise ValidationError("step, tau-end, coupling, theta0 and v0 must be finite")
+    if not np.isfinite([args.step, args.tau_end, r]).all():
+        raise ValidationError("step, tau-end and coupling must be finite")
+    for flag, values in (("--theta0", theta0), ("--v0", v0)):
+        if not (np.abs(values) <= SCALE_LIMIT).all():
+            raise ValidationError(f"{flag} must be finite and within {SCALE_LIMIT:g} of 0, "
+                                  f"got {values.tolist()}")
     if args.tau_end / args.step > MAX_GEODESIC_STEPS:
         raise ValidationError(f"--tau-end / --step asks for more than {MAX_GEODESIC_STEPS} steps")
 
@@ -250,13 +259,14 @@ def cmd_geodesic(args) -> int:
     else:
         if abs(r) >= 1.0:
             raise ValidationError("coupling must satisfy |r| < 1")
+        if not 1.0 / SCALE_LIMIT <= theta0[1]:
+            raise ValidationError(f"--theta0's sigma must lie within [{1.0 / SCALE_LIMIT:g}, "
+                                  f"{SCALE_LIMIT:g}], got {float(theta0[1])!r}")
         # r is checked once here, and the box checks sigma > 0 before every evaluation
         field = MetricField.from_function(
             2, lambda th: correlated_2d_metric(th[1], r),
             domain=ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf]),
         )
-    if not field.domain.contains(theta0):
-        raise ValidationError("initial position outside the metric domain")
 
     init = GeodesicState(theta0, v0, 0.0)
     result = geodesic_integrate(field, init, args.tau_end, args.step)
@@ -285,8 +295,8 @@ def cmd_geodesic(args) -> int:
             f"{what[result.exit_reason]} left the domain at tau = {result.states[-1].tau:.17g} "
             f"before tau-end = {args.tau_end:.17g} ({result.exit_reason})"
         )
-    worst = max(row["speed_drift"] for row in rows)
-    if worst > args.tol:
+    worst = np.max([row["speed_drift"] for row in rows])
+    if not worst <= args.tol:
         raise ToleranceBreach(f"speed drift {worst:.3e} > tol")
     return EXIT_OK
 
@@ -303,6 +313,14 @@ def _load_config(path: str) -> dict:
             key, _, val = line.partition("=")
             values[key.strip().replace("-", "_")] = val.strip()
     return values
+
+
+def _pair(text: str) -> tuple:
+    """An argparse type: comma-separated floats; the command checks their count and range."""
+    return tuple(float(v) for v in text.split(","))
+
+
+_pair.__name__ = "pair"  # argparse names a value it rejects by it
 
 
 def _number_in(kind, lo, hi):
@@ -335,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default="-", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    # finite and >= 0: every breach test reads worst > tol, which no row passes at NaN
+    # finite and >= 0: no run could pass the breach test "not worst <= tol" at a NaN or a negative
     common.add_argument("--tol", type=_number_in(float, 0.0, math.inf), default=None,
                         help="breach tolerance (default depends on the command); "
                              "oscillator and goe reject it")
@@ -358,8 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-start", type=float, default=-0.9)
     p.add_argument("--r-stop", type=float, default=0.9)
     p.add_argument("--r-count", type=int, default=5)
-    p.add_argument("--quad-order", type=_number_in(int, 2, MAX_QUAD_ORDER), default=64,
-                   dest="quad_order")
+    p.add_argument("--quad-order", type=_number_in(int, 2, MAX_QUAD_ORDER), default=None,
+                   dest="quad_order",
+                   help="accepted and ignored: the Fisher metric is Skovgaard's closed form, "
+                        "so no quadrature order applies")
     p.set_defaults(func=cmd_curvature_scan)
 
     p = sub.add_parser("oscillator", parents=[common],
@@ -392,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flat", action="store_true", help="use the flat metric")
     p.add_argument("--coupling", type=float, default=None,
                    help="correlation r of the curved metric (default 0); --flat rejects it")
-    p.add_argument("--theta0", default="0.0,1.0")
-    p.add_argument("--v0", default="0.1,0.1")
+    p.add_argument("--theta0", type=_pair, default="0.0,1.0")
+    p.add_argument("--v0", type=_pair, default="0.1,0.1")
     p.add_argument("--tau-end", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--samples", type=int, default=50)

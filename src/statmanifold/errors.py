@@ -9,7 +9,9 @@ class DomainError(ValueError):
 class NumericalError(RuntimeError):
     """A numeric result failed its own check.  QuadratureError,
     SingularMetricError and NonSmoothEnergyError derive from it; it is raised
-    as is when a correlation exceeds its envelope."""
+    as is when a correlation exceeds its envelope, or when one
+    finite-difference step changes the metric too much for second
+    differences."""
 
 
 class QuadratureError(NumericalError):

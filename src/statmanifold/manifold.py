@@ -4,12 +4,9 @@ The metric is the Fisher information bilinear form
 
     g_ij(theta) = int p(x; theta) d_i log p(x; theta) d_j log p(x; theta) dx,
 
-computed on a Gauss-Hermite rule over the microspace.  The score of a
-Gaussian family is quadratic in whitened coordinates, so the node sum is
-G = C M C^T: per-theta score coefficients C and the moment table M of the
-rule, built once per (order, d) and shared.  Connection and curvature are
-obtained by finite differencing the metric field with the standard
-Levi-Civita formulas:
+which for a Gaussian family has Skovgaard's closed form (:func:`fisher_metric`).
+Connection and curvature are obtained by finite differencing the metric
+field with the standard Levi-Civita formulas:
 
     Gamma^k_ij = 1/2 g^{km} (g_{mi,j} + g_{mj,i} - g_{ij,m})
     R_iklm     = 1/2 (g_{im,kl} + g_{kl,im} - g_{il,km} - g_{km,il})
@@ -29,11 +26,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveDefiniteError, QuadratureError, SingularMetricError
-from .quadrature import DEFAULT_ORDER, IntegrationSpec, integrate
+from .errors import DomainError, NonPositiveDefiniteError, NumericalError, SingularMetricError
 
 COND_LIMIT = 1e12
 FD_REL_STEP = 1e-5
+# bound on max_k |g(x + h_k e_k) - g(x - h_k e_k)|_F / (2 |g(x)|_F) for second
+# differences; on the correlated model R's relative error is about 0.75 times its square
+FD_MAX_REL_CHANGE = 1e-2
+# bounds a geodesic's time and the states it keeps
+MAX_GEODESIC_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,85 +91,28 @@ class ModelFamily:
     ``moments(theta)`` returns ``(mean, cov, d_mean, d_cov)`` of shapes (d,),
     (d, d), (m, d) and (m, d, d), with m = ``domain.dim``:
     ``d_mean[i] = d mu / d theta_i`` and ``d_cov[i] = d Sigma / d theta_i``.
-    The density and the score derive from them.  ``order`` is the number of
-    Gauss-Hermite nodes per axis of the rule whose moment tables give the
-    Fisher metric (:func:`fisher_metric`).  The map theta -> p(.; theta) is
-    assumed injective.
+    The Fisher metric (:func:`fisher_metric`) derives from them.  The map
+    theta -> p(.; theta) is assumed injective.
     """
 
     moments: Callable
     domain: ParameterDomain
-    order: int = DEFAULT_ORDER
     name: str = ""
 
 
-def _monomial_powers(d: int) -> np.ndarray:
-    """Exponents (p, d) of phi = (1, z_a, z_a z_b for a <= b), p = 1 + d + d(d+1)/2."""
-    a, b = np.triu_indices(d)
-    eye = np.eye(d, dtype=int)
-    return np.vstack([np.zeros((1, d), dtype=int), eye, eye[a] + eye[b]])
+def fisher_metric(model: ModelFamily, theta) -> np.ndarray:
+    """Fisher information matrix of ``model`` at ``theta``, in closed form.
 
+    For a Gaussian family (Skovgaard 1984, Scand. J. Statist. 11:211-223)
 
-def _score_map(d: int) -> np.ndarray:
-    """P (d^2 + d, p) with the score coefficients c_i = [vec B_i, L^-1 d_i mu] P.
+        g_ij = d_i mu^T Sigma^-1 d_j mu + tr(Sigma^-1 d_i Sigma Sigma^-1 d_j Sigma) / 2.
 
-    c_i = (-tr B_i / 2, L^-1 d_i mu, B_i,aa / 2 or B_i,ab for a < b), in the
-    order of :func:`_monomial_powers`; B_i is symmetric, so B_i,ab is read as
-    (B_i,ab + B_i,ba) / 2.
-    """
-    a, b = np.triu_indices(d)
-    diag, cols = np.arange(d), 1 + d + np.arange(a.size)
-    proj = np.zeros((d * d + d, 1 + d + a.size))
-    proj[diag * (d + 1), 0] = -0.5
-    proj[d * d + diag, 1 + diag] = 1.0
-    proj[a * d + b, cols] = 0.5
-    proj[b * d + a, cols] = 0.5  # the same cell as the line above when a = b
-    return proj
-
-
-def _moment_table(spec: IntegrationSpec, d: int) -> np.ndarray:
-    """M = sum_nodes w phi phi^T of the standard d-dimensional rule of ``spec.order``.
-
-    The rule is a tensor product of the 1-D rule, so each entry is the product
-    over axes of the 1-D moments m_k = E[z^k], k <= 4, which one
-    :func:`integrate` call on the 1-D standard rule ``spec`` gives.
-    """
-    mk = integrate(lambda x: np.power.outer(x[0], np.arange(5))
-                   * np.exp(-0.5 * x[0] ** 2)[:, None] / np.sqrt(2.0 * np.pi), spec)
-    powers = _monomial_powers(d)
-    return mk[powers[:, None] + powers[None]].prod(axis=-1)
-
-
-@lru_cache(maxsize=64)
-def _moment_tables(order: int, d: int):
-    """``(P, M_n, M_n/2)`` for a d-dimensional family of ``order``, cached per (order, d).
-
-    P is :func:`_score_map`; M_n and M_n/2 are the moment tables of the rule of
-    ``order`` and of its half-order rule (:attr:`IntegrationSpec.coarse`).  The
-    arrays are shared by every caller and therefore read-only.
-    """
-    spec = IntegrationSpec(np.zeros(1), np.eye(1), order)
-    tables = (_score_map(d), _moment_table(spec, d), _moment_table(spec.coarse, d))
-    for a in tables:
-        a.flags.writeable = False
-    return tables
-
-
-def fisher_metric(model: ModelFamily, theta, quad_tol: float = 1e-6, with_error: bool = False):
-    """Fisher information matrix of ``model`` at ``theta`` by quadrature.
-
-    With Sigma = L L^T, z = L^-1 (x - mu) and B_i = L^-1 d_i Sigma L^-T, the
-    score is ``d_i log p = (L^-1 d_i mu) . z + (z^T B_i z - tr B_i) / 2``, a
-    polynomial c_i . phi(z) in the monomials phi = (1, z_a, z_a z_b for a <= b).
-    The Gauss-Hermite sum of the score outer product is therefore G = C M C^T,
-    with M the moment table of the rule of ``model.order`` nodes per axis
-    (:func:`_moment_tables`), and the error estimate is max |G - G'| against
-    the half-order table.  Returns the symmetrized (m, m) matrix, and with
-    ``with_error=True`` also the error estimate.  Raises :class:`DomainError`
-    outside the domain and :class:`QuadratureError` when the error estimate
-    exceeds ``quad_tol``.  Raises :class:`NonPositiveDefiniteError` when Sigma
-    has no Cholesky factor or the result is not positive definite, which
-    signals an invalid model or insufficient quadrature.
+    With Sigma = L L^T, A = L^-1 d mu (rows i) and B_i = L^-1 d_i Sigma L^-T
+    this is g = A A^T + <B_i, B_j>_F / 2, from one Cholesky factor.  Returns
+    the symmetric (m, m) matrix.  Raises :class:`DomainError` outside the
+    domain, and :class:`NonPositiveDefiniteError` when Sigma has no Cholesky
+    factor or the result is not positive definite, which signals an invalid
+    model (for example one whose moments do not depend on theta).
     """
     theta = model.domain.require(theta, model.name or "model")
     _, cov, d_mean, d_cov = model.moments(theta)
@@ -178,21 +122,14 @@ def fisher_metric(model: ModelFamily, theta, quad_tol: float = 1e-6, with_error:
         raise NonPositiveDefiniteError(
             f"covariance at theta={theta} is not positive definite"
         ) from None
-    m, d = d_mean.shape
-    proj, *tables = _moment_tables(model.order, d)
+    m = d_mean.shape[0]
     white = np.linalg.inv(chol)
-    coef = np.hstack([(white @ d_cov @ white.T).reshape(m, d * d), d_mean @ white.T]) @ proj
-    fine, coarse = (coef @ table @ coef.T for table in tables)
-    g = 0.5 * (fine + fine.T)
-    err = float(np.max(np.abs(g - 0.5 * (coarse + coarse.T))))
-    if err > quad_tol:
-        raise QuadratureError(
-            f"quadrature did not converge: error estimate {err:.3e} > tol {quad_tol:.3e}"
-        )
+    a = d_mean @ white.T
+    b = (white @ d_cov @ white.T).reshape(m, -1)
+    g = a @ a.T + 0.5 * (b @ b.T)
+    g = 0.5 * (g + g.T)
     if np.min(np.linalg.eigvalsh(g)) <= 0.0:
         raise NonPositiveDefiniteError(f"Fisher metric at theta={theta} is not positive definite")
-    if with_error:
-        return g, err
     return g
 
 
@@ -200,8 +137,8 @@ def fisher_metric(model: ModelFamily, theta, quad_tol: float = 1e-6, with_error:
 class MetricField:
     """A map theta -> symmetric positive-definite matrix g(theta).
 
-    Either quadrature-backed (``from_model``) or closed-form
-    (``from_function``); its dimension is that of its domain.  Closed-form
+    Either a model's Fisher metric (``from_model``) or a given function
+    (``from_function``); its dimension is that of its domain.  Function
     fields may carry analytic derivative callables which override the
     finite-difference path: ``d1(theta)[i,j,k] = g_ij,k`` and
     ``d2(theta)[i,j,k,l] = g_ij,kl``.
@@ -218,7 +155,7 @@ class MetricField:
 
     @classmethod
     def from_model(cls, model: ModelFamily) -> "MetricField":
-        """Quadrature-backed field that computes each distinct theta once.
+        """The Fisher metric field of ``model``, computing each distinct theta once.
 
         The curvature functions ask for the metric at the same stencil points
         again and again (17 requests at 9 points for m = 2), so the field
@@ -308,7 +245,9 @@ def metric_derivatives(field: MetricField, theta, order: int):
     order=1 returns d1[i,j,k] = g_ij,k; order=2 returns
     d2[i,j,k,l] = g_ij,kl.  Analytic derivatives on the field take
     precedence.  Raises :class:`DomainError` when a stencil point lies
-    outside the domain, before the metric is evaluated anywhere.
+    outside the domain, before the metric is evaluated anywhere.  Order 2
+    raises :class:`NumericalError` when the metric's relative change across
+    one step, read off the stencil's rows, exceeds ``FD_MAX_REL_CHANGE``.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -319,6 +258,15 @@ def metric_derivatives(field: MetricField, theta, order: int):
         return np.asarray(field.d2(theta), dtype=float)
 
     values, h = _sweep(field, theta, order)
+    if order == 2:  # rows 2k and 2k + 1 are theta ± h_k e_k, row 2m is theta
+        m = h.shape[0]
+        change = np.linalg.norm(np.subtract(values[:2 * m:2], values[1:2 * m:2]), axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = change.max() / (2.0 * np.linalg.norm(values[2 * m]))
+        if not rel <= FD_MAX_REL_CHANGE:
+            raise NumericalError(f"finite-difference steps {h} change the metric at theta = {theta} "
+                                 f"by {rel:.3e} of its norm, above FD_MAX_REL_CHANGE = "
+                                 f"{FD_MAX_REL_CHANGE:g}")
     return _fd_derivatives(values, h, order)
 
 
@@ -473,9 +421,10 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
     singular metric on the path raises :class:`SingularMetricError`.  Before
     the metric is evaluated anywhere, ``ValueError`` names the argument
     unless ``step`` is positive and finite, ``init.tau`` finite, ``tau_end``
-    finite and ``>= init.tau``, ``(tau_end - init.tau) / step`` finite, and
-    ``init.velocity`` finite and of the position's shape; a position outside
-    the domain raises :class:`DomainError`.
+    finite and ``>= init.tau``, ``(tau_end - init.tau) / step`` at most
+    ``MAX_GEODESIC_STEPS``, and ``init.velocity`` finite and of the
+    position's shape; a position outside the domain raises
+    :class:`DomainError`.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -491,8 +440,9 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
     if not np.isfinite(vel).all():
         raise ValueError(f"init.velocity must be finite, got {vel}")
     steps = (tau_end - tau) / step
-    if not np.isfinite(steps):
-        raise ValueError(f"(tau_end - init.tau) / step = {steps!r} is not a finite number of steps")
+    if not steps <= MAX_GEODESIC_STEPS:
+        raise ValueError(f"(tau_end - init.tau) / step = {steps!r} exceeds "
+                         f"MAX_GEODESIC_STEPS = {MAX_GEODESIC_STEPS} steps")
     stage = pos  # the point of the last rhs call, to tell the two domain exits apart
 
     def rhs(p, v):

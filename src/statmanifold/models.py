@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DegenerateCorrelationError, NonPositiveDefiniteError
 from .manifold import ModelFamily, ParameterDomain
-from .quadrature import DEFAULT_ORDER
 
 TWO_PI = 2.0 * np.pi
 
@@ -154,9 +153,8 @@ def curvature_2d_closed(r: float) -> float:
     return -0.5 * (1.0 - r**2)
 
 
-def correlated_2d_family(r: float, sigma_c: float = 1.0,
-                         order: int = DEFAULT_ORDER) -> ModelFamily:
-    """The correlated model as a quadrature-backed family over theta = (mu_x, sigma).
+def correlated_2d_family(r: float, sigma_c: float = 1.0) -> ModelFamily:
+    """The correlated model as a family over theta = (mu_x, sigma).
 
     r and sigma_c are external parameters held fixed; geometry is computed on
     the two-dimensional macrospace.  The mean is (mu_x, 0) and the covariance
@@ -179,10 +177,10 @@ def correlated_2d_family(r: float, sigma_c: float = 1.0,
         return np.array([mu, 0.0]), cov, d_mean, d_cov
 
     domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
-    return ModelFamily(moments, domain, order, name=f"correlated2d(r={r}, sigma_c={sigma_c})")
+    return ModelFamily(moments, domain, name=f"correlated2d(r={r}, sigma_c={sigma_c})")
 
 
-def univariate_gaussian_family(order: int = DEFAULT_ORDER) -> ModelFamily:
+def univariate_gaussian_family() -> ModelFamily:
     """N(mu, sigma^2) over theta = (mu, sigma); Fisher metric diag(1, 2)/sigma^2."""
     d_mean = np.array([[1.0], [0.0]])
 
@@ -191,7 +189,7 @@ def univariate_gaussian_family(order: int = DEFAULT_ORDER) -> ModelFamily:
         return np.array([mu]), np.array([[s * s]]), d_mean, np.array([[[0.0]], [[2.0 * s]]])
 
     domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
-    return ModelFamily(moments, domain, order, name="gaussian1d")
+    return ModelFamily(moments, domain, name="gaussian1d")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,7 @@ import pytest
 
 from statmanifold import canonical, cli, distinguishability_F_sup, ergodic, manifold, models
 from statmanifold.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
-from statmanifold.errors import (
-    NonSmoothEnergyError,
-    NumericalError,
-    QuadratureError,
-    SingularMetricError,
-)
+from statmanifold.errors import NonSmoothEnergyError, NumericalError, SingularMetricError
 
 
 def read_csv(path):
@@ -293,6 +288,9 @@ CHEAP_ARGV = {
     "geodesic": ["--tau-end=0.01", "--step=1e-3"],
 }
 PROBE_VALUES = {"float": ["nan", "inf", "-inf", "0", "-1", "1e308"], "int": ["0", "-1", "1"]}
+# each float probe in either place of a pair, and values whose squares overflow or underflow
+PROBE_VALUES["pair"] = ([f"{x},1" for x in PROBE_VALUES["float"]]
+                        + [f"1,{x}" for x in PROBE_VALUES["float"]] + ["1e200,1e200", "0,1e-300"])
 
 
 def numeric_flag_cases():
@@ -325,6 +323,7 @@ def test_numeric_flag_table_covers_every_subcommand():
     assert {c for c, _, _ in cases} == set(CHEAP_ARGV)
     assert ("oscillator", "--tol", "nan") in cases and ("geodesic", "--samples", "-1") in cases
     assert ("curvature-scan", "--quad-order", "0") in cases
+    assert ("geodesic", "--theta0", "0,1e-300") in cases and ("geodesic", "--v0", "1e200,1e200") in cases
 
 
 def test_curvature_scan_sigma_range_lies_within_the_scale_limit(capsys):
@@ -461,7 +460,7 @@ def test_geodesic_stdout_is_that_of_the_two_pass_route(monkeypatch, capsys):
         sigma0 = 10.0 ** rng.uniform(-3.0, -1.3) if i % 2 else 10.0 ** rng.uniform(-0.7, 3.0)
         angle = rng.uniform(0.0, 2.0 * np.pi)
         argvs.append(["geodesic", f"--theta0={sigma0 * rng.uniform(-1.0, 1.0)!r},{sigma0!r}",
-                      f"--v0={sigma0 * np.cos(angle)!r},{sigma0 * np.sin(angle)!r}",
+                      f"--v0={sigma0 * math.cos(angle)!r},{sigma0 * math.sin(angle)!r}",
                       f"--coupling={rng.uniform(-0.9, 0.9)!r}", "--tau-end=1.0", "--step=0.01",
                       f"--samples={rng.integers(1, 120)}", f"--format={('csv', 'json')[i % 3 == 0]}"])
 
@@ -475,6 +474,7 @@ def test_geodesic_stdout_is_that_of_the_two_pass_route(monkeypatch, capsys):
 
     swept = run()
     assert [code for code, _, _ in swept[:4]] == [EXIT_OK] + 3 * [EXIT_TOLERANCE]
+    assert all(code in (EXIT_OK, EXIT_TOLERANCE) for code, _, _ in swept)  # no argv is refused
     monkeypatch.setattr(manifold, "christoffel", _two_pass_christoffel)
     monkeypatch.setattr(cli, "correlated_2d_metric", lambda sigma, r: models.metric_2d_closed(
         models.Correlated2DParams(0.0, sigma, r, 1.0)))
@@ -507,12 +507,66 @@ def test_geodesic_stencil_leaving_the_domain_is_a_breach(tmp_path, capsys):
 
 
 def test_quadrature_failure_exits_3(capsys):
+    # sigma = 1e-5 passes validation, but the stencil's sigma - h = 0 leaves the half-plane
     code = main(["curvature-scan", "--sigma-start", "1e-5", "--sigma-stop", "2e-5",
                  "--sigma-count", "2", "--r-start", "0", "--r-stop", "0.5", "--r-count", "2"])
     assert code == EXIT_TOLERANCE
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure (QuadratureError): ")
+    assert err.startswith("tolerance breach: finite-difference stencil exits the domain")
     assert err.count("\n") == 1
+
+
+def test_curvature_scan_step_check_exits_3(capsys):
+    # the stencil lies inside, but one step changes the metric by more than its norm
+    code = main(["curvature-scan", "--sigma-start", "2e-5", "--sigma-stop", "4e-5",
+                 "--sigma-count", "2", "--r-start", "0", "--r-stop", "0.5", "--r-count", "2"])
+    assert code == EXIT_TOLERANCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure (NumericalError): finite-difference steps ")
+    assert "FD_MAX_REL_CHANGE" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_quad_order_is_accepted_and_says_it_selects_nothing(route, tmp_path, capsys):
+    argv = ["curvature-scan", "--sigma-count=2", "--r-count=2"]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr()
+    if route == "flag":
+        argv.append("--quad-order=32")
+    else:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("quad_order = 32\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == plain.out and plain.err == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "--quad-order selects nothing" in err[0]
+
+
+def _nan_at_the_second_call(fn):
+    """``fn`` with its second call's result replaced by NaN; Python's max drops a NaN there."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else fn(*args, **kwargs)
+
+    return patched
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["f-curve", "--r-start=-0.5", "--r-stop=0.5", "--r-count=3"], "distinguishability_F_closed"),
+    (["curvature-scan", "--sigma-count=2", "--r-count=2"], "scalar_curvature"),
+    (["geodesic", "--tau-end=0.01", "--step=1e-3"], "metric_speed"),
+], ids=["f-curve", "curvature-scan", "geodesic"])
+def test_a_nan_result_is_a_breach(monkeypatch, capsys, argv, target):
+    # "worst > tol" is False for a NaN, so the run used to exit 0
+    monkeypatch.setattr(cli, target, _nan_at_the_second_call(getattr(cli, target)))
+    assert main(argv) == EXIT_TOLERANCE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tolerance breach: ") and "nan" in err[0]
 
 
 @pytest.mark.parametrize("error,argv,target", [

@@ -1,7 +1,6 @@
 import dataclasses
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -15,8 +14,8 @@ from statmanifold import (
     MetricField,
     MultivariateGaussian,
     NonPositiveDefiniteError,
+    NumericalError,
     ParameterDomain,
-    QuadratureError,
     SingularMetricError,
     christoffel,
     correlated_2d_family,
@@ -66,47 +65,17 @@ def test_fisher_metric_univariate_gaussian():
     fam = univariate_gaussian_family()
     g = fisher_metric(fam, [0.0, 1.0])
     assert g == pytest.approx(np.diag([1.0, 2.0]), abs=1e-10)
-    g2, err = fisher_metric(fam, [0.5, 2.0], with_error=True)
+    g2 = fisher_metric(fam, [0.5, 2.0])
     assert g2 == pytest.approx(np.diag([0.25, 0.5]), abs=1e-10)
-    assert err < 1e-10
 
 
-@pytest.mark.parametrize("order", [8, 32, 64])
-def test_fisher_error_is_the_gap_to_the_half_order_metric(order):
-    # the estimate is max |G_n - G_n/2|, with G_n and G_n/2 each computed by its own call
-    fam = correlated_2d_family(0.6, order=order)
-    theta = [0.3, 1.5]
-    g, err = fisher_metric(fam, theta, quad_tol=1.0, with_error=True)
-    half = fisher_metric(dataclasses.replace(fam, order=order // 2), theta, quad_tol=1.0)
-    assert np.array_equal(g, fisher_metric(fam, theta, quad_tol=1.0))
-    assert err == np.max(np.abs(g - half))
-    assert np.array_equal(g, g.T)
-
-
-def test_fisher_metric_integrates_through_integrate_at_both_orders(monkeypatch):
-    # the 1-D moments of the rule and of its half-order rule, once per (order, d) per process
-    assert [f.name for f in dataclasses.fields(manifold.ModelFamily)] == [
-        "moments", "domain", "order", "name"]
-    manifold._moment_tables.cache_clear()
-    orders = []
-    original = manifold.integrate
-
-    def recorded(fn, spec):
-        orders.append(spec.order)
-        return original(fn, spec)
-
-    monkeypatch.setattr(manifold, "integrate", recorded)
-    fam = correlated_2d_family(0.6, order=48)
-    fisher_metric(fam, [0.3, 1.5])
-    assert orders == [48, 24]
-    orders.clear()
-    fisher_metric(fam, [-1.0, 0.7])
-    fisher_metric(correlated_2d_family(-0.2, order=48), [0.3, 1.5])
-    fisher_metric(dataclasses.replace(fam), [0.3, 1.5])
-    assert orders == []
-    fisher_metric(correlated_2d_family(0.6, order=40), [0.3, 1.5])
-    assert orders == [40, 20]
-
+# The cross-check of the closed form sums the score's outer product over a
+# Gauss-Hermite rule.  The integrand is a polynomial of degree 4 in whitened
+# coordinates, so the sum is exact when the rule's moment table of degree 4
+# is the Gaussian's (Isserlis' theorem).  The next tests check that of
+# quadrature.integrate: at every order from 3 on, and not at order 2.  The
+# rule is a tensor product, so the table is a product of 1-D moments, which
+# one more test holds to the sum over the full d-dimensional rule.
 
 def _monomials(d):
     """phi = (1, z_a, z_a z_b for a <= b) as tuples of axis indices."""
@@ -121,47 +90,50 @@ def _isserlis(axes):
     return sum(_isserlis(rest[:j] + rest[j + 1:]) for j, b in enumerate(rest) if b == first)
 
 
-def _tables(d, order):
-    return manifold._moment_tables(order, d)[1:]
+def _rule_table(d, order):
+    """M = sum_nodes w phi phi^T of the standard d-dimensional rule of ``order``, by integrate."""
+    a, b = np.triu_indices(d)
+    spec = quadrature.IntegrationSpec(np.zeros(d), np.eye(d), order)
+    density = lambda z: np.exp(-0.5 * (z * z).sum(axis=0)) / (2.0 * np.pi) ** (0.5 * d)
+    phi = lambda z: (np.vstack([np.ones((1, z.shape[1])), z, z[a] * z[b]]), density(z))
+    return quadrature.integrate(phi, spec)
+
+
+def _product_table(d, order):
+    """The same table as products over axes of the 1-D moments E[z^k], k <= 4."""
+    one = _rule_table(1, order)  # rows and columns (1, z, z^2)
+    mk = np.array([one[0, 0], one[0, 1], one[0, 2], one[1, 2], one[2, 2]])
+    a, b = np.triu_indices(d)
+    eye = np.eye(d, dtype=int)
+    powers = np.vstack([np.zeros((1, d), dtype=int), eye, eye[a] + eye[b]])
+    return mk[powers[:, None] + powers[None]].prod(axis=-1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("order", [3, 4, 7, 20, 32, 64])
 def test_moment_tables_are_the_gaussian_moments(d, order):
+    # at d = 1 the 1-D moments E[z^k], k = 0..4: 1, 0, 1, 0, 3
     phi = _monomials(d)
     expected = np.array([[_isserlis(a + b) for b in phi] for a in phi])
-    for table in _tables(d, order):
-        assert np.abs(table - expected).max() <= 1e-14
+    assert np.abs(_product_table(d, order) - expected).max() <= 1e-14
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("order", [2, 5])
 def test_moment_table_is_the_sum_over_the_full_rule(d, order):
-    # the tensor-product identity, checked against the d-dimensional node sum
-    a, b = np.triu_indices(d)
-    spec = quadrature.IntegrationSpec(np.zeros(d), np.eye(d), order)
-    density = lambda z: np.exp(-0.5 * (z * z).sum(axis=0)) / (2.0 * np.pi) ** (0.5 * d)
-    phi = lambda z: (np.vstack([np.ones((1, z.shape[1])), z, z[a] * z[b]]), density(z))
-    assert np.abs(_tables(d, order)[0] - quadrature.integrate(phi, spec)).max() <= 1e-14
+    assert np.abs(_product_table(d, order) - _rule_table(d, order)).max() <= 1e-14
 
 
 def test_order_2_table_reads_1_for_the_fourth_moment():
-    # two nodes per axis are exact to degree 3 only: E[z^4] = 1, not 3, so the
-    # order-2 metric and its order-4 reference disagree (next test)
+    # two nodes per axis are exact to degree 3 only: E[z^4] = 1, not 3
     d = 3
     phi = _monomials(d)
     expected = np.array([[_isserlis(a + b) for b in phi] for a in phi])
     fourth = np.array([[len(set(a + b)) == 1 and len(a + b) == 4 for b in phi] for a in phi])
-    table = _tables(d, 2)[0]
-    assert np.array_equal(table[fourth], np.ones(d))
+    table = _product_table(d, 2)
+    assert np.abs(table[fourth] - 1.0).max() <= 1e-14
     assert np.array_equal(expected[fourth], np.full(d, 3.0))
     assert np.abs(table - expected)[~fourth].max() <= 1e-14
-
-
-def test_fisher_metric_raises_on_nonconvergence():
-    # the sigma-sigma integrand has degree 4: the order-4 half rule is exact, order 2 is not
-    with pytest.raises(QuadratureError, match="did not converge"):
-        fisher_metric(univariate_gaussian_family(order=2), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -176,8 +148,8 @@ def test_fisher_matches_closed_form_on_grid(sigma, r):
     assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
 
-def _skovgaard_case(d, m, seed, order=quadrature.DEFAULT_ORDER):
-    """A random family, a theta, and the closed-form metric there (Skovgaard 1984)."""
+def _random_family(d, m, seed):
+    """A random family over R^d with an m-dimensional macrospace, and a theta."""
     # mu = mu0 + theta M and Sigma = A A^T + I with A linear in theta: both derivatives vary
     rng = np.random.default_rng(seed)
     mu0, M = rng.normal(size=d), rng.normal(size=(m, d))
@@ -188,31 +160,38 @@ def _skovgaard_case(d, m, seed, order=quadrature.DEFAULT_ORDER):
         d_cov = dA @ A.T + A @ dA.transpose(0, 2, 1)
         return mu0 + theta @ M, A @ A.T + np.eye(d), M, d_cov
 
-    fam = manifold.ModelFamily(moments, ParameterDomain.unbounded(m), order=order)
-    theta = rng.normal(size=m)
-    _, cov, d_mean, d_cov = moments(theta)
+    return manifold.ModelFamily(moments, ParameterDomain.unbounded(m)), rng.normal(size=m)
+
+
+def _node_sum_metric(fam, theta, order=8):
+    """The definition E[score score^T], summed over the family's whitened rule of ``order``.
+
+    The score d_i log p = d_i mu^T S (x - mu) + (x - mu)^T S d_i Sigma S (x - mu) / 2
+    - tr(S d_i Sigma) / 2, with S = Sigma^-1, is quadratic in x, so a rule of
+    order 3 or more sums it exactly (the moment-table tests above).
+    """
+    mean, cov, d_mean, d_cov = fam.moments(np.asarray(theta, dtype=float))
     inv = np.linalg.inv(cov)
-    s = inv @ d_cov  # s[i] = Sigma^-1 d_i Sigma
-    return fam, theta, d_mean @ inv @ d_mean.T + 0.5 * np.einsum("iab,jba->ij", s, s)
+    joint = MultivariateGaussian(mean, cov)
+
+    def integrand(x):
+        y = inv @ (x - mean[:, None])
+        score = (d_mean @ y + 0.5 * np.einsum("ak,iab,bk->ik", y, d_cov, y)
+                 - 0.5 * np.einsum("ab,iba->i", inv, d_cov)[:, None])
+        return score, mvn_pdf(x, joint)
+
+    return quadrature.integrate(integrand, quadrature.IntegrationSpec.for_gaussian(mean, cov, order))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 2**32 - 1))
-def test_fisher_metric_matches_skovgaard_formula(d, m, seed):
-    fam, theta, expected = _skovgaard_case(d, m, seed, order=8)
-    g = fisher_metric(fam, theta)
-    assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def test_4d_family_at_the_default_order_is_fast():
-    # a node sum would visit 64^4 = 16.8M nodes per metric; the table costs the same at any d
-    fam, theta, expected = _skovgaard_case(4, 3, seed=11)
-    assert fam.order == 64
-    manifold._moment_tables.cache_clear()  # time the build of the tables too
-    start = time.perf_counter()
-    g = fisher_metric(fam, theta)
-    assert time.perf_counter() - start < 0.05
-    assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
+def test_fisher_metric_matches_skovgaard_formula():
+    # the closed form against the node sum of its definition on 300 random 2-4-D families
+    rng = np.random.default_rng(1984)
+    worst = 0.0
+    for seed in range(300):
+        fam, theta = _random_family(int(rng.integers(2, 5)), int(rng.integers(2, 4)), seed)
+        expected = _node_sum_metric(fam, theta)
+        worst = max(worst, np.abs(fisher_metric(fam, theta) - expected).max() / np.abs(expected).max())
+    assert worst <= 1e-12
 
 
 def _density(fam, x, theta):
@@ -403,7 +382,7 @@ def _random_field(m, seed, kind):
     box = ParameterDomain.box(np.full(m, -2.0), np.full(m, 2.0))
     theta = rng.uniform(-1.0, 1.0, m)
     if kind == "from_model":
-        fam, _, _ = _skovgaard_case(int(rng.integers(2, 5)), m, seed, order=8)
+        fam, _ = _random_family(int(rng.integers(2, 5)), m, seed)
         return MetricField.from_model(dataclasses.replace(fam, domain=box)), theta
     A0, dA = rng.normal(size=(m, m)), rng.normal(size=(m, m, m))
 
@@ -564,6 +543,18 @@ def test_quadrature_pipeline_matches_closed_forms(sigma, r):
     assert rep.scalar == pytest.approx(curvature_2d_closed(r), abs=1e-4)
 
 
+@pytest.mark.parametrize("r", [0.0, 0.6, 0.95])
+def test_curvature_raises_where_the_step_is_coarse_against_sigma(r):
+    # on the slice the metric changes by 2h/sigma across the step h = 1e-5, which reaches
+    # FD_MAX_REL_CHANGE = 1e-2 at sigma = 2e-3; R's relative error is about 0.75 (2h/sigma)^2
+    field = MetricField.from_model(correlated_2d_family(r))
+    for sigma in (2e-5, 1e-4, 1e-3, 1.9e-3):
+        with pytest.raises(NumericalError, match="FD_MAX_REL_CHANGE"):
+            scalar_curvature(field, [0.0, sigma])
+    for sigma in (2.1e-3, 1e-2, 1.0, 1e3):
+        assert scalar_curvature(field, [0.0, sigma]) == pytest.approx(curvature_2d_closed(r), rel=1e-4)
+
+
 # ------------------------------------------------------- per-field metric cache
 
 def _count_fisher_calls(monkeypatch):
@@ -578,12 +569,16 @@ def _count_fisher_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("order", [32, 64])
+@pytest.mark.parametrize("bits", [32, 64])
 @pytest.mark.parametrize("r,theta", [(-0.7, [0.0, 0.5]), (0.0, [0.3, 1.7]), (0.6, [-1.2, 20.0]),
                                      (0.9, [0.0, 0.05])])
-def test_cached_field_equals_uncached_field(order, r, theta):
-    fam = correlated_2d_family(r, order=order)
+def test_cached_field_equals_uncached_field(bits, r, theta):
+    # the cache keys on the bytes of theta after its cast to float64, so a float32 theta
+    # must reach the same metric as the uncached field
+    theta = np.asarray(theta, dtype=f"float{bits}")
+    fam = correlated_2d_family(r)
     plain = MetricField.from_function(2, lambda th: fisher_metric(fam, th), domain=fam.domain)
+    assert np.array_equal(MetricField.from_model(fam)(theta), plain(theta))
     assert scalar_curvature(MetricField.from_model(fam), theta) == scalar_curvature(plain, theta)
     cached, uncached = geometry_report(MetricField.from_model(fam), theta), geometry_report(plain, theta)
     for name in ("christoffel", "riemann", "ricci"):
@@ -601,7 +596,7 @@ def test_curvature_computes_each_distinct_metric_once(monkeypatch):
         return original_call(self, theta)
 
     monkeypatch.setattr(MetricField, "__call__", counted_call)
-    scalar_curvature(MetricField.from_model(correlated_2d_family(0.3, order=32)), [0.2, 1.1])
+    scalar_curvature(MetricField.from_model(correlated_2d_family(0.3)), [0.2, 1.1])
     assert len(requests) == 17
     assert len(fisher_calls) == 9  # 1 + 2m^2 stencil points at m = 2
     assert len({t.tobytes() for t in fisher_calls}) == 9
@@ -609,7 +604,7 @@ def test_curvature_computes_each_distinct_metric_once(monkeypatch):
 
 def test_metric_cache_holds_one_stencil(monkeypatch):
     fisher_calls = _count_fisher_calls(monkeypatch)
-    field = MetricField.from_model(correlated_2d_family(0.3, order=32))
+    field = MetricField.from_model(correlated_2d_family(0.3))
     points = [np.array([0.0, 1.0 + 0.1 * k]) for k in range(10)]
     for p in points:
         field(p)
@@ -622,7 +617,7 @@ def test_metric_cache_holds_one_stencil(monkeypatch):
 
 
 def test_metric_cache_under_threads(monkeypatch):
-    # a cheap stand-in for the quadrature, so nearly all the time is spent in the cache
+    # a cheap stand-in for the metric, so nearly all the time is spent in the cache
     monkeypatch.setattr(manifold, "fisher_metric", lambda model, theta, **kw: theta[1] * np.eye(2))
     field = MetricField.from_model(correlated_2d_family(0.3))
     points = [np.array([0.0, 1.0 + k]) for k in range(40)]  # far more than one stencil
@@ -653,16 +648,16 @@ def test_metric_cache_under_threads(monkeypatch):
 def test_fields_of_different_models_share_no_metrics(monkeypatch):
     fisher_calls = _count_fisher_calls(monkeypatch)
     theta = [0.1, 0.9]
-    low = MetricField.from_model(correlated_2d_family(0.2, order=32))
-    high = MetricField.from_model(correlated_2d_family(0.7, order=32))
+    low = MetricField.from_model(correlated_2d_family(0.2))
+    high = MetricField.from_model(correlated_2d_family(0.7))
     g_low, g_high = low(theta), high(theta)
     assert len(fisher_calls) == 2
-    assert np.array_equal(g_high, fisher_metric(correlated_2d_family(0.7, order=32), theta))
+    assert np.array_equal(g_high, fisher_metric(correlated_2d_family(0.7), theta))
     assert not np.allclose(g_low, g_high)
 
 
 def test_cached_metrics_are_read_only_and_calls_fresh():
-    field = MetricField.from_model(correlated_2d_family(0.3, order=32))
+    field = MetricField.from_model(correlated_2d_family(0.3))
     theta = np.array([0.0, 1.3])
     g = field(theta)
     assert g.flags.writeable
@@ -677,7 +672,7 @@ def test_cached_metrics_are_read_only_and_calls_fresh():
 
 def test_metric_outside_domain_raises_every_time(monkeypatch):
     fisher_calls = _count_fisher_calls(monkeypatch)
-    field = MetricField.from_model(correlated_2d_family(0.3, order=32))
+    field = MetricField.from_model(correlated_2d_family(0.3))
     for _ in range(2):
         with pytest.raises(DomainError):
             field([0.0, -1.0])
@@ -785,12 +780,14 @@ BAD_GEODESIC_INPUT = {  # case: (velocity, tau_end, step, the argument the error
     "infinite-tau_end": ([1.0, 0.0], np.inf, 0.01, "tau_end"),
     "velocity-of-the-wrong-shape": ([1.0, 0.0, 0.0], 1.0, 0.01, "init.velocity"),
     "infinitely-many-steps": ([1.0, 0.0], 1e300, 1e-300, "step"),
+    "more-than-MAX_GEODESIC_STEPS": ([1.0, 0.0], 1e6, 1e-300, "MAX_GEODESIC_STEPS"),
 }
 
 
 @pytest.mark.parametrize("velocity,tau_end,step,name", BAD_GEODESIC_INPUT.values(), ids=BAD_GEODESIC_INPUT)
 def test_geodesic_rejects_bad_input_before_evaluating(velocity, tau_end, step, name):
-    # each of these returned a silent result or raised a bare conversion or broadcast error
+    # each of these returned a silent result, raised a bare conversion or broadcast error,
+    # or (1e306 steps) ran until it was killed
     requests = []
     field = MetricField.from_function(2, lambda th: requests.append(th) or np.eye(2))
     init = GeodesicState(np.zeros(2), np.array(velocity), 0.5)
