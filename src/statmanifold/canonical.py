@@ -55,10 +55,10 @@ class HeatBath:
     kB: float = 1.0
 
     def __post_init__(self):
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
-        if not self.kB > 0.0:
-            raise ValueError("kB must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be finite and positive")
+        if not 0.0 < self.kB < math.inf:
+            raise ValueError("kB must be finite and positive")
 
     @property
     def beta(self) -> float:
@@ -87,6 +87,8 @@ class QuadraticHamiltonian:
             raise ValueError(f"equilibrium must have length 2n = {d}")
         if hess.shape != (d, d):
             raise ValueError(f"hessian must be ({d}, {d})")
+        if not (np.isfinite(eq).all() and np.isfinite(hess).all()):
+            raise ValueError("equilibrium and hessian must be finite")
         scale = max(1.0, float(np.abs(hess).max()))
         if not np.allclose(hess, hess.T, rtol=0.0, atol=1e-10 * scale):
             raise NonPositiveDefiniteError("hessian must be symmetric")
@@ -115,13 +117,16 @@ def hessian_of_energy(energy: Callable, point, step: float = 1e-4,
     centered four-corner stencil, which is symmetric by construction;
     non-smoothness is therefore detected by comparing against an independent
     diagonal-direction stencil, and a disagreement beyond ``smooth_tol``
-    (relative to the Hessian scale) raises :class:`NonSmoothEnergyError`.
+    (relative to the Hessian scale) raises :class:`NonSmoothEnergyError`; a
+    non-finite energy at any stencil point raises :class:`NumericalError`.
     Each of the 1 + 2d^2 stencil points is evaluated once.
     """
     x = np.atleast_1d(np.asarray(point, dtype=float))
     d = x.shape[0]
     h = _fd_steps(x, step)
     values = [float(energy(p)) for p in _stencil(x, h, 2)]
+    if not np.isfinite(values).all():  # a NaN would pass the stencil comparison below
+        raise NumericalError(f"energy is not finite on the Hessian stencil around {x.tolist()}")
     d2 = _fd_derivatives(values, h, 2)
     e0 = values[2 * d]
     hess = np.diag(np.diagonal(d2))
@@ -253,8 +258,8 @@ class OscillatorPair:
 
     def __post_init__(self):
         for name in ("m1", "m2", "omega1", "omega2", "T0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not abs(self.r) < 1.0:
             raise ValueError("coupling strength must satisfy |r| < 1")
 

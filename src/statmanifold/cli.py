@@ -17,8 +17,9 @@ Each key = value line of the config file is parsed as the flag --key=value,
 and flags on the command line win over it.  Output is CSV (17 significant
 digits) or JSON lines with identical field names.  Exit codes: 0 success,
 2 validation error, 3 tolerance breach or numerical failure, 4 I/O error.
-Every validation error is one stderr line, and the range checks of the
-flags name the flag.
+Every validation error is one stderr line naming its flag: each flag's own
+range is checked by its argparse type, which exits 2 through argparse, and
+the commands check only what relates two flags.
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ from .canonical import (
     oscillator_curvature,
     oscillator_mixing_trace,
 )
-from .ergodic import _distinguishability_F_rows, distinguishability_F_closed, factorization_sup_2d
+from .ergodic import (
+    MIN_TRACE_SAMPLES,
+    _distinguishability_F_rows,
+    distinguishability_F_closed,
+    factorization_sup_2d,
+)
 from .errors import DomainError, NumericalError
 from .manifold import (
     MAX_GEODESIC_STEPS,
@@ -68,6 +74,9 @@ MAX_QUAD_ORDER = 256
 # within SCALE_LIMIT of 0, so every product and square of them the models
 # form stays a finite, nonzero float
 SCALE_LIMIT = 1e50
+# the most rows one sweep builds, both counts together for curvature-scan:
+# f-curve, the costliest per row, takes 9 s and 180 MB there (2-CPU Xeon, NumPy 2.4)
+MAX_ROWS = 10**5
 # the linear schedule's default temperature ratios; the geometric schedule
 # takes neither flag
 LINEAR_T_RATIOS = {"t_ratio_start": 0.5, "t_ratio_stop": 0.999}
@@ -105,38 +114,16 @@ def write_rows(rows, headers, out_path: str, fmt: str) -> None:
 
 
 def _linspace(args, name: str, count: int) -> np.ndarray:
-    """``count`` points from --NAME-start to --NAME-stop, both checked to be finite."""
+    """``count`` points from --NAME-start up to --NAME-stop; their types check each end."""
     start, stop = getattr(args, name + "_start"), getattr(args, name + "_stop")
-    flag = "--" + name.replace("_", "-")
-    for end, value in (("start", start), ("stop", stop)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{flag}-{end} must be finite, got {value!r}")
-    if count < 2:
-        raise ValidationError("count must be >= 2")
     if not start < stop:
+        flag = "--" + name.replace("_", "-")
         raise ValidationError(f"{flag}-start must be < {flag}-stop")
     return np.linspace(start, stop, count)
 
 
-def _require_scales(args, *names: str) -> None:
-    """Each of the physical-scale flags ``names`` lies in [1/SCALE_LIMIT, SCALE_LIMIT]."""
-    for name in names:
-        value = getattr(args, name)
-        if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:
-            raise ValidationError(f"--{name.replace('_', '-')} must be finite and within "
-                                  f"[{1.0 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}], got {value!r}")
-
-
-def _r_range(args) -> np.ndarray:
-    """The swept correlations, from --r-start, --r-stop and --r-count, inside (-1, 1)."""
-    rs = _linspace(args, "r", args.r_count)
-    if rs[0] <= -1.0 or rs[-1] >= 1.0:
-        raise ValidationError("r range must lie inside (-1, 1)")
-    return rs
-
-
 def cmd_f_curve(args) -> int:
-    rs = _r_range(args)
+    rs = _linspace(args, "r", args.r_count)
     params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs.tolist()]
     closed = [distinguishability_F_closed(p.r) for p in params]
     rows = [{"r": p.r, "F_closed": c, "F_numeric": f, "abs_diff": abs(c - f)}
@@ -149,9 +136,10 @@ def cmd_f_curve(args) -> int:
 
 
 def cmd_curvature_scan(args) -> int:
+    if args.sigma_count * args.r_count > MAX_ROWS:
+        raise ValidationError(f"--sigma-count * --r-count must be <= {MAX_ROWS}")
     sigmas = _linspace(args, "sigma", args.sigma_count)
-    _require_scales(args, "sigma_start", "sigma_stop")
-    rs = _r_range(args)
+    rs = _linspace(args, "r", args.r_count)
 
     if args.quad_order is not None:
         print("note: --quad-order selects nothing: the Fisher metric is Skovgaard's closed form",
@@ -193,9 +181,6 @@ def cmd_oscillator(args) -> int:
         ratios = 1.0 - 0.5 ** np.arange(1, args.steps + 1)
     else:
         ratios = _linspace(args, "t_ratio", args.steps)
-    if np.any(ratios <= 0.0) or np.any(ratios > 1.0):
-        raise ValidationError("temperature ratios must lie in (0, 1]")
-    _require_scales(args, "m1", "m2", "omega1", "omega2", "t0")
 
     pair = OscillatorPair(m1=args.m1, m2=args.m2, omega1=args.omega1,
                           omega2=args.omega2, T0=args.t0, r=args.coupling)
@@ -217,8 +202,6 @@ def cmd_oscillator(args) -> int:
 
 
 def cmd_goe(args) -> int:
-    _require_scales(args, "sigma")
-
     def row(r):
         model = goe_model(args.mu, args.sigma, r, args.sigma)
         return {
@@ -229,7 +212,7 @@ def cmd_goe(args) -> int:
             "note": "R_min" if r == 0.0 else "",
         }
 
-    rows = [row(r) for r in _r_range(args).tolist()]
+    rows = [row(r) for r in _linspace(args, "r", args.r_count).tolist()]
     write_rows(rows, ["r", "R", "factorization_error", "note"], args.out, args.format)
     return EXIT_OK
 
@@ -238,31 +221,17 @@ def cmd_geodesic(args) -> int:
     if args.flat and args.coupling is not None:
         raise ValidationError("--coupling does not apply to --flat, whose metric has no correlation")
     r = 0.0 if args.coupling is None else args.coupling
-    if args.step <= 0.0 or args.tau_end <= 0.0:
-        raise ValidationError("step and tau-end must be positive")
-    if args.samples < 1:
-        raise ValidationError("samples must be >= 1")
-    theta0, v0 = np.asarray(args.theta0), np.asarray(args.v0)
-    if theta0.shape != (2,) or v0.shape != (2,):
-        raise ValidationError("theta0 and v0 must be comma-separated pairs")
-    if not np.isfinite([args.step, args.tau_end, r]).all():
-        raise ValidationError("step, tau-end and coupling must be finite")
-    for flag, values in (("--theta0", theta0), ("--v0", v0)):
-        if not (np.abs(values) <= SCALE_LIMIT).all():
-            raise ValidationError(f"{flag} must be finite and within {SCALE_LIMIT:g} of 0, "
-                                  f"got {values.tolist()}")
     if args.tau_end / args.step > MAX_GEODESIC_STEPS:
         raise ValidationError(f"--tau-end / --step asks for more than {MAX_GEODESIC_STEPS} steps")
+    theta0, v0 = np.asarray(args.theta0), np.asarray(args.v0)
 
     if args.flat:
         field = MetricField.from_function(2, lambda th: np.eye(2))
     else:
-        if abs(r) >= 1.0:
-            raise ValidationError("coupling must satisfy |r| < 1")
         if not 1.0 / SCALE_LIMIT <= theta0[1]:
             raise ValidationError(f"--theta0's sigma must lie within [{1.0 / SCALE_LIMIT:g}, "
                                   f"{SCALE_LIMIT:g}], got {float(theta0[1])!r}")
-        # r is checked once here, and the box checks sigma > 0 before every evaluation
+        # --coupling's type checks |r| < 1, and the box checks sigma > 0 before every evaluation
         field = MetricField.from_function(
             2, lambda th: correlated_2d_metric(th[1], r),
             domain=ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf]),
@@ -315,25 +284,43 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _pair(text: str) -> tuple:
-    """An argparse type: comma-separated floats; the command checks their count and range."""
-    return tuple(float(v) for v in text.split(","))
+def _number_in(kind, lo=-math.inf, hi=math.inf, ends="[]"):
+    """An argparse type: ``kind(text)`` in the interval from ``lo`` to ``hi``.
 
-
-_pair.__name__ = "pair"  # argparse names a value it rejects by it
-
-
-def _number_in(kind, lo, hi):
-    """An argparse type: a finite ``kind(text)`` within [lo, hi]."""
+    ``ends`` is "[]", "(]", "[)" or "()", and an infinite end is always open,
+    so a float the type accepts is finite.
+    """
+    left = "(" if lo == -math.inf else ends[0]
+    right = ")" if hi == math.inf else ends[1]
 
     def parse(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and lo <= value <= hi):
-            raise argparse.ArgumentTypeError(f"must be finite and within [{lo:g}, {hi:g}], got {text}")
+        if not ((lo < value if left == "(" else lo <= value)
+                and (value < hi if right == ")" else value <= hi)):
+            raise argparse.ArgumentTypeError(f"must lie in {left}{lo:g}, {hi:g}{right}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names a value kind() rejects by it
     return parse
+
+
+_FINITE = _number_in(float)
+_POSITIVE = _number_in(float, 0.0, ends="()")
+_CORRELATION = _number_in(float, -1.0, 1.0, "()")
+_SCALE = _number_in(float, 1.0 / SCALE_LIMIT, SCALE_LIMIT)
+_COUNT = _number_in(int, 2, MAX_ROWS)
+_COORDINATE = _number_in(float, -SCALE_LIMIT, SCALE_LIMIT)
+
+
+def _pair(text: str) -> tuple:
+    """An argparse type: two comma-separated numbers, each within SCALE_LIMIT of 0."""
+    values = text.split(",")
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"must be two comma-separated numbers, got {text}")
+    return tuple(_COORDINATE(v) for v in values)
+
+
+_pair.__name__ = "pair"  # argparse names a value it rejects by it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="-", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     # finite and >= 0: no run could pass the breach test "not worst <= tol" at a NaN or a negative
-    common.add_argument("--tol", type=_number_in(float, 0.0, math.inf), default=None,
+    common.add_argument("--tol", type=_number_in(float, 0.0), default=None,
                         help="breach tolerance (default depends on the command); "
                              "oscillator and goe reject it")
     common.add_argument("--config", default=None, help="optional key=value config file")
@@ -363,19 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("f-curve", parents=[common],
                        help="distinguishability curve F(r), closed form vs maximizer")
-    p.add_argument("--r-start", type=float, default=-0.95)
-    p.add_argument("--r-stop", type=float, default=0.95)
-    p.add_argument("--r-count", type=int, default=39)
+    p.add_argument("--r-start", type=_CORRELATION, default=-0.95)
+    p.add_argument("--r-stop", type=_CORRELATION, default=0.95)
+    p.add_argument("--r-count", type=_COUNT, default=39)
     p.set_defaults(func=cmd_f_curve)
 
     p = sub.add_parser("curvature-scan", parents=[common],
                        help="numeric curvature pipeline vs closed form on a (sigma, r) grid")
-    p.add_argument("--sigma-start", type=float, default=0.5)
-    p.add_argument("--sigma-stop", type=float, default=2.0)
-    p.add_argument("--sigma-count", type=int, default=3)
-    p.add_argument("--r-start", type=float, default=-0.9)
-    p.add_argument("--r-stop", type=float, default=0.9)
-    p.add_argument("--r-count", type=int, default=5)
+    p.add_argument("--sigma-start", type=_SCALE, default=0.5)
+    p.add_argument("--sigma-stop", type=_SCALE, default=2.0)
+    p.add_argument("--sigma-count", type=_COUNT, default=3)
+    p.add_argument("--r-start", type=_CORRELATION, default=-0.9)
+    p.add_argument("--r-stop", type=_CORRELATION, default=0.9)
+    p.add_argument("--r-count", type=_COUNT, default=5)
     p.add_argument("--quad-order", type=_number_in(int, 2, MAX_QUAD_ORDER), default=None,
                    dest="quad_order",
                    help="accepted and ignored: the Fisher metric is Skovgaard's closed form, "
@@ -385,38 +372,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oscillator", parents=[common],
                        help="coupled-oscillator transition along a temperature schedule")
     p.add_argument("--schedule", choices=("geometric", "linear"), default="geometric")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--t-ratio-start", type=float, default=None,
+    p.add_argument("--steps", type=_number_in(int, MIN_TRACE_SAMPLES, MAX_ROWS), default=20)
+    p.add_argument("--t-ratio-start", type=_number_in(float, 0.0, 1.0, "(]"), default=None,
                    help="linear schedule only (default 0.5)")
-    p.add_argument("--t-ratio-stop", type=float, default=None,
+    p.add_argument("--t-ratio-stop", type=_number_in(float, 0.0, 1.0, "(]"), default=None,
                    help="linear schedule only (default 0.999)")
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--m1", type=float, default=1.0)
-    p.add_argument("--m2", type=float, default=1.0)
-    p.add_argument("--omega1", type=float, default=1.0)
-    p.add_argument("--omega2", type=float, default=1.0)
-    p.add_argument("--coupling", type=float, default=0.5)
+    for name in ("--t0", "--m1", "--m2", "--omega1", "--omega2"):
+        p.add_argument(name, type=_SCALE, default=1.0)
+    p.add_argument("--coupling", type=_CORRELATION, default=0.5)
     p.set_defaults(func=cmd_oscillator)
 
     p = sub.add_parser("goe", parents=[common],
                        help="2x2 random-matrix ensemble curvature report")
-    p.add_argument("--r-start", type=float, default=0.0)
-    p.add_argument("--r-stop", type=float, default=0.9)
-    p.add_argument("--r-count", type=int, default=10)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--r-start", type=_CORRELATION, default=0.0)
+    p.add_argument("--r-stop", type=_CORRELATION, default=0.9)
+    p.add_argument("--r-count", type=_COUNT, default=10)
+    p.add_argument("--mu", type=_FINITE, default=0.0)
+    p.add_argument("--sigma", type=_SCALE, default=1.0)
     p.set_defaults(func=cmd_goe)
 
     p = sub.add_parser("geodesic", parents=[common],
                        help="geodesic trajectory with conserved-speed diagnostic")
     p.add_argument("--flat", action="store_true", help="use the flat metric")
-    p.add_argument("--coupling", type=float, default=None,
+    p.add_argument("--coupling", type=_CORRELATION, default=None,
                    help="correlation r of the curved metric (default 0); --flat rejects it")
     p.add_argument("--theta0", type=_pair, default="0.0,1.0")
     p.add_argument("--v0", type=_pair, default="0.1,0.1")
-    p.add_argument("--tau-end", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--tau-end", type=_POSITIVE, default=1.0)
+    p.add_argument("--step", type=_POSITIVE, default=1e-3)
+    p.add_argument("--samples", type=_number_in(int, 1), default=50)
     p.set_defaults(func=cmd_geodesic)
 
     return parser

@@ -106,6 +106,24 @@ def test_quadratic_hamiltonian_validation():
         QuadraticHamiltonian(1, [0.0], np.eye(2))
 
 
+@pytest.mark.parametrize("equilibrium,hessian", [([math.nan, 0.0], np.eye(2)),
+                                                 ([0.0, 0.0], np.diag([1.0, math.inf]))])
+def test_quadratic_hamiltonian_rejects_non_finite_input(equilibrium, hessian):
+    # a NaN equilibrium was accepted, and every energy was NaN
+    with pytest.raises(ValueError, match="must be finite"):
+        QuadraticHamiltonian(1, equilibrium, hessian)
+
+
+def test_hessian_rejects_a_non_finite_energy():
+    # a NaN fails no stencil comparison, so the Hessian came back all NaN without a raise
+    shift = np.array([math.nan, 0.0])
+    with pytest.raises(NumericalError, match="energy is not finite"):
+        hessian_of_energy(lambda x: 0.5 * float((x - shift) @ (x - shift)), [0.0, 0.0])
+    # one stencil point is enough
+    with pytest.raises(NumericalError, match="energy is not finite"):
+        hessian_of_energy(lambda x: math.inf if x[0] > 0.0 else 0.5 * float(x @ x), [0.0, 0.0])
+
+
 # ------------------------------------------------------- canonical <-> Gaussian
 
 def test_canonical_to_gaussian_identity():
@@ -141,6 +159,22 @@ def test_heat_bath_validation():
     with pytest.raises(ValueError):
         HeatBath(1.0, kB=-1.0)
     assert HeatBath(2.0, kB=0.5).beta == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("temperature,kB", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_heat_bath_rejects_non_finite_input(temperature, kB):
+    # an infinite temperature or kB gave beta = 0, and covariance_hessian_law a LinAlgError
+    with pytest.raises(ValueError, match="must be finite"):
+        HeatBath(temperature, kB)
+
+
+@pytest.mark.parametrize("name", ["m1", "m2", "omega1", "omega2", "T0"])
+def test_oscillator_pair_rejects_infinite_scales(name):
+    # omega1 = inf gave sigma_c = 0
+    scales = dict(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, T0=1.0)
+    scales[name] = math.inf
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        OscillatorPair(r=0.5, **scales)
 
 
 # ----------------------------------------------------- covariance-Hessian law

@@ -25,6 +25,18 @@ def read_jsonl(path):
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def parser_refusal(argv, capsys):
+    """The one stderr line with which argparse refuses ``argv``, exiting 2 before any output."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and captured.out == ""
+    return err[0]
+
+
 def test_f_curve_csv(tmp_path):
     # within the branch-switch radius the two columns agree at 1e-6
     out = tmp_path / "f.csv"
@@ -87,10 +99,11 @@ def test_f_curve_json_matches_csv(tmp_path):
             assert float(rc[key]) == pytest.approx(rj[key], rel=1e-15)
 
 
-def test_f_curve_validation_error():
+def test_f_curve_validation_error(capsys):
+    # the order of the ends relates two flags, so the command checks it
     assert main(["f-curve", "--r-start", "0.5", "--r-stop", "-0.5"]) == EXIT_VALIDATION
-    assert main(["f-curve", "--r-start", "-1.2", "--r-stop", "0.5"]) == EXIT_VALIDATION
-    assert main(["f-curve", "--r-count", "1"]) == EXIT_VALIDATION
+    assert "--r-start" in parser_refusal(["f-curve", "--r-start", "-1.2", "--r-stop", "0.5"], capsys)
+    assert "--r-count" in parser_refusal(["f-curve", "--r-count", "1"], capsys)
 
 
 def test_f_curve_tolerance_breach(tmp_path):
@@ -213,8 +226,10 @@ def test_goe_command(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--sigma=inf", "--sigma=nan", "--mu=nan"])
 def test_goe_rejects_non_finite_input(flag, capsys):
-    assert main(["goe", flag]) == EXIT_VALIDATION
-    assert "must be finite" in capsys.readouterr().err
+    name, value = flag.split("=")
+    interval = "(-inf, inf)" if name == "--mu" else "[1e-50, 1e+50]"
+    line = parser_refusal(["goe", flag], capsys)
+    assert line.endswith(f"argument {name}: must lie in {interval}, got {value}")
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (0.4, 1.3), (-2.0, 0.05), (7.0, 30.0)])
@@ -235,18 +250,14 @@ def test_goe_factorization_error_is_the_exact_supremum(tmp_path, mu, sigma):
 
 @pytest.mark.parametrize("flag", ["--sigma-start=nan", "--sigma-stop=inf", "--r-start=-inf", "--r-stop=nan"])
 def test_scan_range_ends_must_be_finite(flag, capsys):
-    assert main(["curvature-scan", flag]) == EXIT_VALIDATION
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and flag.split("=")[0] in err[0]
+    assert flag.split("=")[0] in parser_refusal(["curvature-scan", flag], capsys)
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "inf"])
 def test_tol_must_be_finite_and_nonnegative(tol, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["f-curve", f"--tol={tol}"])
-    assert exc.value.code == EXIT_VALIDATION
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "--tol" in err[0]
+    # at inf no run could breach, at nan, -1 or -inf every run would
+    for command in cli.DEFAULT_TOL:
+        assert "--tol" in parser_refusal([command, f"--tol={tol}"], capsys)
 
 
 def test_f_curve_defaults_still_breach(capsys):
@@ -267,16 +278,13 @@ def test_f_curve_defaults_still_breach(capsys):
     (["curvature-scan", "--quad-order=100000"], "--quad-order"),
 ])
 def test_overflowing_numeric_flags_exit_2_naming_the_flag(argv, flag, capsys):
-    if flag == "--quad-order":
-        # the parser alone: a missing bound must fail here, not build a 100000-point rule
-        with pytest.raises(SystemExit) as exc:
-            cli.build_parser().parse_args(argv)
-        code = exc.value.code
+    if flag == "--tau-end":  # in its range; the command refuses its ratio to --step
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag in err[0]
     else:
-        code = main(argv)
-    assert code == EXIT_VALIDATION
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and flag in err[0]
+        # the parser refuses it, before any model or rule is built
+        assert flag in parser_refusal(argv, capsys)
 
 
 # one cheap run per subcommand: each case adds one flag to it
@@ -287,7 +295,8 @@ CHEAP_ARGV = {
     "goe": ["--r-count=2"],
     "geodesic": ["--tau-end=0.01", "--step=1e-3"],
 }
-PROBE_VALUES = {"float": ["nan", "inf", "-inf", "0", "-1", "1e308"], "int": ["0", "-1", "1"]}
+PROBE_VALUES = {"float": ["nan", "inf", "-inf", "0", "-1", "1e308"],
+                "int": ["0", "-1", "1", "1000000000000"]}
 # each float probe in either place of a pair, and values whose squares overflow or underflow
 PROBE_VALUES["pair"] = ([f"{x},1" for x in PROBE_VALUES["float"]]
                         + [f"1,{x}" for x in PROBE_VALUES["float"]] + ["1e200,1e200", "0,1e-300"])
@@ -306,8 +315,8 @@ def numeric_flag_cases():
 
 @pytest.mark.parametrize("command,flag,value", list(numeric_flag_cases()))
 def test_every_numeric_flag_exits_cleanly(command, flag, value, capsys):
-    # a value either runs (0 or 3) or is refused (2), with one stderr line and no traceback;
-    # warnings are errors under pytest, so a NumPy overflow warning fails here too
+    # a value either runs (0 or 3) or is refused (2) naming its flag, with one stderr line
+    # and no traceback; warnings are errors under pytest, so a NumPy overflow warning fails here too
     try:
         code = main([command, *CHEAP_ARGV[command], f"{flag}={value}"])
     except SystemExit as exc:  # argparse's own rejection
@@ -316,6 +325,8 @@ def test_every_numeric_flag_exits_cleanly(command, flag, value, capsys):
     err = capsys.readouterr().err.splitlines()
     if code != EXIT_OK:
         assert len(err) == 1 and "Traceback" not in err[0]
+    if code == EXIT_VALIDATION:
+        assert flag in err[0]
 
 
 def test_numeric_flag_table_covers_every_subcommand():
@@ -324,14 +335,42 @@ def test_numeric_flag_table_covers_every_subcommand():
     assert ("oscillator", "--tol", "nan") in cases and ("geodesic", "--samples", "-1") in cases
     assert ("curvature-scan", "--quad-order", "0") in cases
     assert ("geodesic", "--theta0", "0,1e-300") in cases and ("geodesic", "--v0", "1e200,1e200") in cases
+    assert ("oscillator", "--steps", "1000000000000") in cases
 
 
 def test_curvature_scan_sigma_range_lies_within_the_scale_limit(capsys):
     # sigma^4 and 1/sigma^3 enter the model's moments, which overflow far beyond 1e50
     for flag in ("--sigma-stop=1e308", "--sigma-start=0"):
-        assert main(["curvature-scan", "--sigma-count=2", "--r-count=2", flag]) == EXIT_VALIDATION
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and flag.split("=")[0] in err[0]
+        argv = ["curvature-scan", "--sigma-count=2", "--r-count=2", flag]
+        assert flag.split("=")[0] in parser_refusal(argv, capsys)
+
+
+@pytest.mark.parametrize("command,flag,inside,outside,interval", [
+    ("goe", "--r-start", "-0.999999", "-1", "(-1, 1)"),
+    ("geodesic", "--coupling", "0.999999", "1", "(-1, 1)"),
+    ("oscillator", "--t-ratio-stop", "1", "0", "(0, 1]"),
+    ("oscillator", "--m1", "1e-50", "1e51", "[1e-50, 1e+50]"),
+    ("oscillator", "--steps", "16", "15", f"[16, {cli.MAX_ROWS}]"),
+    ("f-curve", "--r-count", str(cli.MAX_ROWS), str(cli.MAX_ROWS + 1), f"[2, {cli.MAX_ROWS}]"),
+    ("geodesic", "--step", "5e-324", "0", "(0, inf)"),
+    ("geodesic", "--samples", "1", "0", "[1, inf)"),
+    ("geodesic", "--theta0", "-1e50,1e50", "0,-1e51", "[-1e+50, 1e+50]"),
+    ("geodesic", "--v0", "1,2", "1,2,3", "two comma-separated numbers"),
+])
+def test_each_flag_type_states_the_range_it_enforces(command, flag, inside, outside, interval, capsys):
+    # the parser alone: inside is accepted, outside refused with the interval, open ends included
+    cli.build_parser().parse_args([command, f"{flag}={inside}"])
+    line = parser_refusal([command, f"{flag}={outside}"], capsys)
+    assert f"argument {flag}: " in line and interval in line
+
+
+def test_curvature_scan_bounds_the_rows_of_both_counts(capsys):
+    # each count is in range alone; together they ask for 10^6 rows
+    assert cli.MAX_ROWS < 1000 * 1000
+    assert main(["curvature-scan", "--sigma-count=1000", "--r-count=1000"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "--sigma-count" in err[0] and "--r-count" in err[0] and captured.out == ""
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])
@@ -406,18 +445,21 @@ def test_geodesic_curved_conserves_speed(tmp_path):
     assert max(float(row["speed_drift"]) for row in rows) < 1e-6
 
 
-def test_geodesic_validation(tmp_path):
+def test_geodesic_validation(capsys):
+    # sigma < 0 is refused by the curved metric alone, so the command checks it
     assert main(["geodesic", "--theta0", "0,-1", "--v0", "0,1"]) == EXIT_VALIDATION
-    assert main(["geodesic", "--theta0", "0,1", "--v0", "1", "--flat"]) == EXIT_VALIDATION
-    assert main(["geodesic", "--step", "-1", "--flat"]) == EXIT_VALIDATION
-    assert main(["geodesic", "--samples", "0", "--flat"]) == EXIT_VALIDATION
+    assert "--v0" in parser_refusal(["geodesic", "--theta0", "0,1", "--v0", "1", "--flat"], capsys)
+    assert "--step" in parser_refusal(["geodesic", "--step", "-1", "--flat"], capsys)
+    assert "--samples" in parser_refusal(["geodesic", "--samples", "0", "--flat"], capsys)
 
 
 @pytest.mark.parametrize("flag", ["--step=nan", "--tau-end=inf", "--theta0=0,inf",
                                   "--v0=nan,0.1", "--coupling=nan"])
 def test_geodesic_rejects_non_finite_input(flag, capsys):
-    assert main(["geodesic", flag]) == EXIT_VALIDATION
-    assert "must be finite" in capsys.readouterr().err
+    name, value = flag.split("=")
+    line = parser_refusal(["geodesic", flag], capsys)
+    # a pair names the component it refuses
+    assert f"argument {name}: must lie in " in line and line.split(", got ")[1] in value.split(",")
 
 
 @pytest.mark.parametrize("route", ["flag", "config", "config flat"])
@@ -434,6 +476,9 @@ def test_flat_geodesic_rejects_coupling(coupling, route, tmp_path, capsys):
     else:
         cfg.write_text("flat = true\n")
         argv += [f"--coupling={coupling}", "--config", str(cfg)]
+    if coupling == "1.5":  # outside |r| < 1, so --coupling's own type refuses it first
+        assert "argument --coupling: must lie in (-1, 1)" in parser_refusal(argv, capsys)
+        return
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -573,9 +618,9 @@ def test_a_nan_result_is_a_breach(monkeypatch, capsys, argv, target):
     (SingularMetricError("metric condition number 1e+13 exceeds 1e+12"),
      ["curvature-scan", "--sigma-count", "2", "--r-count", "2"], "scalar_curvature"),
     (NonSmoothEnergyError("Hessian stencils disagree at (0, 1)"),
-     ["oscillator", "--steps", "3"], "oscillator_mixing_trace"),
+     ["oscillator", "--steps", "16"], "oscillator_mixing_trace"),
     (NumericalError("correlation 1.000e-03 exceeds its envelope 1.000e-04"),
-     ["oscillator", "--steps", "3"], "oscillator_mixing_trace"),
+     ["oscillator", "--steps", "16"], "oscillator_mixing_trace"),
 ], ids=["SingularMetricError", "NonSmoothEnergyError", "NumericalError"])
 def test_library_errors_exit_3(monkeypatch, capsys, error, argv, target):
     def fail(*args, **kwargs):
