@@ -47,6 +47,13 @@ from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_close
 from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
 
 
+def _positive_product(name: str, value: float) -> float:
+    """``value``, the product ``name`` of valid inputs, unless it overflowed or underflowed."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class HeatBath:
     """Heat bath at fixed temperature; kB defaults to natural units."""
@@ -59,6 +66,8 @@ class HeatBath:
             raise ValueError("temperature must be finite and positive")
         if not 0.0 < self.kB < math.inf:
             raise ValueError("kB must be finite and positive")
+        kt = _positive_product("kB temperature", self.kB * self.temperature)
+        _positive_product("beta = 1 / (kB temperature)", 1.0 / kt)
 
     @property
     def beta(self) -> float:
@@ -262,6 +271,18 @@ class OscillatorPair:
                 raise ValueError(f"{name} must be finite and positive")
         if not abs(self.r) < 1.0:
             raise ValueError("coupling strength must satisfy |r| < 1")
+        # the products the methods form, sigma_c and position_sigma at kB = 1, each
+        # checked before it divides; w * w is inf wherever their w**2 would raise
+        # OverflowError
+        m1, m2, w1, w2 = self.m1, self.m2, self.omega1, self.omega2
+        scale = math.sqrt(_positive_product("m1 m2", m1 * m2)) * w1 * w2
+        _positive_product("sqrt(m1 m2) omega1 omega2", scale)
+        k1 = _positive_product("m1 omega1^2", m1 * (w1 * w1))
+        _positive_product("m2 omega2^2", m2 * (w2 * w2))
+        _positive_product("1 / m1", 1.0 / m1)
+        _positive_product("1 / m2", 1.0 / m2)
+        _positive_product("T0 / (sqrt(m1 m2) omega1 omega2)", self.T0 / scale)
+        _positive_product("T0 / (m1 omega1^2)", self.T0 / k1)
 
     def sigma_c(self, kB: float = 1.0) -> float:
         return math.sqrt(kB * self.T0 / (math.sqrt(self.m1 * self.m2) * self.omega1 * self.omega2))

@@ -270,12 +270,15 @@ def _principal_gap(a, b, c, s, d):
     v = y / sigma_y make the joint N(0, 1 + r) x N(0, 1 - r) and the product
     N(0, I), so the gap is c exp(a s^2) exp(b d^2) - exp(-s^2 / 2) exp(-d^2 / 2)
     with the (k, 1) a, b and c of ``_principal_coefficients``.  On (k, n) s and d
-    it takes 1-D exponentials only, and outer products give each row's (k, n, n)
-    ``ij`` grid.  At r = 0 both terms are the same floats.
+    it takes one exponential of the four stacked (k, n) arguments, and outer
+    products give each row's (k, n, n) ``ij`` grid.  At r = 0 both terms are the
+    same floats.
     """
     ss, dd = s * s, d * d
-    gap = np.exp(a * ss)[:, :, None] * (c * np.exp(b * dd))[:, None, :]
-    gap -= np.exp(-0.5 * ss)[:, :, None] * np.exp(-0.5 * dd)[:, None, :]
+    # np.array, not np.stack, whose Python-level checks outcost the exponential here
+    es, ed, ps, pd = np.exp(np.array([a * ss, b * dd, -0.5 * ss, -0.5 * dd]))
+    gap = es[:, :, None] * (c * ed)[:, None, :]
+    gap -= ps[:, :, None] * pd[:, None, :]
     return gap
 
 
@@ -284,72 +287,51 @@ def factorization_sup_2d(params: Correlated2DParams) -> float:
     return distinguishability_F_sup(params.r) / (2.0 * math.pi * params.sigma_c**2)
 
 
-def _grid_zoom_max(objective: Callable, centers, sds, coarse: int, zoom_points: int,
-                   zoom_rounds: int, half_width: float) -> np.ndarray:
-    """Maxima of k problems by a coarse grid scan and a deterministic zoom.
-
-    ``centers`` and ``sds`` are (k, dim).  ``objective(grid, rows)`` returns
-    the values of problems ``rows`` on the ``ij`` grids spanned by each (dim,
-    n) slice of ``grid``.  The coarse scan spans ``center`` +- ``half_width``
-    ``sds`` with ``coarse`` points per axis, one problem per call.  Each zoom
-    round rescans all k problems in one call, ``center + h t`` with t =
-    linspace(-1, 1, ``zoom_points``) around each one's best point, starting
-    from 1.5 coarse cells and shrinking h by 0.35, until h < sqrt(eps) sd on
-    every axis (the same round for every problem) or after ``zoom_rounds``.
-    Each problem takes its own argmax, so its maximum is bit-identical to a
-    k = 1 call's; being smooth, its value error is below one ulp by then.
-
-    Known limit: the zoom starts from the single best coarse point, so it can
-    settle on the lower of two nearly tied lobes.  With 21 coarse points it
-    missed 6 of 182 random 3-D/4-D Gaussians (cov = a a^T + 0.3 I) by up to
-    2.7e-4 relative, so the N-D oracle tests draw cov = a a^T + d I.
-    """
-    centers = np.array(centers, dtype=float)  # a copy: the best points go here
-    sds = np.asarray(sds, dtype=float)
-    k, dim = centers.shape
-    rows, axes = np.arange(k), np.arange(dim)
-
-    def scan(grid, rows):
-        vals = objective(grid, rows).reshape(rows.size, -1)
-        flat = vals.argmax(axis=1)
-        at = np.array(np.unravel_index(flat, (grid.shape[-1],) * dim))  # (dim, len(rows))
-        n = np.arange(rows.size)
-        return vals[n, flat], grid[n, axes[:, None], at].T
-
-    h = half_width * sds
-    t = np.linspace(-1.0, 1.0, coarse)
-    best = np.empty(k)
-    for i in rows:
-        grid = centers[i, :, None] + h[i, :, None] * t
-        best[i:i + 1], centers[i:i + 1] = scan(grid[None], rows[i:i + 1])
-    h = h * (3.0 / (coarse - 1))
-    t = np.linspace(-1.0, 1.0, zoom_points)
-    stop = SQRT_EPS * sds
-    for _ in range(zoom_rounds):
-        val, centers = scan(centers[:, :, None] + h[:, :, None] * t, rows)
-        best = np.maximum(best, val)
-        h *= 0.35
-        if np.all(h < stop):
-            break
-    return best
-
-
 def _distinguishability_F_rows(params: Sequence[Correlated2DParams]) -> list:
-    """``distinguishability_F_numeric`` of each of ``params``, the rows zoomed together."""
+    """``distinguishability_F_numeric`` of each of ``params``, the rows zoomed together.
+
+    Every row's coarse grid is the same axis t = 8 linspace(-1, 1, 121) on s and
+    d, so the product term exp(-t^2 / 2) (x) exp(-t^2 / 2) is built once per
+    call, and each row only writes its joint term into one reused (121, 121)
+    buffer: no temporary grows with the number of rows.  The zoom rounds then
+    rescan all rows together, on the 7-point grids ``center + h linspace(-1, 1,
+    7)`` around each row's best point, from h = 1.5 coarse cells shrinking by
+    0.35 until h < sqrt(eps), 16 rounds.  Each row takes its own argmax, so a
+    row's value is bit-identical to a one-row call's.
+    """
     for p in params:
         p.require_nondegenerate()
-    abc = _principal_coefficients([p.r for p in params])  # once, not per zoom round
+    a, b, c = _principal_coefficients([p.r for p in params])  # once, not per zoom round
+    k = len(params)
+    best, centers = np.empty(k), np.empty((2, k))  # centers: the best (s, d) of each row
 
-    def objective(grid, rows):  # the grid's axes are (s, d)
-        gap = _principal_gap(*(x[rows] for x in abc), grid[:, 0], grid[:, 1])
-        return np.abs(gap, out=gap)
+    t = 8.0 * np.linspace(-1.0, 1.0, 121)
+    tt = t * t
+    half = np.exp(-0.5 * tt)
+    # einsum forms an outer product in about half the time broadcasting takes, same bits
+    product, gap = np.einsum("i,j->ij", half, half), np.empty((t.size, t.size))
+    for i in range(k):
+        np.einsum("i,j->ij", np.exp(a[i] * tt), c[i] * np.exp(b[i] * tt), out=gap)
+        gap -= product
+        flat = np.abs(gap, out=gap).argmax()
+        best[i] = gap.flat[flat]
+        centers[:, i] = t[list(divmod(flat, t.size))]
+    del product, gap  # freed, so that the zoom rounds' arrays do not add to the coarse peak
 
-    centers = np.zeros((len(params), 2))
-    return _grid_zoom_max(objective, centers, centers + 1.0, 121, 7, 40, 8.0).tolist()
+    h, t, rows = 8.0 * (3.0 / 120), np.linspace(-1.0, 1.0, 7), np.arange(k)  # h: 1.5 coarse cells
+    while h >= SQRT_EPS:
+        s, d = centers[:, :, None] + h * t
+        gap = _principal_gap(a, b, c, s, d).reshape(k, t.size**2)
+        flat = np.abs(gap, out=gap).argmax(axis=1)
+        best = np.maximum(best, gap[rows, flat])
+        i, j = np.divmod(flat, t.size)
+        centers[0], centers[1] = s[rows, i], d[rows, j]
+        h *= 0.35
+    return best.tolist()
 
 
 def distinguishability_F_numeric(params: Correlated2DParams) -> float:
-    """Brute-force oracle for the closed form: maximize |p - p1 p2| by ``_grid_zoom_max``.
+    """Brute-force oracle for the closed form: maximize |p - p1 p2| by grid and zoom.
 
     The scan runs on the principal axes of the standard units (``_principal_gap``),
     around (0, 0) with unit sds, and the maximum is reported in units of the

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,32 @@ def test_oscillator_pair_rejects_infinite_scales(name):
     scales[name] = math.inf
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         OscillatorPair(r=0.5, **scales)
+
+
+def test_heat_bath_rejects_a_product_that_overflows():
+    # kB T = inf gave beta == 0.0, and covariance_hessian_law a LinAlgError
+    with pytest.raises(ValueError, match="kB temperature must be finite and positive, got inf"):
+        HeatBath(1e200, kB=1e200)
+    with pytest.raises(ValueError, match="kB temperature must be finite and positive, got 0.0"):
+        HeatBath(1e-200, kB=1e-200)
+    with pytest.raises(ValueError, match=re.escape("beta = 1 / (kB temperature) must be finite")):
+        HeatBath(1e-300, kB=1e-10)
+
+
+@pytest.mark.parametrize("scales, product", [
+    # m1 m2 underflowed to 0, and sigma_c raised ZeroDivisionError
+    (dict(m1=1e-200, m2=1e-200, omega1=1e-200, omega2=1.0), "m1 m2"),
+    (dict(m1=1.0, m2=1.0, omega1=1e-200, omega2=1e-200), "sqrt(m1 m2) omega1 omega2"),
+    # omega1**2 in hessian raised OverflowError
+    (dict(m1=1e-300, m2=1.0, omega1=1e200, omega2=1.0), "m1 omega1^2"),
+    (dict(m1=1.0, m2=1e-300, omega1=1.0, omega2=1e200), "m2 omega2^2"),
+    (dict(m1=1e-310, m2=1e10, omega1=1e150, omega2=1e-150), "1 / m1"),
+    (dict(m1=1.0, m2=1.0, omega1=1e-155, omega2=1e-154), "T0 / (sqrt(m1 m2) omega1 omega2)"),
+    (dict(m1=1e-300, m2=1e300, omega1=1e-5, omega2=1.0), "T0 / (m1 omega1^2)"),
+])
+def test_oscillator_pair_rejects_a_product_that_overflows(scales, product):
+    with pytest.raises(ValueError, match=f"^{re.escape(product)} must be finite and positive"):
+        OscillatorPair(T0=1.0, r=0.5, **scales)
 
 
 # ----------------------------------------------------- covariance-Hessian law

@@ -33,8 +33,8 @@ from statmanifold import (
     pdf_2d,
 )
 from statmanifold.ergodic import (
+    SQRT_EPS,
     _distinguishability_F_rows,
-    _grid_zoom_max,
     _principal_coefficients,
     _principal_gap,
     factorization_sup_2d,
@@ -287,6 +287,55 @@ def test_F_numeric_matches_reference_maximizer_on_both_branches():
             reference_F_numeric(params), rel=1e-12, abs=0.0)
 
 
+def _grid_zoom_max(objective, centers, sds, coarse, zoom_points, zoom_rounds, half_width):
+    """Maxima of k problems by a coarse grid scan and a deterministic zoom.
+
+    The generic loop that ``_distinguishability_F_rows`` specializes, kept as
+    its oracle and the N-D one.  ``centers`` and ``sds`` are (k, dim).
+    ``objective(grid, rows)`` returns the values of problems ``rows`` on the
+    ``ij`` grids spanned by each (dim, n) slice of ``grid``.  The coarse scan
+    spans ``center`` +- ``half_width`` ``sds`` with ``coarse`` points per axis,
+    one problem per call.  Each zoom round rescans all k problems in one call,
+    ``center + h t`` with t = linspace(-1, 1, ``zoom_points``) around each
+    one's best point, starting from 1.5 coarse cells and shrinking h by 0.35,
+    until h < sqrt(eps) sd on every axis (the same round for every problem) or
+    after ``zoom_rounds``.  Each problem takes its own argmax.
+
+    Known limit: the zoom starts from the single best coarse point, so it can
+    settle on the lower of two nearly tied lobes.  With 21 coarse points it
+    missed 6 of 182 random 3-D/4-D Gaussians (cov = a a^T + 0.3 I) by up to
+    2.7e-4 relative, so the N-D oracle tests draw cov = a a^T + d I.
+    """
+    centers = np.array(centers, dtype=float)  # a copy: the best points go here
+    sds = np.asarray(sds, dtype=float)
+    k, dim = centers.shape
+    rows, axes = np.arange(k), np.arange(dim)
+
+    def scan(grid, rows):
+        vals = objective(grid, rows).reshape(rows.size, -1)
+        flat = vals.argmax(axis=1)
+        at = np.array(np.unravel_index(flat, (grid.shape[-1],) * dim))  # (dim, len(rows))
+        n = np.arange(rows.size)
+        return vals[n, flat], grid[n, axes[:, None], at].T
+
+    h = half_width * sds
+    t = np.linspace(-1.0, 1.0, coarse)
+    best = np.empty(k)
+    for i in rows:
+        grid = centers[i, :, None] + h[i, :, None] * t
+        best[i:i + 1], centers[i:i + 1] = scan(grid[None], rows[i:i + 1])
+    h = h * (3.0 / (coarse - 1))
+    t = np.linspace(-1.0, 1.0, zoom_points)
+    stop = SQRT_EPS * sds
+    for _ in range(zoom_rounds):
+        val, centers = scan(centers[:, :, None] + h[:, :, None] * t, rows)
+        best = np.maximum(best, val)
+        h *= 0.35
+        if np.all(h < stop):
+            break
+    return best
+
+
 def test_principal_gap_matches_the_standard_units_expression():
     # each random (u, v) is its own one-point row, at its own r; the scale is
     # the joint's peak 1/sqrt(1 - r^2), which reaches 22 at |r| = 0.999
@@ -344,6 +393,46 @@ def test_F_rows_share_zoom_rounds_and_match_single_calls_bitwise():
     rs += rng.uniform(-0.999, 0.999, 40).tolist()
     params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs]
     assert _distinguishability_F_rows(params) == [distinguishability_F_numeric(p) for p in params]
+
+
+def test_F_rows_are_bit_identical_to_the_generic_loop():
+    # the generic grid-and-zoom loop on the principal gap, with the same grid
+    # sizes, is the oracle: sharing the coarse product term and trimming the
+    # zoom rounds changes no bit of any row
+    rng = np.random.default_rng(31)
+    rs = [0.0, -0.0, 1e-9, BRANCH_SWITCH_R, -BRANCH_SWITCH_R, 0.999, -0.999]
+    rs += rng.uniform(-0.999, 0.999, 400).tolist()
+    abc = _principal_coefficients(rs)
+
+    def objective(grid, rows):
+        gap = _principal_gap(*(x[rows] for x in abc), grid[:, 0], grid[:, 1])
+        return np.abs(gap, out=gap)
+
+    centers = np.zeros((len(rs), 2))
+    expected = _grid_zoom_max(objective, centers, centers + 1.0, 121, 7, 40, 8.0)
+    got = np.array(_distinguishability_F_rows([Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs]))
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_F_rows_scan_each_row_once_then_zoom_all_rows_together(monkeypatch):
+    # every exponential the loop takes: the shared product term's, two 121-point
+    # ones per row's joint term, then one stacked (4, k, 7) one per zoom round
+    # of all k rows, 16 rounds until h < sqrt(eps)
+    shapes = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(ergodic, "np", RecordingNumpy())
+    k = 5
+    _distinguishability_F_rows([Correlated2DParams(0.0, 1.0, r, 1.0)
+                                for r in np.linspace(-0.9, 0.9, k)])
+    assert shapes == [(121,)] * (1 + 2 * k) + [(4, k, 7)] * 16
 
 
 def test_F_rows_scan_the_coarse_grid_one_row_at_a_time():

@@ -194,6 +194,64 @@ def test_fisher_metric_matches_skovgaard_formula():
     assert worst <= 1e-12
 
 
+def _reparameterized(fam, phi, jac):
+    """``fam`` over theta', where theta = phi(theta') with Jacobian J = jac(theta')."""
+    def moments(theta):
+        mean, cov, d_mean, d_cov = fam.moments(phi(theta))
+        j = jac(theta)
+        return mean, cov, j.T @ d_mean, np.tensordot(j.T, d_cov, axes=1)
+
+    return manifold.ModelFamily(moments, fam.domain)
+
+
+def _affine_image(fam, a, b):
+    """``fam`` for the microvariables A x + b: mean A mu + b, covariance A Sigma A^T."""
+    def moments(theta):
+        mean, cov, d_mean, d_cov = fam.moments(theta)
+        return a @ mean + b, a @ cov @ a.T, d_mean @ a.T, a @ d_cov @ a.T
+
+    return manifold.ModelFamily(moments, fam.domain)
+
+
+def test_fisher_metric_transforms_as_a_tensor_under_a_change_of_chart():
+    # g' = J^T g J for theta = theta0 + B sinh(theta'), a nonlinear chart, on 300
+    # random 2-4-D families
+    rng = np.random.default_rng(1982)
+    worst = 0.0
+    for seed in range(300):
+        fam, theta = _random_family(int(rng.integers(2, 5)), int(rng.integers(2, 4)), seed)
+        m = theta.size
+        mix, prime = rng.normal(size=(m, m)) + m * np.eye(m), rng.normal(scale=0.5, size=m)
+        theta0 = theta - mix @ np.sinh(prime)  # so that phi(prime) = theta
+
+        def jac(tp):
+            return mix * np.cosh(tp)  # B diag(cosh(theta'))
+
+        chart = _reparameterized(fam, lambda tp: theta0 + mix @ np.sinh(tp), jac)
+        expected = jac(prime).T @ fisher_metric(fam, theta) @ jac(prime)
+        worst = max(worst, np.abs(fisher_metric(chart, prime) - expected).max()
+                    / np.abs(expected).max())
+    assert worst <= 1e-12
+
+
+def test_fisher_metric_is_unchanged_by_an_affine_map_of_the_microvariables():
+    # mu -> A mu + b, Sigma -> A Sigma A^T on 300 random 2-4-D families.  A =
+    # c Q1 diag(s) Q2 with s in [1/2, 2], since rounding grows as cond(A)^2: a
+    # normal A + d I of cond 420 moved g by 3.4e-11
+    rng = np.random.default_rng(1983)
+    worst = 0.0
+    for seed in range(300):
+        d = int(rng.integers(2, 5))
+        fam, theta = _random_family(d, int(rng.integers(2, 4)), seed)
+        q1, q2 = (np.linalg.qr(rng.normal(size=(d, d)))[0] for _ in range(2))
+        a = 10.0 ** rng.uniform(-3.0, 3.0) * (q1 * 2.0 ** rng.uniform(-1.0, 1.0, d)) @ q2
+        b = rng.normal(size=d)
+        expected = fisher_metric(fam, theta)
+        worst = max(worst, np.abs(fisher_metric(_affine_image(fam, a, b), theta) - expected).max()
+                    / np.abs(expected).max())
+    assert worst <= 1e-12
+
+
 def _density(fam, x, theta):
     """N(mu, Sigma) at the points x (2, k), from the family's moments at theta."""
     mean, cov, _, _ = fam.moments(np.asarray(theta, dtype=float))
