@@ -44,7 +44,7 @@ from .ergodic import (
 )
 from .manifold import _fd_derivatives, _fd_steps, _stencil
 from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, mvn_pdf
-from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
+from .quadrature import IntegrationSpec, integrate
 
 
 def _positive_product(name: str, value: float) -> float:
@@ -130,6 +130,10 @@ def hessian_of_energy(energy: Callable, point, step: float = 1e-4,
     non-finite energy at any stencil point raises :class:`NumericalError`.
     Each of the 1 + 2d^2 stencil points is evaluated once.
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
+    if not 0.0 <= smooth_tol < math.inf:  # a NaN or infinite tolerance passes any stencil
+        raise ValueError(f"smooth_tol must be finite and nonnegative, got {smooth_tol}")
     x = np.atleast_1d(np.asarray(point, dtype=float))
     d = x.shape[0]
     h = _fd_steps(x, step)
@@ -175,9 +179,8 @@ def covariance_hessian_law(h: QuadraticHamiltonian, bath: HeatBath):
 
 def phase_space_spec(h: QuadraticHamiltonian, bath: HeatBath,
                      order: int | None = None, rule: str = "gauss_hermite") -> IntegrationSpec:
-    """Quadrature description covering the canonical density of ``h``."""
+    """Quadrature spec covering the canonical density of ``h`` (``order=None``: the default)."""
     g = canonical_to_gaussian(h, bath)
-    order = order or default_order(h.phase_dim)
     if rule == "gauss_hermite":
         return IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
     return IntegrationSpec.axes(g.mean, np.sqrt(np.diag(g.covariance)), order, rule)
@@ -382,7 +385,7 @@ def default_oscillator_test_functions(o: OscillatorPair, width: float = 1.0) -> 
 def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
                             fs: TestFunctionSet | None = None,
                             kB: float = 1.0, tol: float = 1e-6,
-                            order: int = DEFAULT_ORDER) -> OscillatorTraceResult:
+                            order: int | None = None) -> OscillatorTraceResult:
     """Correlation trace of the reduced oscillator model along a T schedule.
 
     tau follows 1/(1 - T/T0) when the schedule is strictly increasing and

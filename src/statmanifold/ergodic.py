@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .models import Correlated2DParams, MultivariateGaussian, mvn_pdf
-from .quadrature import DEFAULT_ORDER, IntegrationSpec, default_order, integrate
+from .quadrature import IntegrationSpec, integrate
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 QUAD_RTOL = 1e-6
@@ -205,17 +205,17 @@ def _gaussian_correlation(mean, cov, fs: TestFunctionSet, order: int | None):
         means = np.broadcast_to(mean, cov.shape[:-1])
         return np.array([_gaussian_correlation(m, c, fs, order) for m, c in zip(means, cov)])
     g = MultivariateGaussian(mean, cov)
-    spec = IntegrationSpec.for_gaussian(g.mean, g.covariance, order or default_order(g.dim))
+    spec = IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
     return ig_correlation(lambda x: mvn_pdf(x, g), fs, spec)
 
 
 def ig_correlation_2d(params: Correlated2DParams, fs: TestFunctionSet,
-                      order: int = DEFAULT_ORDER) -> float:
+                      order: int | None = None) -> float:
     """IG correlation for the correlated bivariate model.
 
     The joint is N((mu_x, 0), ``params.covariance()``).  Exact for Gaussian
     bumps; other test functions are integrated by Gauss-Hermite quadrature of
-    the given ``order``.
+    the given ``order`` (``None``: the spec's default).
     """
     params.require_nondegenerate()
     return _gaussian_correlation([params.mu_x, 0.0], params.covariance(), fs, order)
@@ -422,8 +422,8 @@ def classify(trace: CorrelationTrace, tol: float = 1e-6,
         )
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError("tail_fraction must lie in (0, 1)")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < math.inf:  # a NaN tol would classify nothing, an infinite one everything
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
     c = trace.values
     n = len(trace)

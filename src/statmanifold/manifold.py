@@ -46,11 +46,20 @@ class ParameterDomain:
     upper: Optional[np.ndarray] = None
     predicate: Optional[Callable[[np.ndarray], bool]] = None
 
+    def __post_init__(self):
+        for name in ("lower", "upper"):
+            if getattr(self, name) is not None:
+                bound = np.asarray(getattr(self, name), dtype=float)
+                if bound.shape != (self.dim,) or np.isnan(bound).any():
+                    raise ValueError(f"{name} bound must hold {self.dim} numbers and no NaN")
+                object.__setattr__(self, name, bound)
+        lower, upper = self.lower, self.upper
+        if lower is not None and upper is not None and not (lower < upper).all():
+            raise ValueError(f"empty domain: lower {lower.tolist()} not below {upper.tolist()}")
+
     @classmethod
     def box(cls, lower, upper) -> "ParameterDomain":
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        return cls(lower.shape[0], lower, upper)
+        return cls(len(lower), lower, upper)
 
     @classmethod
     def from_predicate(cls, dim: int, fn) -> "ParameterDomain":

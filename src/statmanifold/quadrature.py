@@ -9,9 +9,11 @@ Two rules are provided for Gaussian-dominated integrands:
   precision at modest orders.
 * ``rectangle`` -- midpoint rule on a box of +-8 axis standard deviations.
   Used as an independent cross-check: for smooth integrands that decay like
-  Gaussians the midpoint rule converges exponentially, and it shares no
-  machinery with the Gauss-Hermite path.
+  Gaussians the midpoint rule converges exponentially.
 
+The rules differ in their 1-D nodes, their weights and their box (the
+transform, or only its axis scales).  They share the cached node blocks and
+the chunk walk, which the tests check against a full meshgrid of each rule.
 ``integrate`` sums an integrand chunk by chunk into a float, a vector, or the
 Gram matrix of a weighted second moment, the form every second moment in the
 toolkit takes; ``integrate_with_error`` adds the difference to the half-order
@@ -21,7 +23,8 @@ rule as the error estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -32,45 +35,44 @@ _HALF_WIDTH = 8.0  # half-width of the rectangle rule's box, in axis standard de
 
 
 def default_order(dim: int) -> int:
-    """Default Gauss-Hermite order per axis for a ``dim``-dimensional rule."""
+    """Default order per axis for a ``dim``-dimensional rule."""
     return DEFAULT_ORDER if dim <= 2 else 20
 
 
-def _block_axes(order: int, dim: int) -> int:
-    """Number of trailing axes in one node block: all of them when the rule fits."""
+@lru_cache(maxsize=64)
+def node_block(rule: str, order: int, dim: int):
+    """1-D rule of ``rule`` and its node block, cached per (rule, order, dim).
+
+    Returns ``(t, w, T, W)``: the standard 1-D nodes ``t`` and weights ``w``,
+    and the product nodes ``T`` (k, order**k) and weights ``W`` of the
+    trailing ``k`` axes (all ``dim`` axes when ``order**dim <= _CHUNK``).
+    Gauss-Hermite weights absorb the factor exp(-t^2), so plain integrands can
+    be summed; the midpoints split [-_HALF_WIDTH, _HALF_WIDTH] into ``order``
+    equal cells.  The arrays are shared by every caller and so read-only.
+    """
+    if rule == "gauss_hermite":
+        t, w = np.polynomial.hermite.hermgauss(order)
+        w = w * np.exp(t**2)
+    else:
+        t = _HALF_WIDTH * ((2 * np.arange(order) + 1) / order - 1)
+        w = np.full(order, 2 * _HALF_WIDTH / order)
     k = dim
     while k > 1 and order**k > _CHUNK:
         k -= 1
-    return k
-
-
-def _product(axes_t, axes_w):
-    """Tensor-product nodes (k, n**k) and weights (n**k,) of 1-D rules."""
-    grids = np.meshgrid(*axes_t, indexing="ij")
-    T = np.stack([g.ravel() for g in grids])
-    W = axes_w[0]
-    for w in axes_w[1:]:
-        W = np.multiply.outer(W, w)
-    return T, W.ravel()
-
-
-@lru_cache(maxsize=64)
-def hermite_block(order: int, dim: int):
-    """Reweighted Gauss-Hermite rule and its node block, cached per (order, dim).
-
-    Returns ``(t, w, T, W)``: the 1-D nodes ``t`` with weights ``w`` that
-    absorb the implicit factor exp(-t^2), so plain integrands can be summed,
-    and the product nodes ``T`` (k, order**k) and weights ``W`` of the
-    trailing ``k`` axes (all ``dim`` axes when ``order**dim <= _CHUNK``).
-    The arrays are shared by every caller and therefore read-only.
-    """
-    t, w = np.polynomial.hermite.hermgauss(order)
-    w = w * np.exp(t**2)
-    k = _block_axes(order, dim)
-    T, W = _product([t] * k, [w] * k)
+    T = np.stack([g.ravel() for g in np.meshgrid(*[t] * k, indexing="ij")])
+    W = np.prod(np.meshgrid(*[w] * k, indexing="ij"), axis=0).ravel()
     for a in (t, w, T, W):
         a.flags.writeable = False
     return t, w, T, W
+
+
+def _node_map(spec: IntegrationSpec):
+    """``(s, M, jac)`` of the map x = center + s M t, with jac = s^d |det M|."""
+    if spec.rule == "gauss_hermite":
+        s, M = np.sqrt(2.0), spec.transform
+    else:
+        s, M = 1.0, np.diag(spec.axis_scales)
+    return s, M, s**spec.dim * abs(np.linalg.det(M))
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,12 @@ class IntegrationSpec:
 
     ``transform`` is a (d, d) scale matrix; its rows/columns set the node
     cloud.  For ``axes`` construction it is diagonal with the per-axis
-    effective standard deviations.
+    effective standard deviations.  ``order=None`` is ``default_order(d)``.
     """
 
     center: np.ndarray
     transform: np.ndarray
-    order: int = DEFAULT_ORDER
+    order: int | None = None
     rule: str = "gauss_hermite"
 
     def __post_init__(self):
@@ -92,10 +94,19 @@ class IntegrationSpec:
         object.__setattr__(self, "transform", np.atleast_2d(np.asarray(self.transform, dtype=float)))
         if self.transform.shape != (self.dim, self.dim):
             raise ValueError("transform must be (d, d) matching the center length")
-        if self.order < 2:
-            raise ValueError("order must be >= 2")
         if self.rule not in ("gauss_hermite", "rectangle"):
             raise ValueError(f"unknown rule {self.rule!r}")
+        try:
+            order = default_order(self.dim) if self.order is None else operator.index(self.order)
+        except TypeError:
+            raise ValueError(f"order must be an integer, got {self.order!r}") from None
+        if order < 2:
+            raise ValueError("order must be >= 2")
+        object.__setattr__(self, "order", order)
+        finite = np.isfinite(self.center).all() and np.isfinite(self.transform).all()
+        if not (finite and 0.0 < _node_map(self)[2] < math.inf):
+            raise ValueError(f"the {self.rule} node map needs a finite center and transform "
+                             "and a finite, positive Jacobian")
 
     @property
     def dim(self) -> int:
@@ -107,68 +118,42 @@ class IntegrationSpec:
         return np.sqrt(np.sum(self.transform**2, axis=1))
 
     @classmethod
-    def axes(cls, center, scales, order: int = DEFAULT_ORDER,
+    def axes(cls, center, scales, order: int | None = None,
              rule: str = "gauss_hermite") -> "IntegrationSpec":
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
         return cls(np.asarray(center, dtype=float), np.diag(scales), order, rule)
 
     @classmethod
-    def for_gaussian(cls, mean, covariance, order: int = DEFAULT_ORDER) -> "IntegrationSpec":
+    def for_gaussian(cls, mean, covariance, order: int | None = None) -> "IntegrationSpec":
         """Whitened rule matched to a Gaussian with the given mean/covariance."""
         L = np.linalg.cholesky(np.atleast_2d(np.asarray(covariance, dtype=float)))
         return cls(np.asarray(mean, dtype=float), L, order, "gauss_hermite")
 
     @cached_property
-    def jacobian(self) -> float:
-        """sqrt(2)^d |det transform|, the Jacobian of the Gauss-Hermite node map."""
-        return (np.sqrt(2.0) ** self.dim) * abs(np.linalg.det(self.transform))
-
-    @cached_property
     def coarse(self) -> "IntegrationSpec":
-        """The half-order rule of the error estimate, built once per spec.
-
-        Only the order differs from this validated spec, so it is a copy made
-        without a second validation.  It shares the arrays and whatever this
-        spec has cached, such as the Jacobian once the spec has been integrated.
-        """
-        coarse = object.__new__(IntegrationSpec)
-        coarse.__dict__.update(vars(self), order=max(4, self.order // 2))
-        return coarse
+        """The half-order rule of the error estimate, built and checked once per spec."""
+        return replace(self, order=max(4, self.order // 2))
 
 
 def _node_chunks(spec: IntegrationSpec):
     """Yield (points, weights) chunks of at most ``_CHUNK`` nodes; points is (d, k).
 
     A rule larger than one block is walked along its leading axes, one block
-    of the trailing axes per chunk.
+    of the trailing axes per chunk; a rule that fits is one chunk.
     """
-    d, n = spec.dim, spec.order
-    if spec.rule == "gauss_hermite":
-        t, w, T, W = hermite_block(n, d)
-        axes_t, axes_w = [t] * d, [w] * d
-        jac = spec.jacobian
-        map_pts = lambda T: spec.center[:, None] + np.sqrt(2.0) * (spec.transform @ T)
-    else:
-        scales = spec.axis_scales
-        lo = spec.center - _HALF_WIDTH * scales
-        hi = spec.center + _HALF_WIDTH * scales
-        h = (hi - lo) / n
-        axes_t = [lo[i] + (np.arange(n) + 0.5) * h[i] for i in range(d)]
-        axes_w = [np.full(n, h[i]) for i in range(d)]
-        k = _block_axes(n, d)
-        T, W = _product(axes_t[d - k:], axes_w[d - k:])
-        jac = 1.0
-        map_pts = lambda T: T
-
-    lead = d - T.shape[0]
-    if lead == 0:
-        yield map_pts(T), W * jac
-        return
-    for idx in np.ndindex(*(n,) * lead):
-        head = np.array([axes_t[i][j] for i, j in enumerate(idx)])[:, None]
-        w_head = math.prod(axes_w[i][j] for i, j in enumerate(idx))
-        T_k = np.vstack([np.broadcast_to(head, (lead, T.shape[1])), T])
-        yield map_pts(T_k), w_head * W * jac
+    t, w, T, W = node_block(spec.rule, spec.order, spec.dim)
+    s, M, jac = _node_map(spec)
+    lead = spec.dim - T.shape[0]
+    T_k = np.vstack([np.empty((lead, T.shape[1])), T]) if lead else T  # head rows set per chunk
+    shift = np.repeat(spec.center[:, None], T.shape[1], axis=1)  # faster to add than a broadcast
+    for idx in np.ndindex(*(spec.order,) * lead):
+        if lead:
+            T_k[:lead] = t[list(idx)][:, None]
+        pts, wts = M @ T_k, math.prod(w[j] for j in idx) * W
+        pts *= s  # in place, with the roundings of center + s * (M @ T_k)
+        pts += shift
+        wts *= jac
+        yield pts, wts
 
 
 def integrate(fn, spec: IntegrationSpec):

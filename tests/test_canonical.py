@@ -88,6 +88,19 @@ def test_hessian_detects_non_smooth_energy():
             hessian_of_energy(energy, np.zeros(d))
 
 
+def test_hessian_rejects_a_step_or_tolerance_that_switches_it_off():
+    # step 0 gave an all-NaN Hessian; a NaN or infinite smooth_tol passed the kink below
+    kinked = lambda x: abs(x[0] * x[1]) + 0.5 * float(x @ x)
+    for step in [0.0, -1e-4, np.nan, np.inf]:
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            hessian_of_energy(lambda x: 0.5 * float(x @ x), np.zeros(2), step=step)
+    for smooth_tol in [np.nan, np.inf, -1e-3]:
+        with pytest.raises(ValueError, match="smooth_tol must be finite and nonnegative"):
+            hessian_of_energy(kinked, np.zeros(2), smooth_tol=smooth_tol)
+    with pytest.raises(NonSmoothEnergyError):
+        hessian_of_energy(kinked, np.zeros(2), smooth_tol=0.0)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_hessian_evaluates_each_stencil_point_once(d):
     points = []

@@ -580,6 +580,15 @@ def test_classify_requires_enough_samples():
         classify(make_trace(np.linspace(0, 1, 32), np.zeros(32)), tail_fraction=1.5)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])
+def test_classify_rejects_a_tolerance_that_decides_nothing(tol):
+    # a NaN tol made every trace UNCLASSIFIED and an infinite one every trace BERNOULLI
+    taus = np.linspace(0.0, 10.0, 64)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        classify(make_trace(taus, np.ones(64)), tol=tol)
+    assert classify(make_trace(taus, np.zeros(64)), tol=0.0).level is IgehLevel.BERNOULLI
+
+
 def test_trace_validation():
     with pytest.raises(ValueError):
         CorrelationTrace(np.array([0.0, 0.0, 1.0]), np.zeros(3))

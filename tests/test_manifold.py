@@ -354,6 +354,26 @@ def test_contains_rejects_wrong_shapes(shape):
     assert DOMAINS["box"].contains(np.full((2, 3), 0.5))
 
 
+@pytest.mark.parametrize("lower, upper, match", [
+    ([0.0, 0.0], [1.0], "upper bound must hold 2 numbers"),
+    ([1.0, 0.0], [0.0, 1.0], "empty domain"),
+    ([0.0, 0.0], [1.0, 0.0], "empty domain"),
+    ([np.nan, 0.0], [1.0, 1.0], "lower bound .* no NaN"),
+    ([[0.0, 0.0]], [[1.0, 1.0]], "lower bound must hold 1 numbers"),
+])
+def test_domain_checks_its_bounds(lower, upper, match, monkeypatch):
+    # the benchmark counts contains calls, so building a domain must not make one
+    monkeypatch.setattr(ParameterDomain, "contains", lambda self, theta: pytest.fail("called"))
+    with pytest.raises(ValueError, match=match):
+        ParameterDomain.box(lower, upper)
+    with pytest.raises(ValueError, match=match):
+        ParameterDomain(len(lower), lower, upper)
+    with pytest.raises(ValueError, match="upper bound must hold 3 numbers"):
+        ParameterDomain(3, upper=[1.0, 2.0])
+    domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
+    assert domain.lower.dtype == float and domain.upper.shape == (2,)
+
+
 def test_stencil_domain_check():
     field = closed_form_field(0.0)
     with pytest.raises(DomainError):

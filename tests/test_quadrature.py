@@ -1,10 +1,25 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from statmanifold import IntegrationSpec, integrate, integrate_with_error
-from statmanifold.quadrature import _CHUNK, hermite_block
+from statmanifold import (
+    Correlated2DParams,
+    GaussianBump,
+    HeatBath,
+    IntegrationSpec,
+    MultivariateGaussian,
+    QuadraticHamiltonian,
+    TestFunctionSet,
+    canonical_covariance_quadrature,
+    ig_correlation_2d,
+    integrate,
+    integrate_with_error,
+    mvn_ig_correlation,
+    phase_space_spec,
+)
+from statmanifold.quadrature import _CHUNK, node_block
 
 
 def gaussian_1d(mu, sigma):
@@ -82,7 +97,7 @@ def mvn_density(mean, cov):
 
 def test_chunked_correlated_rule_second_moments():
     # 20^4 nodes exceed one block: 20 chunks of the cached 20^3-node block
-    assert 20**4 > _CHUNK and hermite_block(20, 4)[2].shape == (3, 20**3)
+    assert 20**4 > _CHUNK and node_block("gauss_hermite", 20, 4)[2].shape == (3, 20**3)
     spec = IntegrationSpec.for_gaussian(MEAN_4D, COV_4D, order=20)
     density = mvn_density(MEAN_4D, COV_4D)
     f = lambda x: (density(x) * (x[:, None, :] * x[None, :, :]).reshape(16, -1)).T
@@ -111,7 +126,7 @@ def test_chunked_2d_rule_matches_one_block(rule):
 
 @pytest.mark.parametrize("order, dim", [(16, 2), (20, 4)])
 def test_cached_blocks_survive_in_place_integrands(order, dim):
-    assert not any(a.flags.writeable for a in hermite_block(order, dim))
+    assert not any(a.flags.writeable for a in node_block("gauss_hermite", order, dim))
     spec = IntegrationSpec.for_gaussian(MEAN_4D[:dim], COV_4D[:dim, :dim], order=order)
     f = lambda x: mvn_density(MEAN_4D[:dim], COV_4D[:dim, :dim])(x) * x[0] ** 2
     before = integrate(f, spec)
@@ -152,3 +167,97 @@ def test_spec_validation():
         IntegrationSpec([0.0, 0.0], np.eye(3))
     with pytest.raises(ValueError):
         IntegrationSpec.axes([0.0], [1.0], rule="simpson")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: IntegrationSpec.axes([0.0], [0.0]), id="zero-scale"),
+    pytest.param(lambda: IntegrationSpec.axes([0.0], [0.0], rule="rectangle"), id="zero-box"),
+    pytest.param(lambda: IntegrationSpec.axes([0.0, 1.0], [1.0, 0.0], 8, "rectangle"),
+                 id="zero-box-axis"),
+    pytest.param(lambda: IntegrationSpec([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]]), id="singular"),
+    pytest.param(lambda: IntegrationSpec.axes([np.nan], [1.0]), id="nan-center"),
+    pytest.param(lambda: IntegrationSpec.axes([np.nan], [1.0], rule="rectangle"),
+                 id="nan-center-box"),
+    pytest.param(lambda: IntegrationSpec.axes([0.0], [np.inf]), id="inf-scale"),
+    pytest.param(lambda: IntegrationSpec([0.0, 0.0], [[1.0, 0.0], [np.nan, 1.0]], 8, "rectangle"),
+                 id="nan-transform-box"),
+    pytest.param(lambda: IntegrationSpec.for_gaussian([0.0, np.inf], np.eye(2)), id="inf-mean"),
+    pytest.param(lambda: IntegrationSpec.axes([0.0, 0.0], [1e200, 1e200], order=8),
+                 id="overflowing-jacobian"),
+    pytest.param(lambda: IntegrationSpec.axes([0.0], [1.0], order=2.5), id="fractional-order"),
+    pytest.param(lambda: IntegrationSpec.axes([0.0], [1.0], order="8"), id="string-order"),
+    pytest.param(lambda: replace(IntegrationSpec.axes([0.0], [1.0]), transform=[[0.0]]),
+                 id="replaced-transform"),
+])
+def test_spec_checks_its_node_map(build):
+    # each of these integrated to 0, nan or inf, or failed later inside hermgauss;
+    # the 1e200 scales overflow the determinant, which numpy also warns of
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        build()
+
+
+def test_spec_node_map_needs_only_axis_scales_for_the_box():
+    # a singular transform still has a box of nonzero axis scales
+    spec = IntegrationSpec([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], 64, "rectangle")
+    pdf = lambda x: np.exp(-0.5 * np.sum(x**2, axis=0)) / (2 * np.pi)
+    assert integrate(pdf, spec) == pytest.approx(1.0, rel=1e-12)
+    assert type(IntegrationSpec.axes([0.0], [1.0], order=np.int64(8)).order) is int
+    assert IntegrationSpec.axes([0.0], [1.0], order=5).coarse.order == 4
+
+
+def naive_rule(spec):
+    """Every node (d, n**d) and weight of ``spec`` from one meshgrid: no chunks, no cache."""
+    n, d = spec.order, spec.dim
+    if spec.rule == "gauss_hermite":
+        t, w = np.polynomial.hermite.hermgauss(n)
+        grid = np.stack([g.ravel() for g in np.meshgrid(*[t] * d, indexing="ij")])
+        weights = np.prod(np.meshgrid(*[w * np.exp(t**2)] * d, indexing="ij"), axis=0).ravel()
+        jac = math.sqrt(2.0) ** d * abs(np.linalg.det(spec.transform))
+        return spec.center[:, None] + math.sqrt(2.0) * spec.transform @ grid, weights * jac
+    scales = np.sqrt(np.sum(spec.transform**2, axis=1))
+    h = 16.0 * scales / n
+    axes = [c - 8.0 * s + (np.arange(n) + 0.5) * hi for c, s, hi in zip(spec.center, scales, h)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return pts, np.prod(h) * np.ones(pts.shape[1])
+
+
+@pytest.mark.parametrize("rule", ["gauss_hermite", "rectangle"])
+@pytest.mark.parametrize("dim, order", [(1, 160), (2, 64), (2, 160), (3, 20), (3, 32), (4, 20)])
+def test_shared_chunk_walk_matches_a_naive_tensor_rule(rule, dim, order):
+    mean, cov = MEAN_4D[:dim], COV_4D[:dim, :dim]
+    if rule == "gauss_hermite":
+        spec = IntegrationSpec.for_gaussian(mean, cov, order)
+    else:
+        spec = IntegrationSpec.axes(mean, np.sqrt(np.diag(cov)), order, rule)
+    density = mvn_density(mean, cov)
+    vector = lambda x: (density(x) * np.vstack([np.ones(x.shape[1]), x, np.cos(x[0])])).T
+    gram = lambda x: (np.vstack([x, np.sin(x[-1])]), density(x) * (1.0 + 0.5 * np.cos(x[0])))
+    pts, w = naive_rule(spec)
+    for form, exact in [(vector, w @ vector(pts)),
+                        (gram, (lambda a, rho: (a * (w * rho)) @ a.T)(*gram(pts)))]:
+        got = integrate(form, spec)
+        assert got.shape == exact.shape
+        assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_order_zero_reaches_the_spec_check():
+    # order=0 used to mean the default order on every route to a spec
+    bumps = [GaussianBump(0.2, 1.5), GaussianBump(-0.1, 1.2, 0.7)]
+    fs = TestFunctionSet(tuple(lambda x, b=b: b(x) for b in bumps), tuple(b.l1_norm for b in bumps))
+    params = Correlated2DParams(0.3, 1.1, 0.6, 0.9)
+    g = MultivariateGaussian([0.3, 0.0], params.covariance())
+    h, bath = QuadraticHamiltonian(1, [0.1, -0.2], [[2.0, 0.3], [0.3, 0.7]]), HeatBath(1.3)
+    for call in [lambda: ig_correlation_2d(params, fs, order=0),
+                 lambda: mvn_ig_correlation(g, fs, order=0),
+                 lambda: phase_space_spec(h, bath, order=0),
+                 lambda: phase_space_spec(h, bath, order=0, rule="rectangle"),
+                 lambda: canonical_covariance_quadrature(h, bath, order=0)]:
+        with pytest.raises(ValueError, match="order must be >= 2"):
+            call()
+    # order=None is the spec's default_order(dim) on each route
+    assert ig_correlation_2d(params, fs) == ig_correlation_2d(params, fs, order=64)
+    assert mvn_ig_correlation(g, fs) == mvn_ig_correlation(g, fs, order=64)
+    h2 = QuadraticHamiltonian(2, MEAN_4D, np.linalg.inv(COV_4D))
+    for rule in ("gauss_hermite", "rectangle"):
+        assert phase_space_spec(h2, bath, rule=rule).order == 20
+    assert IntegrationSpec.axes([0.0] * 3, [1.0] * 3).order == 20
