@@ -106,10 +106,6 @@ class QuadraticHamiltonian:
                 "hessian must be positive definite (stable equilibrium)"
             )
 
-    @property
-    def phase_dim(self) -> int:
-        return 2 * self.n
-
     def energy(self, x) -> np.ndarray:
         """Quadratic energy at phase points of shape (2n,) or (2n, k)."""
         x = np.asarray(x, dtype=float)
@@ -178,12 +174,10 @@ def covariance_hessian_law(h: QuadraticHamiltonian, bath: HeatBath):
 
 
 def phase_space_spec(h: QuadraticHamiltonian, bath: HeatBath,
-                     order: int | None = None, rule: str = "gauss_hermite") -> IntegrationSpec:
-    """Quadrature spec covering the canonical density of ``h`` (``order=None``: the default)."""
+                     order: int | None = None) -> IntegrationSpec:
+    """``IntegrationSpec.for_gaussian``'s rule for the canonical Gaussian, on its own factor."""
     g = canonical_to_gaussian(h, bath)
-    if rule == "gauss_hermite":
-        return IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
-    return IntegrationSpec.axes(g.mean, np.sqrt(np.diag(g.covariance)), order, rule)
+    return IntegrationSpec(g.mean, g.cholesky, order)
 
 
 def canonical_covariance_quadrature(h: QuadraticHamiltonian, bath: HeatBath,
@@ -193,7 +187,8 @@ def canonical_covariance_quadrature(h: QuadraticHamiltonian, bath: HeatBath,
     Independent of the matrix-inverse route: the box is placed from the
     marginal standard deviations only, and no whitening is used.
     """
-    spec = phase_space_spec(h, bath, order=order, rule="rectangle")
+    g = canonical_to_gaussian(h, bath)
+    spec = IntegrationSpec.axes(g.mean, np.sqrt(np.diag(g.covariance)), order, "rectangle")
     return _canonical_covariance(lambda x: x - h.equilibrium[:, None], h.energy, bath, spec)
 
 
@@ -377,11 +372,6 @@ class OscillatorTraceResult:
     envelope: np.ndarray  # F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1 per sample
 
 
-def default_oscillator_test_functions(o: OscillatorPair, width: float = 1.0) -> TestFunctionSet:
-    """Unit-L1 bumps centered on the marginal means (q10 and 0)."""
-    return TestFunctionSet.unit_l1_bumps([o.q10, 0.0], width)
-
-
 def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
                             fs: TestFunctionSet | None = None,
                             kB: float = 1.0, tol: float = 1e-6,
@@ -394,9 +384,10 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
     reduced model comes from ``oscillator_reduce``; their covariances are
     stacked into one correlation call, exact for bumps in one batched pass,
     while ``order`` applies only to other test functions, which are
-    integrated sample by sample.  The trace is classified and checked against
-    the envelope F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1; the first
-    sample above it raises :class:`NumericalError`.
+    integrated sample by sample; ``fs=None`` is unit-L1 bumps on the marginal
+    means (q10 and 0).  The trace is classified and checked against the envelope
+    F_sup(r_eff) / (2 pi sigma_c^2) * ||f1 f2||_1; the first sample above it
+    raises :class:`NumericalError`.
     """
     temps = np.asarray(list(T_schedule), dtype=float)
     if temps.size < 1:
@@ -408,7 +399,7 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
     if np.any(temps > o.T0):
         raise TemperatureRangeError("schedule exceeds the reference temperature T0")
     if fs is None:
-        fs = default_oscillator_test_functions(o)
+        fs = TestFunctionSet.unit_l1_bumps([o.q10, 0.0])
 
     increasing = temps.size >= 2 and np.all(np.diff(temps) > 0.0)
     if increasing and np.all(temps < o.T0):
@@ -431,7 +422,7 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
             f"correlation {values[k]:.3e} at sample {k} (T = {temps[k]:.6g}) "
             f"exceeds its envelope {envelope[k]:.3e}"
         )
-    trace = CorrelationTrace(taus, values, meta=f"oscillator pair, T schedule of {temps.size}")
+    trace = CorrelationTrace(taus, values)
     return OscillatorTraceResult(trace, classify(trace, tol=tol), r_eff, envelope)
 
 

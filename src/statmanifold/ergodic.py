@@ -205,7 +205,7 @@ def _gaussian_correlation(mean, cov, fs: TestFunctionSet, order: int | None):
         means = np.broadcast_to(mean, cov.shape[:-1])
         return np.array([_gaussian_correlation(m, c, fs, order) for m, c in zip(means, cov)])
     g = MultivariateGaussian(mean, cov)
-    spec = IntegrationSpec.for_gaussian(g.mean, g.covariance, order)
+    spec = IntegrationSpec(g.mean, g.cholesky, order)  # for_gaussian's rule, on g's factor
     return ig_correlation(lambda x: mvn_pdf(x, g), fs, spec)
 
 
@@ -385,7 +385,6 @@ class CorrelationTrace:
 
     taus: np.ndarray
     values: np.ndarray
-    meta: str = ""
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -404,14 +403,14 @@ class CorrelationTrace:
 
 
 MIN_TRACE_SAMPLES = 16
+MIXING_TAIL_FRACTION = 0.25  # the trailing share of a trace that the mixing test reads
 
 
-def classify(trace: CorrelationTrace, tol: float = 1e-6,
-             tail_fraction: float = 0.25) -> IgehClass:
+def classify(trace: CorrelationTrace, tol: float = 1e-6) -> IgehClass:
     """Classify a correlation trace into the strongest passing level.
 
     Bernoulli: |c| <= tol at every sample.  Mixing: mean |c| over the trailing
-    ``tail_fraction`` of samples <= tol and the tail maximum <= 3 tol.
+    ``MIXING_TAIL_FRACTION`` of samples <= tol and the tail maximum <= 3 tol.
     Ergodic: the running Cesaro average of c (trapezoid rule over the observed
     window) ends with magnitude <= tol.  A stronger level grants the weaker
     ones, so the reported levels always respect the strict-inclusion ordering.
@@ -420,8 +419,6 @@ def classify(trace: CorrelationTrace, tol: float = 1e-6,
         raise ValueError(
             f"need at least {MIN_TRACE_SAMPLES} samples, got {len(trace)}"
         )
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1)")
     if not 0.0 <= tol < math.inf:  # a NaN tol would classify nothing, an infinite one everything
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
@@ -429,7 +426,7 @@ def classify(trace: CorrelationTrace, tol: float = 1e-6,
     n = len(trace)
     max_abs = float(np.max(np.abs(c)))
 
-    k0 = n - max(1, int(math.ceil(tail_fraction * n)))
+    k0 = n - max(1, int(math.ceil(MIXING_TAIL_FRACTION * n)))
     tail = np.abs(c[k0:])
     tail_mean = float(np.mean(tail))
     tail_max = float(np.max(tail))
@@ -458,7 +455,6 @@ def classify(trace: CorrelationTrace, tol: float = 1e-6,
         "tail_max": tail_max,
         "cesaro_final": cesaro_final,
         "tol": tol,
-        "tail_fraction": tail_fraction,
         "bernoulli": bernoulli,
         "mixing": mixing,
         "ergodic": ergodic,

@@ -39,49 +39,33 @@ MAX_GEODESIC_STEPS = 10**6
 
 @dataclass(frozen=True)
 class ParameterDomain:
-    """Open region of the macrospace; box bounds, a predicate, or both."""
+    """Open box ``lower < theta < upper`` of the macrospace; a bound not given is infinite."""
 
     dim: int
     lower: Optional[np.ndarray] = None
     upper: Optional[np.ndarray] = None
-    predicate: Optional[Callable[[np.ndarray], bool]] = None
 
     def __post_init__(self):
-        for name in ("lower", "upper"):
-            if getattr(self, name) is not None:
-                bound = np.asarray(getattr(self, name), dtype=float)
-                if bound.shape != (self.dim,) or np.isnan(bound).any():
-                    raise ValueError(f"{name} bound must hold {self.dim} numbers and no NaN")
-                object.__setattr__(self, name, bound)
-        lower, upper = self.lower, self.upper
-        if lower is not None and upper is not None and not (lower < upper).all():
-            raise ValueError(f"empty domain: lower {lower.tolist()} not below {upper.tolist()}")
+        for name, infinite in (("lower", -np.inf), ("upper", np.inf)):
+            bound = getattr(self, name)
+            bound = np.full(self.dim, infinite) if bound is None else np.asarray(bound, dtype=float)
+            if bound.shape != (self.dim,) or np.isnan(bound).any():
+                raise ValueError(f"{name} bound must hold {self.dim} numbers and no NaN")
+            object.__setattr__(self, name, bound)
+        if not (self.lower < self.upper).all():
+            raise ValueError(f"empty domain: lower {self.lower} not below {self.upper}")
 
     @classmethod
     def box(cls, lower, upper) -> "ParameterDomain":
         return cls(len(lower), lower, upper)
-
-    @classmethod
-    def from_predicate(cls, dim: int, fn) -> "ParameterDomain":
-        return cls(dim, predicate=fn)
-
-    @classmethod
-    def unbounded(cls, dim: int) -> "ParameterDomain":
-        return cls(dim)
 
     def contains(self, theta) -> bool:
         """Whether ``theta``, one point (dim,) or every row of a (k, dim) batch, lies inside."""
         theta = np.asarray(theta, dtype=float)
         if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
             return False
-        lower = -np.inf if self.lower is None else self.lower
-        upper = np.inf if self.upper is None else self.upper
         # NaN and ±inf fail the strict comparisons: this is the finiteness test too
-        if not ((lower < theta) & (theta < upper)).all():
-            return False
-        if self.predicate is not None:
-            return all(self.predicate(row) for row in theta.reshape(-1, self.dim))
-        return True
+        return bool(((self.lower < theta) & (theta < self.upper)).all())
 
     def require(self, theta, what: str) -> np.ndarray:
         """``theta`` as a float array; :class:`DomainError` unless it lies in the domain."""
@@ -190,8 +174,8 @@ class MetricField:
     @classmethod
     def from_function(cls, dim: int, func, domain: ParameterDomain | None = None,
                       d1=None, d2=None) -> "MetricField":
-        """A closed-form field over ``domain`` (default unbounded), which must be ``dim``-dimensional."""
-        domain = domain or ParameterDomain.unbounded(dim)
+        """A closed-form field over ``domain`` (default R^dim), which must be ``dim``-dimensional."""
+        domain = domain or ParameterDomain(dim)
         if domain.dim != dim:
             raise ValueError(f"a {dim}-dimensional field needs a {dim}-dimensional domain, "
                              f"got {domain.dim}")
@@ -285,7 +269,8 @@ def _sweep(field: MetricField, theta, order: int, centre: bool = False):
     One ``ParameterDomain.contains`` call checks every row before the metric
     is evaluated anywhere.  A theta of the wrong shape or outside the domain
     raises the :meth:`ParameterDomain.require` error; otherwise the error
-    names the first stencil row outside.
+    names the coordinate of the first row outside, an axis row, since a
+    corner repeats the floats ``x_k ± h_k`` of the axis rows.
     """
     domain, m = field.domain, field.domain.dim
     theta = np.asarray(theta, dtype=float)
@@ -296,10 +281,7 @@ def _sweep(field: MetricField, theta, order: int, centre: bool = False):
     if not domain.contains(points):
         domain.require(theta, "the metric field")
         i = next(i for i, row in enumerate(points) if not domain.contains(row))
-        pairs = list(zip(*np.triu_indices(m, 1)))
-        where = (f"coordinate {i // 2}" if i < 2 * m
-                 else "the corner of coordinates {} and {}".format(*pairs[(i - 2 * m - 1) // 4]))
-        raise DomainError(f"finite-difference stencil exits the domain at {where}")
+        raise DomainError(f"finite-difference stencil exits the domain at coordinate {i // 2}")
     return [field(p) for p in points], h
 
 
@@ -337,8 +319,8 @@ def christoffel(field: MetricField, theta) -> np.ndarray:
     return gam
 
 
-def riemann(field: MetricField, theta) -> np.ndarray:
-    """Covariant curvature tensor R[i, k, l, m]."""
+def _curvature(field: MetricField, theta):
+    """``(g, Gamma, R)`` at theta: the metric, the connection and :func:`riemann`'s tensor."""
     theta = field.domain.require(theta, "the metric field")
     g = field(theta)
     gam = christoffel(field, theta)
@@ -352,7 +334,12 @@ def riemann(field: MetricField, theta) -> np.ndarray:
     term2 = np.einsum("np,nkl,pim->iklm", g, gam, gam) - np.einsum(
         "np,nkm,pil->iklm", g, gam, gam
     )
-    return term1 + term2
+    return g, gam, term1 + term2
+
+
+def riemann(field: MetricField, theta) -> np.ndarray:
+    """Covariant curvature tensor R[i, k, l, m]."""
+    return _curvature(field, theta)[2]
 
 
 def ricci(field: MetricField, theta) -> np.ndarray:
@@ -381,10 +368,10 @@ class GeometryReport:
 
 
 def geometry_report(field: MetricField, theta) -> GeometryReport:
+    """The separate curvature functions' results from one pass: 15 metric requests for m = 2."""
     theta = field.domain.require(theta, "the metric field")
-    gam = christoffel(field, theta)
-    rie = riemann(field, theta)
-    gi = inverse_metric(field(theta))
+    g, gam, rie = _curvature(field, theta)
+    gi = inverse_metric(g)
     ric = np.einsum("lm,limk->ik", gi, rie)
     scal = float(np.einsum("ik,ik->", gi, ric))
     return GeometryReport(theta, gam, rie, ric, scal)

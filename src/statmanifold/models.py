@@ -198,12 +198,13 @@ class MultivariateGaussian:
 
     The covariance is factored once, C = L L^T; the factorization is the
     positive-definiteness check.  A non-finite mean or covariance raises
-    ``ValueError``.  ``whitening`` is W = L^-1, lower triangular
-    and read-only, and ``normalizer`` is 1 / ((2 pi)^(dim/2) prod L_ii).
+    ``ValueError``.  ``cholesky`` is L and ``whitening`` W = L^-1, both lower
+    triangular and read-only, and ``normalizer`` is 1 / ((2 pi)^(dim/2) prod L_ii).
     """
 
     mean: np.ndarray
     covariance: np.ndarray
+    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
     whitening: np.ndarray = field(init=False, repr=False, compare=False)
     normalizer: float = field(init=False, repr=False, compare=False)
 
@@ -223,7 +224,8 @@ class MultivariateGaussian:
         except np.linalg.LinAlgError:
             raise NonPositiveDefiniteError("covariance must be positive definite") from None
         whitening = np.tril(np.linalg.inv(chol))
-        whitening.flags.writeable = False
+        chol.flags.writeable = whitening.flags.writeable = False
+        object.__setattr__(self, "cholesky", chol)
         object.__setattr__(self, "whitening", whitening)
         object.__setattr__(self, "normalizer",
                            float(1.0 / (TWO_PI ** (0.5 * self.dim) * np.prod(np.diag(chol)))))

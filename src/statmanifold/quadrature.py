@@ -67,12 +67,15 @@ def node_block(rule: str, order: int, dim: int):
 
 
 def _node_map(spec: IntegrationSpec):
-    """``(s, M, jac)`` of the map x = center + s M t, with jac = s^d |det M|."""
+    """``(s, M, jac)`` of the map x = center + s M t; jac = s^d |det M|, inf where it overflows."""
     if spec.rule == "gauss_hermite":
-        s, M = np.sqrt(2.0), spec.transform
+        s, M = math.sqrt(2.0), spec.transform
     else:
         s, M = 1.0, np.diag(spec.axis_scales)
-    return s, M, s**spec.dim * abs(np.linalg.det(M))
+    try:  # exp(slogdet) is the float abs(det) gives, but det warns where it overflows
+        return s, M, s**spec.dim * math.exp(np.linalg.slogdet(M)[1])
+    except OverflowError:
+        return s, M, math.inf
 
 
 @dataclass(frozen=True)

@@ -158,9 +158,9 @@ def test_canonical_density_matches_gaussian_pointwise():
     h = random_quadratic(rng, 1)
     bath = HeatBath(0.8)
     g = canonical_to_gaussian(h, bath)
-    spec = phase_space_spec(h, bath, order=128, rule="rectangle")
-    z = integrate(lambda x: np.exp(-bath.beta * h.energy(x)), spec)
     sds = np.sqrt(np.diag(g.covariance))
+    spec = IntegrationSpec.axes(g.mean, sds, 128, "rectangle")
+    z = integrate(lambda x: np.exp(-bath.beta * h.energy(x)), spec)
     grid = np.linspace(-3.0, 3.0, 13)
     pts = np.stack([h.equilibrium[0] + grid * sds[0], h.equilibrium[1] + grid * sds[1]])
     canonical = np.exp(-bath.beta * h.energy(pts)) / z

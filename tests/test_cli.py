@@ -708,6 +708,15 @@ def test_module_entry_point(tmp_path):
     assert "invalid choice: 'xml'" in done.stderr
 
 
+def test_readme_quick_start_runs_with_warnings_as_errors():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", block], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_repeated_calls_share_one_parser_and_no_flags():
     assert cli.build_parser() is cli.build_parser()
     argv = ["f-curve", "--r-start", "0.9", "--r-stop", "0.95", "--r-count", "2"]

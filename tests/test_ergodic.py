@@ -576,8 +576,6 @@ def test_classify_unclassified_trace():
 def test_classify_requires_enough_samples():
     with pytest.raises(ValueError):
         classify(make_trace(np.linspace(0, 1, 8), np.zeros(8)))
-    with pytest.raises(ValueError):
-        classify(make_trace(np.linspace(0, 1, 32), np.zeros(32)), tail_fraction=1.5)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-6])

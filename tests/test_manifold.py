@@ -160,7 +160,7 @@ def _random_family(d, m, seed):
         d_cov = dA @ A.T + A @ dA.transpose(0, 2, 1)
         return mu0 + theta @ M, A @ A.T + np.eye(d), M, d_cov
 
-    return manifold.ModelFamily(moments, ParameterDomain.unbounded(m)), rng.normal(size=m)
+    return manifold.ModelFamily(moments, ParameterDomain(m)), rng.normal(size=m)
 
 
 def _node_sum_metric(fam, theta, order=8):
@@ -321,18 +321,10 @@ def test_analytic_derivative_override():
     assert np.array_equal(metric_derivatives(field, [0.0, 0.0], 1), marker)
 
 
-def _in_disc(theta):
-    # a predicate is called with one point at a time, also for a batch
-    assert theta.shape == (3,)
-    return theta[0] ** 2 + theta[1] ** 2 < 1.0
-
-
 DOMAINS = {
     "box": ParameterDomain.box([-1.0, 0.0, -np.inf], [1.0, np.inf, 2.0]),
-    "predicate": ParameterDomain.from_predicate(3, _in_disc),
-    "box and predicate": ParameterDomain(3, np.array([-1.0, 0.0, -np.inf]),
-                                         np.array([1.0, np.inf, 2.0]), _in_disc),
-    "unbounded": ParameterDomain.unbounded(3),
+    "lower bound only": ParameterDomain(3, lower=[-1.0, 0.0, -np.inf]),
+    "unbounded": ParameterDomain(3),
 }
 COORDINATES = st.one_of(st.floats(-3.0, 3.0),
                         st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1.0, 2.0]))
@@ -378,26 +370,10 @@ def test_stencil_domain_check():
     field = closed_form_field(0.0)
     with pytest.raises(DomainError):
         metric_derivatives(field, [0.0, 1e-7], 1)
+    with pytest.raises(DomainError, match="exits the domain at coordinate 1$"):
+        metric_derivatives(field, [0.0, 1e-7], 2)
     with pytest.raises(ValueError):
         metric_derivatives(field, [0.0, 1.0], 3)
-
-
-def test_stencil_corner_outside_domain_raises_before_evaluating():
-    # the hole holds the corner (1 + h, 1 + h) of the mixed second derivative,
-    # but no axis point
-    hole = np.array([1.0 + 1e-5, 1.0 + 1e-5])
-    domain = ParameterDomain.from_predicate(2, lambda th: np.max(np.abs(th - hole)) > 5e-6)
-    outside = []
-
-    def g(theta):
-        if not domain.contains(theta):
-            outside.append(theta.copy())
-        return metric_2d_closed(Correlated2DParams(theta[0], theta[1], 0.3, 1.0))
-
-    field = MetricField.from_function(2, g, domain=domain)
-    with pytest.raises(DomainError, match="corner"):
-        scalar_curvature(field, [1.0, 1.0])
-    assert outside == []
 
 
 def test_second_derivatives_near_the_boundary_use_only_evaluated_points():
@@ -678,6 +654,48 @@ def test_curvature_computes_each_distinct_metric_once(monkeypatch):
     assert len(requests) == 17
     assert len(fisher_calls) == 9  # 1 + 2m^2 stencil points at m = 2
     assert len({t.tobytes() for t in fisher_calls}) == 9
+
+
+@pytest.mark.parametrize("kind", ["from_function", "from_model"])
+def test_geometry_report_is_the_separate_results_from_15_requests(kind, monkeypatch):
+    field, theta = _random_field(2, 7, kind)
+    separate = (christoffel(field, theta), riemann(field, theta), ricci(field, theta),
+                scalar_curvature(field, theta))
+    field, theta = _random_field(2, 7, kind)  # a fresh cache for the from_model field
+    requests, _ = _count_requests(monkeypatch)
+    report = geometry_report(field, theta)
+    assert len(requests) == 15  # g, the 2m + 1 connection rows, the 1 + 2m^2 stencil
+    assert len({np.asarray(t).tobytes() for t in requests}) == 9
+    for got, expected in zip((report.christoffel, report.riemann, report.ricci, report.scalar),
+                             separate):
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("r", [0.0, 0.6])
+def test_scalar_curvature_does_not_depend_on_the_chart(r):
+    # R is a scalar: the (mu, log sigma) chart and affine charts theta = A theta' + b
+    # that keep sigma > 0 on a box (A upper triangular, A_22 > 0) must read the R of
+    # the (mu, sigma) chart
+    fam = correlated_2d_family(r)
+    charts = [(dataclasses.replace(
+        _reparameterized(fam, lambda t: np.array([t[0], np.exp(t[1])]),
+                         lambda t: np.diag([1.0, np.exp(t[1])])), domain=ParameterDomain(2)),
+        lambda theta: np.array([theta[0], np.log(theta[1])]))]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a = np.array([[rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]), rng.normal()],
+                      [0.0, rng.uniform(0.5, 2.0)]])
+        b = rng.uniform(-1.0, 1.0, size=2)
+        affine = dataclasses.replace(_reparameterized(fam, lambda t, a=a, b=b: a @ t + b,
+                                                      lambda t, a=a: a),
+                                     domain=ParameterDomain(2, lower=[-np.inf, -b[1] / a[1, 1]]))
+        charts.append((affine, lambda theta, a=a, b=b: np.linalg.solve(a, theta - b)))
+    for sigma in (1e-2, 0.1, 1.0, 10.0, 1e3):
+        theta = np.array([0.3, sigma])
+        expected = scalar_curvature(MetricField.from_model(fam), theta)
+        for chart, to_chart in charts:
+            got = scalar_curvature(MetricField.from_model(chart), to_chart(theta))
+            assert got == pytest.approx(expected, rel=1e-5)
 
 
 def test_metric_cache_holds_one_stencil(monkeypatch):

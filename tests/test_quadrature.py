@@ -13,10 +13,13 @@ from statmanifold import (
     QuadraticHamiltonian,
     TestFunctionSet,
     canonical_covariance_quadrature,
+    canonical_to_gaussian,
+    ig_correlation,
     ig_correlation_2d,
     integrate,
     integrate_with_error,
     mvn_ig_correlation,
+    mvn_pdf,
     phase_space_spec,
 )
 from statmanifold.quadrature import _CHUNK, node_block
@@ -191,8 +194,8 @@ def test_spec_validation():
 ])
 def test_spec_checks_its_node_map(build):
     # each of these integrated to 0, nan or inf, or failed later inside hermgauss;
-    # the 1e200 scales overflow the determinant, which numpy also warns of
-    with np.errstate(over="ignore"), pytest.raises(ValueError):
+    # the 1e200 scales overflow the determinant, which must raise no numpy warning
+    with pytest.raises(ValueError):
         build()
 
 
@@ -250,7 +253,6 @@ def test_order_zero_reaches_the_spec_check():
     for call in [lambda: ig_correlation_2d(params, fs, order=0),
                  lambda: mvn_ig_correlation(g, fs, order=0),
                  lambda: phase_space_spec(h, bath, order=0),
-                 lambda: phase_space_spec(h, bath, order=0, rule="rectangle"),
                  lambda: canonical_covariance_quadrature(h, bath, order=0)]:
         with pytest.raises(ValueError, match="order must be >= 2"):
             call()
@@ -258,6 +260,27 @@ def test_order_zero_reaches_the_spec_check():
     assert ig_correlation_2d(params, fs) == ig_correlation_2d(params, fs, order=64)
     assert mvn_ig_correlation(g, fs) == mvn_ig_correlation(g, fs, order=64)
     h2 = QuadraticHamiltonian(2, MEAN_4D, np.linalg.inv(COV_4D))
-    for rule in ("gauss_hermite", "rectangle"):
-        assert phase_space_spec(h2, bath, rule=rule).order == 20
+    assert phase_space_spec(h2, bath).order == 20
     assert IntegrationSpec.axes([0.0] * 3, [1.0] * 3).order == 20
+
+
+def test_a_quadrature_gaussian_is_factored_once(monkeypatch):
+    # the spec takes the Cholesky factor the model already holds, where
+    # for_gaussian would factor the same covariance again, and gives the same bits
+    bumps = [GaussianBump(0.2, 1.5), GaussianBump(-0.1, 1.2, 0.7)]
+    fs = TestFunctionSet(tuple(lambda x, b=b: b(x) for b in bumps), tuple(b.l1_norm for b in bumps))
+    params = Correlated2DParams(0.3, 1.1, 0.6, 0.9)
+    g = MultivariateGaussian([0.3, 0.0], params.covariance())
+    expected = ig_correlation(lambda x: mvn_pdf(x, g), fs,
+                              IntegrationSpec.for_gaussian(g.mean, g.covariance, 64))
+    h, bath = QuadraticHamiltonian(1, [0.1, -0.2], [[2.0, 0.3], [0.3, 0.7]]), HeatBath(1.3)
+    reference = IntegrationSpec.for_gaussian(h.equilibrium, canonical_to_gaussian(h, bath).covariance)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    assert ig_correlation_2d(params, fs).hex() == expected.hex()
+    assert len(calls) == 1
+    spec = phase_space_spec(h, bath)
+    assert len(calls) == 2
+    assert spec.center.tobytes() == reference.center.tobytes()
+    assert spec.transform.tobytes() == reference.transform.tobytes()
