@@ -21,6 +21,7 @@ correlation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -74,7 +75,7 @@ class HeatBath:
         return 1.0 / (self.kB * self.temperature)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Quadratic energy around an equilibrium point of a 2n-dim phase space.
 
@@ -87,6 +88,8 @@ class QuadraticHamiltonian:
     hessian: np.ndarray
 
     def __post_init__(self):
+        if operator.index(self.n) < 1:  # a float n, even 2.0, raises TypeError
+            raise ValueError(f"n must be an integer >= 1, got {self.n}")
         eq = np.atleast_1d(np.asarray(self.equilibrium, dtype=float))
         hess = np.atleast_2d(np.asarray(self.hessian, dtype=float))
         object.__setattr__(self, "equilibrium", eq)
@@ -362,7 +365,7 @@ def oscillator_curvature(T: float, T0: float) -> float:
     return -T / (2.0 * T0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OscillatorTraceResult:
     """Correlation trace along a temperature schedule with its classification."""
 

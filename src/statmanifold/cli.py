@@ -8,11 +8,11 @@ Subcommands::
     goe             2x2 random-matrix ensemble report
     geodesic        geodesic trajectory with conservation diagnostic
 
-Common flags: --out PATH, --format csv|json, --tol FLOAT (finite, >= 0),
---config FILE; curvature-scan alone also accepts --quad-order INT (2 to
-MAX_QUAD_ORDER), which selects nothing, since the Fisher metric is exact.
---tol is the breach tolerance of f-curve, curvature-scan and geodesic;
-oscillator and goe have no breach check and reject it.
+Common flags: --out PATH, --format csv|json, --config FILE.  f-curve,
+curvature-scan and geodesic also take --tol FLOAT (finite, >= 0), their
+breach tolerance; oscillator and goe have no breach check and no --tol.
+curvature-scan alone also accepts --quad-order INT (2 to MAX_QUAD_ORDER),
+which selects nothing, since the Fisher metric is exact.
 Each key = value line of the config file is parsed as the flag --key=value,
 and flags on the command line win over it.  Output is CSV (17 significant
 digits) or JSON lines with identical field names.  Exit codes: 0 success,
@@ -40,8 +40,8 @@ from .canonical import (
 )
 from .ergodic import (
     MIN_TRACE_SAMPLES,
-    _distinguishability_F_rows,
     distinguishability_F_closed,
+    distinguishability_F_numeric,
     factorization_sup_2d,
 )
 from .errors import DomainError, NumericalError
@@ -54,12 +54,7 @@ from .manifold import (
     metric_speed,
     scalar_curvature,
 )
-from .models import (
-    Correlated2DParams,
-    correlated_2d_family,
-    correlated_2d_metric,
-    curvature_2d_closed,
-)
+from .models import correlated_2d_family, correlated_2d_metric, curvature_2d_closed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,10 +77,6 @@ MAX_ROWS = 10**5
 LINEAR_T_RATIOS = {"t_ratio_start": 0.5, "t_ratio_stop": 0.999}
 
 
-class ValidationError(Exception):
-    pass
-
-
 class ToleranceBreach(Exception):
     pass
 
@@ -96,15 +87,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows(rows, headers, out_path: str, fmt: str) -> None:
-    lines = []
+def write_rows(rows, out_path: str, fmt: str) -> None:
+    """``rows`` as CSV or JSON lines; the first row's keys are the header."""
+    headers = list(rows[0])
     if fmt == "csv":
-        lines.append(",".join(headers))
-        for row in rows:
-            lines.append(",".join(_fmt(row[h]) for h in headers))
+        lines = [",".join(headers)] + [",".join(_fmt(row[h]) for h in headers) for row in rows]
     else:
-        for row in rows:
-            lines.append(json.dumps({h: row[h] for h in headers}))
+        lines = [json.dumps(row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
@@ -118,26 +107,30 @@ def _linspace(args, name: str, count: int) -> np.ndarray:
     start, stop = getattr(args, name + "_start"), getattr(args, name + "_stop")
     if not start < stop:
         flag = "--" + name.replace("_", "-")
-        raise ValidationError(f"{flag}-start must be < {flag}-stop")
+        raise ValueError(f"{flag}-start must be < {flag}-stop")
     return np.linspace(start, stop, count)
 
 
+def _check(rows, column, tol: float, label: str) -> None:
+    """Raise ToleranceBreach unless every row's ``column`` is <= ``tol``; a NaN breaches."""
+    worst = np.max([row[column] for row in rows])  # NaN if any row is NaN, unlike max()
+    if not worst <= tol:
+        raise ToleranceBreach(f"{label} {worst:.3e} > tol")
+
+
 def cmd_f_curve(args) -> int:
-    rs = _linspace(args, "r", args.r_count)
-    params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs.tolist()]
-    closed = [distinguishability_F_closed(p.r) for p in params]
-    rows = [{"r": p.r, "F_closed": c, "F_numeric": f, "abs_diff": abs(c - f)}
-            for p, c, f in zip(params, closed, _distinguishability_F_rows(params))]
-    write_rows(rows, ["r", "F_closed", "F_numeric", "abs_diff"], args.out, args.format)
-    worst = np.max([row["abs_diff"] for row in rows])  # NaN if any row is NaN, unlike max()
-    if not worst <= args.tol:
-        raise ToleranceBreach(f"max |F_closed - F_numeric| = {worst:.3e} > tol")
+    rs = _linspace(args, "r", args.r_count).tolist()
+    closed = [distinguishability_F_closed(r) for r in rs]
+    rows = [{"r": r, "F_closed": c, "F_numeric": f, "abs_diff": abs(c - f)}
+            for r, c, f in zip(rs, closed, distinguishability_F_numeric(rs))]
+    write_rows(rows, args.out, args.format)
+    _check(rows, "abs_diff", args.tol, "max |F_closed - F_numeric| =")
     return EXIT_OK
 
 
 def cmd_curvature_scan(args) -> int:
     if args.sigma_count * args.r_count > MAX_ROWS:
-        raise ValidationError(f"--sigma-count * --r-count must be <= {MAX_ROWS}")
+        raise ValueError(f"--sigma-count * --r-count must be <= {MAX_ROWS}")
     sigmas = _linspace(args, "sigma", args.sigma_count)
     rs = _linspace(args, "r", args.r_count)
 
@@ -163,11 +156,8 @@ def cmd_curvature_scan(args) -> int:
 
     points = [(s, r) for s in sigmas for r in rs]
     rows = [row(point) for point in points]
-    write_rows(rows, ["sigma", "r", "R_closed", "R_numeric", "abs_diff"],
-               args.out, args.format)
-    worst = np.max([row["abs_diff"] for row in rows])
-    if not worst <= args.tol:
-        raise ToleranceBreach(f"max |R_closed - R_numeric| = {worst:.3e} > tol")
+    write_rows(rows, args.out, args.format)
+    _check(rows, "abs_diff", args.tol, "max |R_closed - R_numeric| =")
     return EXIT_OK
 
 
@@ -176,7 +166,7 @@ def cmd_oscillator(args) -> int:
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif args.schedule == "geometric":
-            raise ValidationError(f"--{name.replace('_', '-')} applies only to --schedule linear")
+            raise ValueError(f"--{name.replace('_', '-')} applies only to --schedule linear")
     if args.schedule == "geometric":
         ratios = 1.0 - 0.5 ** np.arange(1, args.steps + 1)
     else:
@@ -196,8 +186,7 @@ def cmd_oscillator(args) -> int:
             "C_bound": float(result.envelope[k]),
             "igeh_level": level,
         })
-    write_rows(rows, ["T_ratio", "r_eff", "tau", "R", "C_bound", "igeh_level"],
-               args.out, args.format)
+    write_rows(rows, args.out, args.format)
     return EXIT_OK
 
 
@@ -213,23 +202,23 @@ def cmd_goe(args) -> int:
         }
 
     rows = [row(r) for r in _linspace(args, "r", args.r_count).tolist()]
-    write_rows(rows, ["r", "R", "factorization_error", "note"], args.out, args.format)
+    write_rows(rows, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_geodesic(args) -> int:
     if args.flat and args.coupling is not None:
-        raise ValidationError("--coupling does not apply to --flat, whose metric has no correlation")
+        raise ValueError("--coupling does not apply to --flat, whose metric has no correlation")
     r = 0.0 if args.coupling is None else args.coupling
     if args.tau_end / args.step > MAX_GEODESIC_STEPS:
-        raise ValidationError(f"--tau-end / --step asks for more than {MAX_GEODESIC_STEPS} steps")
+        raise ValueError(f"--tau-end / --step asks for more than {MAX_GEODESIC_STEPS} steps")
     theta0, v0 = np.asarray(args.theta0), np.asarray(args.v0)
 
     if args.flat:
         field = MetricField.from_function(2, lambda th: np.eye(2))
     else:
         if not 1.0 / SCALE_LIMIT <= theta0[1]:
-            raise ValidationError(f"--theta0's sigma must lie within [{1.0 / SCALE_LIMIT:g}, "
+            raise ValueError(f"--theta0's sigma must lie within [{1.0 / SCALE_LIMIT:g}, "
                                   f"{SCALE_LIMIT:g}], got {float(theta0[1])!r}")
         # --coupling's type checks |r| < 1, and the box checks sigma > 0 before every evaluation
         field = MetricField.from_function(
@@ -256,21 +245,19 @@ def cmd_geodesic(args) -> int:
             "speed": speed,
             "speed_drift": abs(speed - speed0) / max(abs(speed0), 1e-300),
         })
-    write_rows(rows, ["tau", "theta1", "theta2", "v1", "v2", "speed", "speed_drift"],
-               args.out, args.format)
+    write_rows(rows, args.out, args.format)
     if result.exited_domain:
         what = {"left_domain": "trajectory", "stencil_left_domain": "finite-difference stencil"}
         raise ToleranceBreach(
             f"{what[result.exit_reason]} left the domain at tau = {result.states[-1].tau:.17g} "
             f"before tau-end = {args.tau_end:.17g} ({result.exit_reason})"
         )
-    worst = np.max([row["speed_drift"] for row in rows])
-    if not worst <= args.tol:
-        raise ToleranceBreach(f"speed drift {worst:.3e} > tol")
+    _check(rows, "speed_drift", args.tol, "speed drift")
     return EXIT_OK
 
 
-def _load_config(path: str) -> dict:
+def _config_flags(path: str, args) -> list:
+    """One --key=value flag per key = value line of config file ``path``, for ``args``' command."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -278,10 +265,20 @@ def _load_config(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValidationError(f"bad config line: {line!r}")
+                raise ValueError(f"bad config line: {line!r}")
             key, _, val = line.partition("=")
             values[key.strip().replace("-", "_")] = val.strip()
-    return values
+    flags = []
+    for key, raw in values.items():
+        flag = "--" + key.replace("_", "-")
+        if not hasattr(args, key):  # exact keys only: argparse would also take an abbreviation
+            raise ValueError(f"{args.command} has no flag {flag} (config key {key!r})")
+        switch = isinstance(getattr(args, key), bool)
+        if switch and raw.lower() in ("1", "true", "yes"):
+            flags.append(flag)  # a store_true flag takes no value
+        elif not (switch and raw.lower() in ("0", "false", "no")):
+            flags.append(f"{flag}={raw}")  # argparse checks it, and rejects a value on a switch
+    return flags
 
 
 def _number_in(kind, lo=-math.inf, hi=math.inf, ends="[]"):
@@ -310,6 +307,8 @@ _CORRELATION = _number_in(float, -1.0, 1.0, "()")
 _SCALE = _number_in(float, 1.0 / SCALE_LIMIT, SCALE_LIMIT)
 _COUNT = _number_in(int, 2, MAX_ROWS)
 _COORDINATE = _number_in(float, -SCALE_LIMIT, SCALE_LIMIT)
+# finite and >= 0: no run could pass the breach test "not worst <= tol" at a NaN or a negative
+_TOL = _number_in(float, 0.0)
 
 
 def _pair(text: str) -> tuple:
@@ -329,6 +328,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:  # argparse's own message would name the flags but not the command
+            self.error(f"unrecognized arguments for {args.command}: {' '.join(extra)}")
+        return args
+
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
@@ -340,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default="-", help="output path ('-' for stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    # finite and >= 0: no run could pass the breach test "not worst <= tol" at a NaN or a negative
-    common.add_argument("--tol", type=_number_in(float, 0.0), default=None,
-                        help="breach tolerance (default depends on the command); "
-                             "oscillator and goe reject it")
     common.add_argument("--config", default=None, help="optional key=value config file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-start", type=_CORRELATION, default=-0.95)
     p.add_argument("--r-stop", type=_CORRELATION, default=0.95)
     p.add_argument("--r-count", type=_COUNT, default=39)
+    p.add_argument("--tol", type=_TOL, default=1e-6, help="breach tolerance of abs_diff")
     p.set_defaults(func=cmd_f_curve)
 
     p = sub.add_parser("curvature-scan", parents=[common],
@@ -367,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="quad_order",
                    help="accepted and ignored: the Fisher metric is Skovgaard's closed form, "
                         "so no quadrature order applies")
+    p.add_argument("--tol", type=_TOL, default=1e-4, help="breach tolerance of abs_diff")
     p.set_defaults(func=cmd_curvature_scan)
 
     p = sub.add_parser("oscillator", parents=[common],
@@ -401,55 +404,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-end", type=_POSITIVE, default=1.0)
     p.add_argument("--step", type=_POSITIVE, default=1e-3)
     p.add_argument("--samples", type=_number_in(int, 1), default=50)
+    p.add_argument("--tol", type=_TOL, default=1e-6, help="breach tolerance of speed_drift")
     p.set_defaults(func=cmd_geodesic)
 
     return parser
-
-
-DEFAULT_TOL = {
-    "f-curve": 1e-6,
-    "curvature-scan": 1e-4,
-    "geodesic": 1e-6,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            overrides = _load_config(args.config)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        flags = []
-        for key, raw in overrides.items():
-            # exact keys only: argparse would also take an abbreviation
-            if not hasattr(args, key):
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return EXIT_VALIDATION
-            flag, switch = "--" + key.replace("_", "-"), isinstance(getattr(args, key), bool)
-            if switch and raw.lower() in ("1", "true", "yes"):
-                flags.append(flag)  # a store_true flag takes no value
-            elif not (switch and raw.lower() in ("0", "false", "no")):
-                flags.append(f"{flag}={raw}")  # argparse checks it, and rejects a value on a switch
-        # the config's flags go first, so argparse lets the command line's own win
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + flags + argv[at:])
-    if args.command not in DEFAULT_TOL:  # oscillator and goe have no breach check
-        if args.tol is not None:
-            print(f"error: --tol is not read by {args.command}, which has no breach check",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-    elif args.tol is None:
-        args.tol = DEFAULT_TOL[args.command]
     try:
+        if args.config:
+            # the config's flags go first, so argparse lets the command line's own win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config, args) + argv[at:])
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ToleranceBreach as exc:

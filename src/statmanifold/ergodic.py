@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DegenerateCorrelationError, QuadratureError
 from .models import Correlated2DParams, MultivariateGaussian, mvn_pdf
 from .quadrature import IntegrationSpec, integrate
 
@@ -287,22 +287,31 @@ def factorization_sup_2d(params: Correlated2DParams) -> float:
     return distinguishability_F_sup(params.r) / (2.0 * math.pi * params.sigma_c**2)
 
 
-def _distinguishability_F_rows(params: Sequence[Correlated2DParams]) -> list:
-    """``distinguishability_F_numeric`` of each of ``params``, the rows zoomed together.
+def distinguishability_F_numeric(r):
+    """Brute-force oracle for the closed form: maximize |p - p1 p2| by grid and zoom.
 
-    Every row's coarse grid is the same axis t = 8 linspace(-1, 1, 121) on s and
-    d, so the product term exp(-t^2 / 2) (x) exp(-t^2 / 2) is built once per
-    call, and each row only writes its joint term into one reused (121, 121)
-    buffer: no temporary grows with the number of rows.  The zoom rounds then
-    rescan all rows together, on the 7-point grids ``center + h linspace(-1, 1,
-    7)`` around each row's best point, from h = 1.5 coarse cells shrinking by
-    0.35 until h < sqrt(eps), 16 rounds.  Each row takes its own argmax, so a
-    row's value is bit-identical to a one-row call's.
+    A float ``r`` gives a float, a 1-D sequence a list; every |r| must be < 1.
+    The scan runs on the principal axes of the standard units
+    (``_principal_gap``) around (0, 0), and the maximum is in units of
+    1/(2 pi sigma_c^2): 0 at r = 0, the closed form up to BRANCH_SWITCH_R and
+    the supremum 1/sqrt(1 - r^2) - 1 above it.
+
+    Every row's coarse grid is the axis t = 8 linspace(-1, 1, 121) on s and d,
+    2/15 sd apart and finer than every basin, so the product term
+    exp(-t^2 / 2) (x) exp(-t^2 / 2) is built once per call, and each row writes
+    its joint term into one reused (121, 121) buffer.  The zoom rounds rescan
+    all rows together on the 7-point grids ``center + h linspace(-1, 1, 7)``,
+    from h = 1.5 coarse cells shrinking by 0.35 until h < sqrt(eps), 16 rounds.
+    Each row takes its own argmax, so its value is bit-identical to a one-row
+    call's (README, "Numerical conventions").
     """
-    for p in params:
-        p.require_nondegenerate()
-    a, b, c = _principal_coefficients([p.r for p in params])  # once, not per zoom round
-    k = len(params)
+    rs = np.asarray(r, dtype=float)
+    if rs.ndim > 1:
+        raise ValueError("r must be a float or a 1-D sequence")
+    if not np.all(np.abs(rs) < 1.0):  # NaN fails too
+        raise DegenerateCorrelationError("|r| must be < 1: the density degenerates at |r| = 1")
+    a, b, c = _principal_coefficients(rs)  # once, not per zoom round
+    k = rs.size
     best, centers = np.empty(k), np.empty((2, k))  # centers: the best (s, d) of each row
 
     t = 8.0 * np.linspace(-1.0, 1.0, 121)
@@ -327,22 +336,7 @@ def _distinguishability_F_rows(params: Sequence[Correlated2DParams]) -> list:
         i, j = np.divmod(flat, t.size)
         centers[0], centers[1] = s[rows, i], d[rows, j]
         h *= 0.35
-    return best.tolist()
-
-
-def distinguishability_F_numeric(params: Correlated2DParams) -> float:
-    """Brute-force oracle for the closed form: maximize |p - p1 p2| by grid and zoom.
-
-    The scan runs on the principal axes of the standard units (``_principal_gap``),
-    around (0, 0) with unit sds, and the maximum is reported in units of the
-    joint's central prefactor 1/(2 pi sigma_c^2): it depends on r alone, is 0 at
-    r = 0 and compares directly with the closed form.  Agrees with it for |r| <=
-    BRANCH_SWITCH_R; above that it converges to 1/sqrt(1 - r^2) - 1, the supremum.
-
-    The grid spans +-8 sds with 121 coarse points per axis, 2/15 sd apart and
-    finer than every basin, and 7-point zooms (README, "Numerical conventions").
-    """
-    return _distinguishability_F_rows([params])[0]
+    return best.tolist() if rs.ndim else float(best[0])
 
 
 def correlation_upper_bound(params: Correlated2DParams, fs: TestFunctionSet) -> float:
@@ -379,7 +373,7 @@ class IgehClass:
     evidence: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationTrace:
     """Sampled correlation values along a strictly increasing tau grid."""
 

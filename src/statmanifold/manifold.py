@@ -37,7 +37,7 @@ FD_MAX_REL_CHANGE = 1e-2
 MAX_GEODESIC_STEPS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterDomain:
     """Open box ``lower < theta < upper`` of the macrospace; a bound not given is infinite."""
 
@@ -356,7 +356,7 @@ def scalar_curvature(field: MetricField, theta) -> float:
     return float(np.einsum("ik,ik->", gi, ricci(field, theta)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometryReport:
     """All local geometric quantities at a parameter point."""
 
@@ -377,7 +377,7 @@ def geometry_report(field: MetricField, theta) -> GeometryReport:
     return GeometryReport(theta, gam, rie, ric, scal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicState:
     """Position, velocity and affine parameter along a geodesic."""
 
@@ -386,7 +386,7 @@ class GeodesicState:
     tau: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicResult:
     """Geodesic states and why integration stopped.
 

@@ -192,7 +192,7 @@ def univariate_gaussian_family() -> ModelFamily:
     return ModelFamily(moments, domain, name="gaussian1d")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultivariateGaussian:
     """Gaussian over a 2n-dimensional microspace with full covariance.
 
@@ -204,9 +204,9 @@ class MultivariateGaussian:
 
     mean: np.ndarray
     covariance: np.ndarray
-    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
-    whitening: np.ndarray = field(init=False, repr=False, compare=False)
-    normalizer: float = field(init=False, repr=False, compare=False)
+    cholesky: np.ndarray = field(init=False, repr=False)
+    whitening: np.ndarray = field(init=False, repr=False)
+    normalizer: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))

@@ -78,7 +78,7 @@ def _node_map(spec: IntegrationSpec):
         return s, M, math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationSpec:
     """Describes how to integrate over a d-dimensional microspace.
 

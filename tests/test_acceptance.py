@@ -83,7 +83,7 @@ def test_criterion_1_f_curve_oracle_equivalence():
         mismatches = []
         for r in rs:
             closed = distinguishability_F_closed(r)
-            numeric = distinguishability_F_numeric(Correlated2DParams(0.0, 1.0, r, 1.0))
+            numeric = distinguishability_F_numeric(r)
             if abs(r) <= rstar:
                 branch, expected = "closed form", closed
             else:

@@ -120,6 +120,15 @@ def test_quadratic_hamiltonian_validation():
         QuadraticHamiltonian(1, [0.0], np.eye(2))
 
 
+@pytest.mark.parametrize("n,error", [(1.5, TypeError), (2.0, TypeError), (0, ValueError)])
+def test_quadratic_hamiltonian_requires_an_integer_n_of_at_least_1(n, error):
+    # the arrays are 2n-dimensional, so only n itself is wrong; n = 1.5 built a
+    # 3-D "phase space", for which covariance_hessian_law reported (kB T)^3
+    with pytest.raises(error):
+        QuadraticHamiltonian(n, np.zeros(round(2 * n)), np.eye(round(2 * n)))
+    assert QuadraticHamiltonian(np.int64(1), [0.0, 0.0], np.eye(2)).n == 1
+
+
 @pytest.mark.parametrize("equilibrium,hessian", [([math.nan, 0.0], np.eye(2)),
                                                  ([0.0, 0.0], np.diag([1.0, math.inf]))])
 def test_quadratic_hamiltonian_rejects_non_finite_input(equilibrium, hessian):

@@ -256,7 +256,7 @@ def test_scan_range_ends_must_be_finite(flag, capsys):
 @pytest.mark.parametrize("tol", ["nan", "-1", "-inf", "inf"])
 def test_tol_must_be_finite_and_nonnegative(tol, capsys):
     # at inf no run could breach, at nan, -1 or -inf every run would
-    for command in cli.DEFAULT_TOL:
+    for command in ("f-curve", "curvature-scan", "geodesic"):
         assert "--tol" in parser_refusal([command, f"--tol={tol}"], capsys)
 
 
@@ -302,8 +302,12 @@ PROBE_VALUES["pair"] = ([f"{x},1" for x in PROBE_VALUES["float"]]
                         + [f"1,{x}" for x in PROBE_VALUES["float"]] + ["1e200,1e200", "0,1e-300"])
 
 
+# float flags that a subcommand does not declare, and must refuse as cleanly as a bad value
+UNDECLARED_FLOATS = [("oscillator", "--tol"), ("goe", "--tol")]
+
+
 def numeric_flag_cases():
-    """(subcommand, flag, value) for every float and int flag the parser declares."""
+    """(subcommand, flag, value) for every float and int flag declared, and each one undeclared."""
     parser = cli.build_parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     for command, subparser in sub.choices.items():
@@ -311,6 +315,9 @@ def numeric_flag_cases():
             kind = getattr(action.type, "__name__", None)  # _number_in keeps its kind's name
             for value in PROBE_VALUES.get(kind, []):
                 yield command, action.option_strings[0], value
+    for command, flag in UNDECLARED_FLOATS:
+        for value in PROBE_VALUES["float"]:
+            yield command, flag, value
 
 
 @pytest.mark.parametrize("command,flag,value", list(numeric_flag_cases()))
@@ -376,17 +383,15 @@ def test_curvature_scan_bounds_the_rows_of_both_counts(capsys):
 @pytest.mark.parametrize("route", ["flag", "config"])
 @pytest.mark.parametrize("command", ["oscillator", "goe"])
 def test_tol_is_rejected_where_there_is_no_breach_check(command, route, tmp_path, capsys):
-    # oscillator and goe have no breach check, so an explicit --tol would be ignored
-    assert command not in cli.DEFAULT_TOL
+    # oscillator and goe have no breach check, so they declare no --tol to ignore
     if route == "flag":
-        argv = [command, "--tol=1e-300"]
+        line = parser_refusal([command, "--tol=1e-3"], capsys)
     else:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("tol = 1e-3\n")
-        argv = [command, "--config", str(cfg)]
-    assert main(argv) == EXIT_VALIDATION
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "--tol" in err[0] and command in err[0]
+        assert main([command, "--config", str(cfg)]) == EXIT_VALIDATION
+        [line] = capsys.readouterr().err.splitlines()
+    assert "--tol" in line and command in line
     assert main([command]) == EXIT_OK
 
 

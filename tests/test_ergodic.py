@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -34,7 +35,6 @@ from statmanifold import (
 )
 from statmanifold.ergodic import (
     SQRT_EPS,
-    _distinguishability_F_rows,
     _principal_coefficients,
     _principal_gap,
     factorization_sup_2d,
@@ -177,15 +177,13 @@ def test_F_numeric_zero_at_zero_correlation():
     # at r = 0 the gap's joint and product terms are the same floats
     t = np.linspace(-8.0, 8.0, 161)[None]
     assert not np.any(_principal_gap(*_principal_coefficients(0.0), t, t))
-    assert distinguishability_F_numeric(Correlated2DParams(0.7, 1.3, 0.0, 0.6)) == 0.0
-    assert _distinguishability_F_rows([Correlated2DParams(0.0, 1.0, r, 1.0)
-                                       for r in (0.5, 0.0, -0.0)])[1:] == [0.0, 0.0]
+    assert distinguishability_F_numeric(0.0) == 0.0
+    assert distinguishability_F_numeric([0.5, 0.0, -0.0])[1:] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("r", [-0.8, -0.5, 0.3, 0.5, 0.7, 0.8])
 def test_F_numeric_matches_closed_form_below_branch_switch(r):
-    params = Correlated2DParams(0.0, 1.0, r, 1.0)
-    assert distinguishability_F_numeric(params) == pytest.approx(
+    assert distinguishability_F_numeric(r) == pytest.approx(
         distinguishability_F_closed(r), abs=1e-6
     )
 
@@ -198,8 +196,7 @@ def test_F_numeric_matches_closed_form_on_dense_grid():
     for r in rs:
         if r == 0.0:
             continue
-        params = Correlated2DParams(0.0, 1.0, r, 1.0)
-        assert distinguishability_F_numeric(params) == pytest.approx(
+        assert distinguishability_F_numeric(r) == pytest.approx(
             distinguishability_F_sup(r), rel=1e-12, abs=0.0
         )
 
@@ -210,8 +207,7 @@ def test_F_numeric_follows_central_branch_above_switch(r):
     # difference vanishes and the supremum sits at the center of the
     # distribution; the closed form strictly exceeds it there
     assert BRANCH_SWITCH_R == pytest.approx(0.8392867552141612, abs=1e-12)
-    params = Correlated2DParams(0.0, 1.0, r, 1.0)
-    numeric = distinguishability_F_numeric(params)
+    numeric = distinguishability_F_numeric(r)
     central = 1.0 / math.sqrt(1.0 - r**2) - 1.0
     assert numeric == pytest.approx(central, abs=1e-9)
     assert distinguishability_F_closed(r) > numeric
@@ -221,19 +217,21 @@ def test_F_closed_dominates_numeric_everywhere():
     # the closed form stays a valid upper bound on the supremum on both
     # sides of the branch switch
     for r in np.linspace(0.05, 0.97, 24):
-        params = Correlated2DParams(0.0, 1.0, r, 1.0)
-        assert distinguishability_F_closed(r) >= distinguishability_F_numeric(params) - 1e-9
+        assert distinguishability_F_closed(r) >= distinguishability_F_numeric(r) - 1e-9
 
 
 def test_F_numeric_independent_of_location_scale_and_constraint():
+    # F_numeric takes r alone; the maximizer on the model's own densities, in
+    # units of 1/(2 pi sigma_c^2), is what shows that nothing else matters
     r = 0.6
     vals = [
-        distinguishability_F_numeric(Correlated2DParams(mu, sigma, r, sc))
+        reference_F_numeric(Correlated2DParams(mu, sigma, r, sc))
         for mu in (-2.0, 0.0, 3.0)
         for sigma in (0.5, 1.0, 2.0)
         for sc in (0.7, 1.0)
     ]
     assert max(vals) - min(vals) < 1e-6
+    assert abs(vals[0] - distinguishability_F_numeric(r)) < 1e-6
 
 
 # grid-and-zoom results recorded before the two maximizers shared one loop;
@@ -245,7 +243,7 @@ def test_F_numeric_independent_of_location_scale_and_constraint():
     (Correlated2DParams(-1.2, 0.4, 0.9, 1.7), 1.294157338705618),
 ])
 def test_F_numeric_pinned_on_both_branches(params, expected):
-    assert distinguishability_F_numeric(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert distinguishability_F_numeric(params.r) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def reference_F_numeric(params, coarse=241, half_width=8.0, zoom_rounds=42, zoom_points=33):
@@ -283,33 +281,63 @@ def test_F_numeric_matches_reference_maximizer_on_both_branches():
     for r in rs:
         params = Correlated2DParams(rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.0, 1.0),
                                     r, 10.0 ** rng.uniform(-1.0, 1.0))
-        assert distinguishability_F_numeric(params) == pytest.approx(
+        assert distinguishability_F_numeric(r) == pytest.approx(
             reference_F_numeric(params), rel=1e-12, abs=0.0)
 
 
-def _grid_zoom_max(objective, centers, sds, coarse, zoom_points, zoom_rounds, half_width):
-    """Maxima of k problems by a coarse grid scan and a deterministic zoom.
+def _coarse_peaks(vals):
+    """Multi-indices (m, dim) of the local maxima of ``vals``, an (n,) * dim array.
 
-    The generic loop that ``_distinguishability_F_rows`` specializes, kept as
-    its oracle and the N-D one.  ``centers`` and ``sds`` are (k, dim).
-    ``objective(grid, rows)`` returns the values of problems ``rows`` on the
-    ``ij`` grids spanned by each (dim, n) slice of ``grid``.  The coarse scan
-    spans ``center`` +- ``half_width`` ``sds`` with ``coarse`` points per axis,
-    one problem per call.  Each zoom round rescans all k problems in one call,
-    ``center + h t`` with t = linspace(-1, 1, ``zoom_points``) around each
-    one's best point, starting from 1.5 coarse cells and shrinking h by 0.35,
-    until h < sqrt(eps) sd on every axis (the same round for every problem) or
-    after ``zoom_rounds``.  Each problem takes its own argmax.
-
-    Known limit: the zoom starts from the single best coarse point, so it can
-    settle on the lower of two nearly tied lobes.  With 21 coarse points it
-    missed 6 of 182 random 3-D/4-D Gaussians (cov = a a^T + 0.3 I) by up to
-    2.7e-4 relative, so the N-D oracle tests draw cov = a a^T + d I.
+    A peak is >= each of its 3^dim - 1 neighbours and > each one before it in
+    C order, so that a plateau of equal values gives one peak.  The first
+    argmax is always one.
     """
-    centers = np.array(centers, dtype=float)  # a copy: the best points go here
+    padded = block = np.pad(vals, 1, constant_values=-np.inf)
+    for axis in range(vals.ndim):  # the maximum of each 3^dim block, one axis at a time
+        b = np.moveaxis(block, axis, 0)
+        block = np.moveaxis(np.maximum(np.maximum(b[:-2], b[1:-1]), b[2:]), 0, axis)
+    peaks = np.argwhere(vals >= block)
+    for offset in itertools.product((-1, 0, 1), repeat=vals.ndim):
+        if offset < (0,) * vals.ndim:  # a neighbour before the point in C order, which wins a tie
+            peaks = peaks[vals[tuple(peaks.T)] > padded[tuple((peaks + 1 + np.array(offset)).T)]]
+    return peaks
+
+
+def _coarse_argmax(vals):
+    """The multi-index (1, dim) of the first argmax of ``vals``: the library loop's one start."""
+    return np.array([np.unravel_index(vals.argmax(), vals.shape)])
+
+
+def _grid_zoom_max(objective, centers, sds, coarse, zoom_points, zoom_rounds, half_width,
+                   peaks=_coarse_peaks):
+    """Maxima of k problems by a coarse grid scan and a deterministic zoom from each coarse peak.
+
+    The generic loop that ``distinguishability_F_numeric`` specializes, kept
+    as its oracle and the N-D one.  ``centers`` and ``sds`` are (k, dim).
+    ``objective(grid, rows)`` returns the values of problems ``rows`` (which
+    may repeat) on the ``ij`` grids spanned by each (dim, n) slice of
+    ``grid``.  The coarse scan spans ``center`` +- ``half_width`` ``sds`` with
+    ``coarse`` points per axis, one problem per call.  A zoom then starts from
+    each of the coarse grid's ``peaks``, by default every local maximum, so
+    that a lower coarse peak whose lobe rises above the best one's is zoomed
+    into too; ``_coarse_argmax`` is the library's single start.  Each zoom
+    round rescans all starts in one call, ``center + h t`` with t =
+    linspace(-1, 1, ``zoom_points``) around each start's best point, from 1.5
+    coarse cells shrinking h by 0.35, until h < sqrt(eps) sd on every axis
+    (the same round for every start) or after ``zoom_rounds``.  Each start
+    takes its own argmax, and a problem's maximum is the largest value any of
+    its starts saw.
+
+    Known limit: two lobes within one coarse cell of each other give one
+    coarse peak, and the zoom keeps whichever its first 7-point grid rates
+    higher.  With 21 coarse points that missed 20 of 240 random 3-D/4-D
+    correlation matrices a a^T + 0.3 I, by up to 1.9e-3 relative, with or
+    without the extra starts.
+    """
+    centers = np.array(centers, dtype=float)
     sds = np.asarray(sds, dtype=float)
     k, dim = centers.shape
-    rows, axes = np.arange(k), np.arange(dim)
+    axes = np.arange(dim)
 
     def scan(grid, rows):
         vals = objective(grid, rows).reshape(rows.size, -1)
@@ -320,16 +348,21 @@ def _grid_zoom_max(objective, centers, sds, coarse, zoom_points, zoom_rounds, ha
 
     h = half_width * sds
     t = np.linspace(-1.0, 1.0, coarse)
-    best = np.empty(k)
-    for i in rows:
+    best, starts, rows = np.empty(k), [], []  # each zoom's start point, and its problem
+    for i in range(k):
         grid = centers[i, :, None] + h[i, :, None] * t
-        best[i:i + 1], centers[i:i + 1] = scan(grid[None], rows[i:i + 1])
-    h = h * (3.0 / (coarse - 1))
+        vals = objective(grid[None], np.array([i])).reshape((coarse,) * dim)
+        best[i] = vals.max()
+        at = peaks(vals)
+        starts.append(grid[axes, at])
+        rows.append(np.full(len(at), i))
+    centers, rows = np.concatenate(starts), np.concatenate(rows)
+    h = h[rows] * (3.0 / (coarse - 1))
     t = np.linspace(-1.0, 1.0, zoom_points)
-    stop = SQRT_EPS * sds
+    stop = SQRT_EPS * sds[rows]
     for _ in range(zoom_rounds):
         val, centers = scan(centers[:, :, None] + h[:, :, None] * t, rows)
-        best = np.maximum(best, val)
+        np.maximum.at(best, rows, val)
         h *= 0.35
         if np.all(h < stop):
             break
@@ -391,14 +424,13 @@ def test_F_rows_share_zoom_rounds_and_match_single_calls_bitwise():
     rng = np.random.default_rng(18)
     rs = [0.0, 0.5, -0.5, BRANCH_SWITCH_R, -BRANCH_SWITCH_R, 0.999, -0.999, 1e-9]
     rs += rng.uniform(-0.999, 0.999, 40).tolist()
-    params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs]
-    assert _distinguishability_F_rows(params) == [distinguishability_F_numeric(p) for p in params]
+    assert distinguishability_F_numeric(rs) == [distinguishability_F_numeric(r) for r in rs]
 
 
 def test_F_rows_are_bit_identical_to_the_generic_loop():
     # the generic grid-and-zoom loop on the principal gap, with the same grid
-    # sizes, is the oracle: sharing the coarse product term and trimming the
-    # zoom rounds changes no bit of any row
+    # sizes and the single start, is the oracle: sharing the coarse product
+    # term and trimming the zoom rounds changes no bit of any row
     rng = np.random.default_rng(31)
     rs = [0.0, -0.0, 1e-9, BRANCH_SWITCH_R, -BRANCH_SWITCH_R, 0.999, -0.999]
     rs += rng.uniform(-0.999, 0.999, 400).tolist()
@@ -409,9 +441,13 @@ def test_F_rows_are_bit_identical_to_the_generic_loop():
         return np.abs(gap, out=gap)
 
     centers = np.zeros((len(rs), 2))
-    expected = _grid_zoom_max(objective, centers, centers + 1.0, 121, 7, 40, 8.0)
-    got = np.array(_distinguishability_F_rows([Correlated2DParams(0.0, 1.0, r, 1.0) for r in rs]))
+    expected = _grid_zoom_max(objective, centers, centers + 1.0, 121, 7, 40, 8.0, _coarse_argmax)
+    got = np.array(distinguishability_F_numeric(rs))
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # the gap is even in s and in d, so its other coarse peaks are mirror images
+    # of the best one: zooming from each reads the same maximum up to rounding
+    every = _grid_zoom_max(objective, centers, centers + 1.0, 121, 7, 40, 8.0)
+    assert np.all(every >= got) and np.all(every - got <= 1e-14 * every)
 
 
 def test_F_rows_scan_each_row_once_then_zoom_all_rows_together(monkeypatch):
@@ -430,18 +466,17 @@ def test_F_rows_scan_each_row_once_then_zoom_all_rows_together(monkeypatch):
 
     monkeypatch.setattr(ergodic, "np", RecordingNumpy())
     k = 5
-    _distinguishability_F_rows([Correlated2DParams(0.0, 1.0, r, 1.0)
-                                for r in np.linspace(-0.9, 0.9, k)])
+    distinguishability_F_numeric(np.linspace(-0.9, 0.9, k))
     assert shapes == [(121,)] * (1 + 2 * k) + [(4, k, 7)] * 16
 
 
 def test_F_rows_scan_the_coarse_grid_one_row_at_a_time():
     # a (39, 121, 121) coarse grid would hold 13.5 MB; one row's is 0.36 MB
     def peak(k):
-        params = [Correlated2DParams(0.0, 1.0, r, 1.0) for r in np.linspace(-0.9, 0.9, k)]
+        rs = np.linspace(-0.9, 0.9, k)
         tracemalloc.start()
         try:
-            _distinguishability_F_rows(params)
+            distinguishability_F_numeric(rs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,8 +486,21 @@ def test_F_rows_scan_the_coarse_grid_one_row_at_a_time():
 
 
 def test_F_numeric_degenerate():
-    with pytest.raises(DegenerateCorrelationError):
-        distinguishability_F_numeric(Correlated2DParams(0.0, 1.0, 1.0, 1.0))
+    # |r| = 1 degenerates the density, and NaN fails the same check |r| < 1
+    for r in (1.0, -1.0, 1.5, math.nan, [0.5, 1.0], [0.5, math.nan]):
+        with pytest.raises(DegenerateCorrelationError):
+            distinguishability_F_numeric(r)
+
+
+def test_F_numeric_takes_r_like_its_siblings():
+    # a float gives a float, like F_closed and F_sup, and a sequence one float per r
+    value = distinguishability_F_numeric(0.5)
+    assert type(value) is float and abs(value - distinguishability_F_closed(0.5)) <= 1e-12
+    rows = distinguishability_F_numeric((0.5, -0.3))
+    assert type(rows) is list and all(type(f) is float for f in rows)
+    assert distinguishability_F_numeric([]) == []
+    with pytest.raises(ValueError):
+        distinguishability_F_numeric([[0.5]])
 
 
 def test_F_slope_near_zero_observed():
@@ -686,19 +734,22 @@ def test_mvn_distinguishability_is_scale_free():
 
 
 def stacked_distinguishability(g, sign=1.0):
-    """Grid-and-zoom maximum of sign * (p - prod p_i), the density from solve and det."""
+    """Grid-and-zoom maximum of sign * (p - prod p_i), the density from inv and det."""
     marginals = [mvn_marginal(g, i) for i in range(g.dim)]
-    det = np.linalg.det(g.covariance)
+    det, precision = np.linalg.det(g.covariance), np.linalg.inv(g.covariance)
 
     def objective(grid, rows):
-        sparse = np.meshgrid(*grid[0], indexing="ij", sparse=True)
+        # one problem, zoomed from each of its coarse peaks: an ij grid per (dim, n) slice
+        m, n = len(grid), grid.shape[-1]
+        sparse = [grid[:, i].reshape((m,) + (1,) * i + (n,) + (1,) * (g.dim - 1 - i))
+                  for i in range(g.dim)]
         prod = 1.0
-        for m, x in zip(marginals, sparse):
-            prod = prod * m.pdf(x)
+        for marginal, x in zip(marginals, sparse):
+            prod = prod * marginal.pdf(x)
         d = np.stack(np.broadcast_arrays(*sparse)).reshape(g.dim, -1) - g.mean[:, None]
-        quad = np.sum(d * np.linalg.solve(g.covariance, d), axis=0)
+        quad = np.sum(d * (precision @ d), axis=0)
         joint = np.exp(-0.5 * quad) / np.sqrt((2 * np.pi) ** g.dim * det)
-        return sign * (joint.reshape(prod.shape) - prod)[None]
+        return sign * (joint.reshape(prod.shape) - prod)
 
     sds = np.sqrt(np.diag(g.covariance))
     return _grid_zoom_max(objective, [g.mean], [sds], 21, 7, 40, 8.0)[0]
@@ -707,9 +758,9 @@ def stacked_distinguishability(g, sign=1.0):
 def _random_gaussians(rng, n):
     """Random 2-4-D Gaussians, every third one negatively equicorrelated.
 
-    The others have cov = a a^T + d I.  With a a^T + 0.3 I about 4 % of the
-    3-D and 4-D draws have two lobes within 0.1 % of each other, and a
-    21-point coarse scan then zooms into the lower one.
+    The others have cov = a a^T + 0.3 I.  About 4 % of those in 3-D and 4-D
+    have two lobes within 0.1 % of each other, which a zoom from the single
+    best coarse point can miss; ``_grid_zoom_max`` zooms from every peak.
     """
     for k in range(n):
         d = int(rng.integers(2, 5))
@@ -718,7 +769,7 @@ def _random_gaussians(rng, n):
             corr = (1.0 - c) * np.eye(d) + c
         else:
             a = rng.normal(size=(d, d))
-            cov = a @ a.T + d * np.eye(d)
+            cov = a @ a.T + 0.3 * np.eye(d)
             corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
         sds = rng.uniform(0.2, 3.0, d)
         yield MultivariateGaussian(rng.uniform(-1.0, 1.0, d), corr * np.outer(sds, sds))

@@ -3,10 +3,19 @@ import pytest
 
 from statmanifold import (
     Correlated2DParams,
+    CorrelationTrace,
     DegenerateCorrelationError,
+    GeodesicResult,
+    GeodesicState,
+    GeometryReport,
+    IgehClass,
+    IgehLevel,
     IntegrationSpec,
     MetricField,
     MultivariateGaussian,
+    OscillatorTraceResult,
+    ParameterDomain,
+    QuadraticHamiltonian,
     NonPositiveDefiniteError,
     christoffel_2d_closed,
     correlated_2d_family,
@@ -277,3 +286,35 @@ def test_mvn_symmetry_tolerance_is_1e12_of_the_largest_entry():
         MultivariateGaussian(np.zeros(2), np.array([[1e3, 0.5 + 1e-9 * 1e3], [0.5, 1.0]]))
     near = MultivariateGaussian(np.zeros(2), np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]]))
     assert near.normalizer > 0.0
+
+
+def _trace():
+    return CorrelationTrace(np.arange(16.0), np.zeros(16))
+
+
+# objects that hold arrays, each call making a new one equal in value to the last
+ARRAY_HOLDERS = {
+    "ParameterDomain": lambda: ParameterDomain.box([0.0, 0.0], [1.0, 1.0]),
+    "IntegrationSpec": lambda: IntegrationSpec([0.0], [[1.0]]),
+    "MultivariateGaussian": lambda: MultivariateGaussian([0.0], [[1.0]]),
+    "CorrelationTrace": _trace,
+    "QuadraticHamiltonian": lambda: QuadraticHamiltonian(1, [0.0, 0.0], np.eye(2)),
+    "GeodesicState": lambda: GeodesicState(np.zeros(2), np.ones(2), 0.0),
+    "GeodesicResult": lambda: GeodesicResult((GeodesicState(np.zeros(2), np.ones(2), 0.0),),
+                                             "completed"),
+    "GeometryReport": lambda: GeometryReport(np.zeros(2), np.zeros((2, 2, 2)),
+                                             np.zeros((2, 2, 2, 2)), np.zeros((2, 2)), 0.0),
+    "OscillatorTraceResult": lambda: OscillatorTraceResult(
+        _trace(), IgehClass(IgehLevel.BERNOULLI, {}), np.zeros(16), np.ones(16)),
+    "ModelFamily": lambda: correlated_2d_family(0.3),
+    "MetricField": lambda: MetricField.from_model(correlated_2d_family(0.3)),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_HOLDERS))
+def test_objects_holding_arrays_compare_and_hash_by_identity(name):
+    # a generated __eq__ compared the arrays and raised "truth value ... ambiguous",
+    # and the generated __hash__ raised TypeError on them
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
