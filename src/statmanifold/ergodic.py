@@ -365,7 +365,7 @@ class IgehLevel(enum.Enum):
         return self.rank >= other.rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IgehClass:
     """Classification outcome with the statistics that produced it."""
 

@@ -20,8 +20,8 @@ with a classic fixed-step 4th-order scheme.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,26 +148,33 @@ class MetricField:
 
     @classmethod
     def from_model(cls, model: ModelFamily) -> "MetricField":
-        """The Fisher metric field of ``model``, computing each distinct theta once.
+        """The Fisher metric field of ``model``, computing each distinct metric once.
 
-        The curvature functions ask for the metric at the same stencil points
-        again and again (17 requests at 9 points for m = 2), so the field
-        keeps the ``1 + 2m^2`` most recently used metrics, one order-2
-        stencil, keyed on the shape and exact bytes of theta.  A theta that
-        raises is not kept.  The kept arrays are read-only; ``__call__``
-        returns a fresh array.
+        Skovgaard's form reads Sigma, d mu and d Sigma but never mu, so a
+        request checks theta against the domain, evaluates the moments and
+        keys on the dtype, shape and exact bytes of those three.  A 2-D
+        curvature makes 17 requests at 9 points; on the (mu_x, sigma) slice
+        they hold 3 distinct metrics, one per sigma.  The field keeps the
+        ``1 + 2m^2`` most recently computed metrics, one order-2 stencil,
+        dropping the oldest; a theta that raises is not kept.  The kept
+        arrays are read-only; ``__call__`` returns a fresh array.
         """
-        m = model.domain.dim
-
-        @lru_cache(maxsize=1 + 2 * m * m)
-        def cached(shape, data):
-            g = fisher_metric(model, np.frombuffer(data).reshape(shape))
-            g.flags.writeable = False
-            return g
+        what, size = model.name or "model", 1 + 2 * model.domain.dim ** 2
+        kept, lock = {}, threading.Lock()
 
         def fn(theta):
-            theta = np.asarray(theta, dtype=float)
-            return cached(theta.shape, theta.tobytes())
+            theta = model.domain.require(theta, what)
+            key = tuple((a.dtype.str, a.shape, a.tobytes())
+                        for a in map(np.asarray, model.moments(theta)[1:]))
+            g = kept.get(key)  # dict reads are atomic: only writers lock
+            if g is None:
+                g = fisher_metric(model, theta)
+                g.flags.writeable = False
+                with lock:
+                    kept[key] = g
+                    if len(kept) > size:
+                        del kept[next(iter(kept))]
+            return g
 
         return cls(fn, model.domain)
 
@@ -288,10 +295,10 @@ def _sweep(field: MetricField, theta, order: int, centre: bool = False):
 def inverse_metric(g: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite metric with conditioning guard."""
     eig, vecs = np.linalg.eigh(g)
-    if eig[0] <= 0.0:
+    if not eig[0] > 0.0:  # NaN fails the comparisons, so a NaN metric raises here
         raise SingularMetricError("metric is not positive definite")
     cond = eig[-1] / eig[0]
-    if cond > COND_LIMIT:
+    if not cond <= COND_LIMIT:
         raise SingularMetricError(f"metric condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
     return (vecs / eig) @ vecs.T
 
@@ -408,13 +415,20 @@ def metric_speed(field: MetricField, state: GeodesicState) -> float:
     return float(state.velocity @ g @ state.velocity)
 
 
+def _refuse_nan(position, tau: float) -> None:
+    """:class:`NumericalError` if a geodesic position holds NaN; ±inf has left the domain."""
+    if np.isnan(position).any():
+        raise NumericalError(f"geodesic step from tau = {tau!r} reached the position {position}")
+
+
 def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
                        step: float) -> GeodesicResult:
     """Integrate the geodesic system with a fixed-step 4th-order scheme.
 
     Terminates early, with the ``exit_reason`` of :class:`GeodesicResult`, if
     the trajectory or a stencil around it leaves the parameter domain; a
-    singular metric on the path raises :class:`SingularMetricError`.  Before
+    singular metric on the path raises :class:`SingularMetricError`, and a
+    stage or step whose position is NaN :class:`NumericalError`.  Before
     the metric is evaluated anywhere, ``ValueError`` names the argument
     unless ``step`` is positive and finite, ``init.tau`` finite, ``tau_end``
     finite and ``>= init.tau``, ``(tau_end - init.tau) / step`` at most
@@ -459,12 +473,14 @@ def geodesic_integrate(field: MetricField, init: GeodesicState, tau_end: float,
             k3p, k3v = rhs(pos + 0.5 * h * k2p, vel + 0.5 * h * k2v)
             k4p, k4v = rhs(pos + h * k3p, vel + h * k3v)
         except DomainError:
+            _refuse_nan(stage, tau)
             inside = field.domain.contains(stage)
             return GeodesicResult(tuple(states), "stencil_left_domain" if inside else "left_domain")
         pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        tau += h
         if not field.domain.contains(pos):
+            _refuse_nan(pos, tau)
             return GeodesicResult(tuple(states), "left_domain")
+        tau += h
         states.append(GeodesicState(pos.copy(), vel.copy(), tau))
     return GeodesicResult(tuple(states), "completed")

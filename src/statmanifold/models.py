@@ -165,16 +165,17 @@ def correlated_2d_family(r: float, sigma_c: float = 1.0) -> ModelFamily:
         raise ValueError("correlation coefficient must lie in [-1, 1]")
     if abs(r) == 1.0:
         raise DegenerateCorrelationError("|r| = 1 is a boundary of the family")
-    if not sigma_c > 0.0:
-        raise ValueError("sigma_c must be positive")
+    if not 0.0 < sigma_c < math.inf:
+        raise ValueError("sigma_c must be finite and positive")
     d_mean = np.array([[1.0, 0.0], [0.0, 0.0]])
 
-    def moments(theta):
+    def moments(theta):  # Correlated2DParams.covariance()'s arithmetic, without its checks
         mu, s = theta
+        sy = sigma_c**2 / s
+        c = r * s * sy
         d_cov = np.zeros((2, 2, 2))
         d_cov[1] = np.diag([2.0 * s, -2.0 * sigma_c**4 / s**3])
-        cov = Correlated2DParams(mu, s, r, sigma_c).covariance()
-        return np.array([mu, 0.0]), cov, d_mean, d_cov
+        return np.array([mu, 0.0]), np.array([[s**2, c], [c, sy**2]]), d_mean, d_cov
 
     domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
     return ModelFamily(moments, domain, name=f"correlated2d(r={r}, sigma_c={sigma_c})")

@@ -468,9 +468,11 @@ def test_christoffel_sweep_is_the_two_pass_connection(kind, seed, monkeypatch):
     gam = christoffel(field, theta)
     assert gam.tobytes() == expected.tobytes()
     assert len(requests) == 2 * m + 1 and np.array_equal(requests[-1], theta)
-    # one check of the whole sweep; fisher_metric also checks each theta it computes
+    # one check of the whole sweep; a from_model field checks each request before it
+    # reads the moments, and fisher_metric checks again on a miss: every row here,
+    # since the random family's Sigma moves with every coordinate
     assert [np.shape(c) for c in checks if np.ndim(c) == 2] == [(2 * m + 1, m)]
-    assert len(checks) == 1 + (2 * m + 1 if kind == "from_model" else 0)
+    assert len(checks) == 1 + (2 * (2 * m + 1) if kind == "from_model" else 0)
 
 
 @pytest.mark.parametrize("kind", ["from_function", "from_model"])
@@ -528,6 +530,13 @@ def test_inverse_metric_rejects_ill_conditioned_and_indefinite(dim):
         inverse_metric((q * eig) @ q.T)
     with pytest.raises(SingularMetricError, match="not positive definite"):
         inverse_metric(np.diag(eig))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_inverse_metric_rejects_a_non_finite_metric(entry):
+    # NaN failed both eig[0] <= 0 and cond > COND_LIMIT, so an all-NaN inverse came back
+    with pytest.raises(SingularMetricError):
+        inverse_metric(np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 def test_singular_metric_rejected():
@@ -627,11 +636,49 @@ def _count_fisher_calls(monkeypatch):
 @pytest.mark.parametrize("r,theta", [(-0.7, [0.0, 0.5]), (0.0, [0.3, 1.7]), (0.6, [-1.2, 20.0]),
                                      (0.9, [0.0, 0.05])])
 def test_cached_field_equals_uncached_field(bits, r, theta):
-    # the cache keys on the bytes of theta after its cast to float64, so a float32 theta
-    # must reach the same metric as the uncached field
-    theta = np.asarray(theta, dtype=f"float{bits}")
-    fam = correlated_2d_family(r)
-    plain = MetricField.from_function(2, lambda th: fisher_metric(fam, th), domain=fam.domain)
+    # the cache keys on the bytes of the moments at theta after its cast to float64, so
+    # a float32 theta must reach the same metric as the uncached field
+    _assert_cached_field_is_uncached(correlated_2d_family(r), np.asarray(theta, dtype=f"float{bits}"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cached_field_equals_uncached_field_off_the_slice(seed):
+    # random 2-4-D families, whose Sigma moves with every coordinate, and the
+    # (mu, log sigma) chart of the correlated model
+    rng = np.random.default_rng(seed)
+    fam, theta = _random_family(int(rng.integers(2, 5)), 2 + seed % 3, seed)
+    _assert_cached_field_is_uncached(fam, theta)
+    log_chart = dataclasses.replace(
+        _reparameterized(correlated_2d_family(rng.uniform(-0.9, 0.9)),
+                         lambda t: np.array([t[0], np.exp(t[1])]), lambda t: np.diag([1.0, np.exp(t[1])])),
+        domain=ParameterDomain(2))
+    _assert_cached_field_is_uncached(log_chart, rng.normal(size=2))
+
+
+def _mean_bent_in_mu(theta):
+    # d mu moves with mu while Sigma and d Sigma do not
+    return (np.array([theta[0] + 0.5 * theta[0] ** 2, 0.0]), np.diag([np.exp(theta[1]), 1.0]),
+            np.array([[1.0 + theta[0], 0.0], [0.0, 0.0]]),
+            np.array([np.zeros((2, 2)), np.diag([np.exp(theta[1]), 0.0])]))
+
+
+def _sigma_even_in_mu(theta):
+    # Sigma and d mu are the same at mu = ±h, d Sigma is not
+    s = np.exp(theta[1]) * (1.0 + theta[0] ** 2)
+    return (theta.copy(), np.diag([s, 1.0]), np.eye(2),
+            np.array([np.diag([2.0 * theta[0] * np.exp(theta[1]), 0.0]), np.diag([s, 0.0])]))
+
+
+@pytest.mark.parametrize("moments", [_mean_bent_in_mu, _sigma_even_in_mu])
+def test_cached_field_keys_on_every_moment_the_metric_reads(moments):
+    # around mu = 0 two stencil rows share all but one of Sigma, d mu and d Sigma
+    _assert_cached_field_is_uncached(manifold.ModelFamily(moments, ParameterDomain(2)),
+                                     np.array([0.0, 0.3]))
+
+
+def _assert_cached_field_is_uncached(fam, theta):
+    m = fam.domain.dim
+    plain = MetricField.from_function(m, lambda th: fisher_metric(fam, th), domain=fam.domain)
     assert np.array_equal(MetricField.from_model(fam)(theta), plain(theta))
     assert scalar_curvature(MetricField.from_model(fam), theta) == scalar_curvature(plain, theta)
     cached, uncached = geometry_report(MetricField.from_model(fam), theta), geometry_report(plain, theta)
@@ -642,17 +689,19 @@ def test_cached_field_equals_uncached_field(bits, r, theta):
 
 def test_curvature_computes_each_distinct_metric_once(monkeypatch):
     fisher_calls = _count_fisher_calls(monkeypatch)
-    requests = []
-    original_call = MetricField.__call__
-
-    def counted_call(self, theta):
-        requests.append(theta)
-        return original_call(self, theta)
-
-    monkeypatch.setattr(MetricField, "__call__", counted_call)
+    requests, _ = _count_requests(monkeypatch)
     scalar_curvature(MetricField.from_model(correlated_2d_family(0.3)), [0.2, 1.1])
-    assert len(requests) == 17
-    assert len(fisher_calls) == 9  # 1 + 2m^2 stencil points at m = 2
+    assert len(requests) == 17 and len({np.asarray(t).tobytes() for t in requests}) == 9
+    # Skovgaard's form never reads mu, and on the slice Sigma, d mu and d Sigma depend
+    # on sigma alone: the 1 + 2m^2 = 9 stencil points hold one metric per sigma
+    assert len(fisher_calls) == 3
+    assert len({t[1] for t in fisher_calls}) == 3
+    # a family whose Sigma moves with every coordinate has 9 distinct metrics
+    fisher_calls.clear()
+    requests.clear()
+    fam, theta = _random_family(3, 2, 11)
+    scalar_curvature(MetricField.from_model(fam), theta)
+    assert len(requests) == 17 and len(fisher_calls) == 9
     assert len({t.tobytes() for t in fisher_calls}) == 9
 
 
@@ -767,11 +816,22 @@ def test_cached_metrics_are_read_only_and_calls_fresh():
 
 
 def test_metric_outside_domain_raises_every_time(monkeypatch):
+    fam = correlated_2d_family(0.3)
+    with pytest.raises(DomainError) as reference:
+        fisher_metric(fam, [0.0, -1.0])
     fisher_calls = _count_fisher_calls(monkeypatch)
-    field = MetricField.from_model(correlated_2d_family(0.3))
+    field = MetricField.from_model(fam)
     for _ in range(2):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as raised:
             field([0.0, -1.0])
+        assert str(raised.value) == str(reference.value)
+    assert fisher_calls == []  # the field checks the domain before it reads the moments
+    # a theta whose metric raises is not kept either: the indefinite covariance raises twice
+    indefinite = MetricField.from_model(type(fam)(
+        lambda th: (np.zeros(2), np.diag([1.0, -th[1]]), np.eye(2), np.zeros((2, 2, 2))), fam.domain))
+    for _ in range(2):
+        with pytest.raises(NonPositiveDefiniteError, match="covariance"):
+            indefinite([0.0, 1.0])
     assert len(fisher_calls) == 2
 
 
@@ -890,6 +950,19 @@ def test_geodesic_rejects_bad_input_before_evaluating(velocity, tau_end, step, n
     with pytest.raises(ValueError, match=name):
         geodesic_integrate(field, init, tau_end, step)
     assert requests == []
+
+
+def test_geodesic_raises_where_the_metric_turns_nan():
+    # R^2 has no boundary to leave, but the NaN beyond x = 0.05 used to end the
+    # geodesic after 6 states as "left_domain"
+    field = MetricField.from_function(2, lambda th: np.eye(2) if th[0] <= 0.05 else np.full((2, 2), np.nan))
+    with pytest.raises(NumericalError, match=r"tau = 0\.05 "):
+        geodesic_integrate(field, GeodesicState(np.zeros(2), np.array([1.0, 0.0]), 0.0), 1.0, 0.01)
+    # a stage that overflows to +inf has left R^2
+    flat = MetricField.from_function(2, lambda th: np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and its stencil inf - inf
+        res = geodesic_integrate(flat, GeodesicState(np.zeros(2), np.array([1e308, 0.0]), 0.0), 10.0, 10.0)
+    assert res.exit_reason == "left_domain" and len(res.states) == 1
 
 
 def test_geodesic_span_below_one_step_takes_one_step():

@@ -124,6 +124,23 @@ def test_params_reject_non_finite_values(name, bad):
         Correlated2DParams(**values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_family_rejects_a_bad_sigma_c_once(bad):
+    # the family's moments form Sigma without building Correlated2DParams, so the
+    # family checks sigma_c itself
+    with pytest.raises(ValueError, match="^sigma_c must be finite and positive"):
+        correlated_2d_family(0.3, bad)
+
+
+def test_family_covariance_is_that_of_the_params():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        r, sigma_c = rng.uniform(-0.99, 0.99), 10.0 ** rng.uniform(-2, 2)
+        theta = np.array([rng.normal(), 10.0 ** rng.uniform(-3, 3)])
+        _, cov, _, _ = correlated_2d_family(r, sigma_c).moments(theta)
+        assert cov.tobytes() == Correlated2DParams(theta[0], theta[1], r, sigma_c).covariance().tobytes()
+
+
 @pytest.mark.parametrize("guard", [
     lambda r: Correlated2DParams(0.0, 1.0, r),
     curvature_2d_closed,
@@ -292,7 +309,7 @@ def _trace():
     return CorrelationTrace(np.arange(16.0), np.zeros(16))
 
 
-# objects that hold arrays, each call making a new one equal in value to the last
+# objects that hold arrays or dicts, each call making a new one equal in value to the last
 ARRAY_HOLDERS = {
     "ParameterDomain": lambda: ParameterDomain.box([0.0, 0.0], [1.0, 1.0]),
     "IntegrationSpec": lambda: IntegrationSpec([0.0], [[1.0]]),
@@ -306,6 +323,7 @@ ARRAY_HOLDERS = {
                                              np.zeros((2, 2, 2, 2)), np.zeros((2, 2)), 0.0),
     "OscillatorTraceResult": lambda: OscillatorTraceResult(
         _trace(), IgehClass(IgehLevel.BERNOULLI, {}), np.zeros(16), np.ones(16)),
+    "IgehClass": lambda: IgehClass(IgehLevel.MIXING, {}),
     "ModelFamily": lambda: correlated_2d_family(0.3),
     "MetricField": lambda: MetricField.from_model(correlated_2d_family(0.3)),
 }
@@ -314,7 +332,7 @@ ARRAY_HOLDERS = {
 @pytest.mark.parametrize("name", list(ARRAY_HOLDERS))
 def test_objects_holding_arrays_compare_and_hash_by_identity(name):
     # a generated __eq__ compared the arrays and raised "truth value ... ambiguous",
-    # and the generated __hash__ raised TypeError on them
+    # and the generated __hash__ raised TypeError on them (and on a dict)
     a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
     assert a == a and a != b
     assert len({a, b, a}) == 2
