@@ -15,7 +15,6 @@ from .canonical import (
     effective_correlation,
     goe_model,
     hessian_of_energy,
-    oscillator_curvature,
     oscillator_mixing_trace,
     oscillator_reduce,
     phase_space_spec,
@@ -69,18 +68,11 @@ from .manifold import (
 )
 from .models import (
     Correlated2DParams,
+    HalfPlane,
     MultivariateGaussian,
-    UnivariateGaussian,
-    christoffel_2d_closed,
     correlated_2d_family,
-    curvature_2d_closed,
-    marginals_2d,
-    metric_2d_closed,
-    mvn_marginal,
     mvn_pdf,
     pdf_2d,
-    ricci_2d_closed,
-    univariate_gaussian_family,
 )
 from .quadrature import IntegrationSpec, integrate, integrate_with_error
 

@@ -44,7 +44,7 @@ from .ergodic import (
     mvn_upper_bound,
 )
 from .manifold import _fd_derivatives, _fd_steps, _stencil
-from .models import Correlated2DParams, MultivariateGaussian, curvature_2d_closed, mvn_pdf
+from .models import Correlated2DParams, MultivariateGaussian, mvn_pdf
 from .quadrature import IntegrationSpec, integrate
 
 
@@ -356,15 +356,6 @@ def temperature_to_tau(T: float, T0: float) -> float:
     return 1.0 / (1.0 - T / T0)
 
 
-def oscillator_curvature(T: float, T0: float) -> float:
-    """Scalar curvature R = -T/(2 T0) of the reduced model; decreasing in T."""
-    if not (0.0 <= T and T0 > 0.0):  # written so that NaN fails it
-        raise TemperatureRangeError("need 0 <= T and T0 > 0")
-    if not T <= T0:
-        raise TemperatureRangeError("curvature law is derived for T <= T0")
-    return -T / (2.0 * T0)
-
-
 @dataclass(frozen=True, eq=False)
 class OscillatorTraceResult:
     """Correlation trace along a temperature schedule with its classification."""
@@ -456,9 +447,6 @@ class GoeModel:
     def joint_pdf(self, h11, h22, h12, h21):
         """Joint density; the four entries broadcast together."""
         return mvn_pdf((h11, h22, h12, h21), self.gaussian)
-
-    def curvature(self) -> float:
-        return curvature_2d_closed(self.reduced.r)
 
 
 def goe_model(mu: float, sigma: float, r: float, sigma_c: float) -> GoeModel:

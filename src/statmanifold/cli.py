@@ -35,7 +35,6 @@ import numpy as np
 from .canonical import (
     OscillatorPair,
     goe_model,
-    oscillator_curvature,
     oscillator_mixing_trace,
 )
 from .ergodic import (
@@ -54,7 +53,7 @@ from .manifold import (
     metric_speed,
     scalar_curvature,
 )
-from .models import correlated_2d_family, correlated_2d_metric, curvature_2d_closed
+from .models import HalfPlane, correlated_2d_family
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -145,7 +144,7 @@ def cmd_curvature_scan(args) -> int:
             r_numeric = scalar_curvature(numeric_field, np.array([0.0, sigma]))
         except DomainError as exc:  # sigma is inside the half-plane, so this is its stencil
             raise ToleranceBreach(f"{exc} (sigma = {sigma:.17g}, r = {r:.17g})") from None
-        r_closed = curvature_2d_closed(r)
+        r_closed = HalfPlane.correlated(r).scalar_curvature
         return {
             "sigma": float(sigma),
             "r": float(r),
@@ -182,7 +181,7 @@ def cmd_oscillator(args) -> int:
             "T_ratio": float(ratio),
             "r_eff": float(result.r_eff[k]),
             "tau": float(result.trace.taus[k]),
-            "R": oscillator_curvature(ratio * args.t0, args.t0),
+            "R": HalfPlane.oscillator(ratio * args.t0, args.t0).scalar_curvature,
             "C_bound": float(result.envelope[k]),
             "igeh_level": level,
         })
@@ -195,7 +194,7 @@ def cmd_goe(args) -> int:
         model = goe_model(args.mu, args.sigma, r, args.sigma)
         return {
             "r": r,
-            "R": model.curvature(),
+            "R": HalfPlane.correlated(r).scalar_curvature,
             # sup |p - p1 p2| of the diagonal block against its marginals
             "factorization_error": factorization_sup_2d(model.reduced),
             "note": "R_min" if r == 0.0 else "",
@@ -222,7 +221,7 @@ def cmd_geodesic(args) -> int:
                                   f"{SCALE_LIMIT:g}], got {float(theta0[1])!r}")
         # --coupling's type checks |r| < 1, and the box checks sigma > 0 before every evaluation
         field = MetricField.from_function(
-            2, lambda th: correlated_2d_metric(th[1], r),
+            2, HalfPlane.correlated(r).metric,
             domain=ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf]),
         )
 

@@ -121,7 +121,7 @@ def fisher_metric(model: ModelFamily, theta) -> np.ndarray:
     b = (white @ d_cov @ white.T).reshape(m, -1)
     g = a @ a.T + 0.5 * (b @ b.T)
     g = 0.5 * (g + g.T)
-    if np.min(np.linalg.eigvalsh(g)) <= 0.0:
+    if not np.min(np.linalg.eigvalsh(g)) > 0.0:  # written so that NaN fails it
         raise NonPositiveDefiniteError(f"Fisher metric at theta={theta} is not positive definite")
     return g
 

@@ -10,13 +10,10 @@ constraint ``sigma_c^2 = sigma_x * sigma_y``:
 
 whose macrospace is the half-plane (mu_x, sigma); the correlation r and the
 constraint constant sigma_c are external parameters (mu_y is fixed at zero).
-Its Fisher metric, connection and curvature are known in closed form and are
-used as oracles for the numeric geometry pipeline:
-
-    g = diag( 1/(sigma^2 (1-r^2)), 4/(sigma^2 (1-r^2)) )
-    Gamma^1_12 = -1/sigma,  Gamma^2_11 = 1/(4 sigma),  Gamma^2_22 = -1/sigma
-    R_11 = -1/(4 sigma^2),  R_22 = -1/sigma^2
-    R(r) = -(1 - r^2)/2
+Its Fisher metric diag(1, 4)/(sigma^2 (1 - r^2)) is a Poincare half-plane,
+:class:`HalfPlane` with k = (1 - r^2)/4, whose closed-form connection and
+curvature R(r) = -(1 - r^2)/2 are the oracles for the numeric geometry
+pipeline.  The reduced oscillator pair is the same plane with k = T/(4 T0).
 
 General multivariate Gaussians over a 2n-dimensional microspace are provided
 for the canonical-ensemble bridge.
@@ -29,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCorrelationError, NonPositiveDefiniteError
+from .errors import DegenerateCorrelationError, NonPositiveDefiniteError, TemperatureRangeError
 from .manifold import ModelFamily, ParameterDomain
 
 TWO_PI = 2.0 * np.pi
@@ -71,24 +68,6 @@ class Correlated2DParams:
             )
 
 
-@dataclass(frozen=True)
-class UnivariateGaussian:
-    """One-dimensional Gaussian density, used for marginals."""
-
-    mean: float
-    variance: float
-
-    @property
-    def sigma(self) -> float:
-        return float(np.sqrt(self.variance))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-((x - self.mean) ** 2) / (2.0 * self.variance)) / np.sqrt(
-            TWO_PI * self.variance
-        )
-
-
 def pdf_2d(x, y, params: Correlated2DParams):
     """Density of the correlated model; vectorized over x, y."""
     params.require_nondegenerate()
@@ -102,55 +81,65 @@ def pdf_2d(x, y, params: Correlated2DParams):
     )
 
 
-def marginals_2d(params: Correlated2DParams):
-    """Marginal densities (p1(x), p2(y)) of the correlated model."""
-    params.require_nondegenerate()
-    return (
-        UnivariateGaussian(params.mu_x, params.sigma**2),
-        UnivariateGaussian(0.0, params.sigma_c**4 / params.sigma**2),
-    )
+@dataclass(frozen=True)
+class HalfPlane:
+    """The Poincare half-plane g = diag(e, 1) / (k sigma^2) over theta = (mu, sigma).
 
+    Its Gaussian curvature is -k, so its scalar curvature is R = -2k, and e
+    only stretches the mu axis:
 
-def metric_2d_closed(params: Correlated2DParams) -> np.ndarray:
-    """Closed-form Fisher metric diag(1, 4) / (sigma^2 (1 - r^2))."""
-    params.require_nondegenerate()
-    return correlated_2d_metric(params.sigma, params.r)
+        Gamma^1_12 = Gamma^1_21 = -1/sigma,  Gamma^2_11 = e/sigma,  Gamma^2_22 = -1/sigma
+        R_11 = -e/sigma^2,  R_22 = -1/sigma^2
 
-
-def correlated_2d_metric(sigma: float, r: float) -> np.ndarray:
-    """The formula of :func:`metric_2d_closed` on plain numbers, with no check.
-
-    The caller has established 0 < sigma < inf and |r| < 1, as
-    ``Correlated2DParams`` and :meth:`Correlated2DParams.require_nondegenerate`
-    do for :func:`metric_2d_closed`.
+    k >= 0 and e > 0.  At k = 0 (|r| = 1, or T = 0) R is 0 and :meth:`metric`
+    raises :class:`DegenerateCorrelationError`.  The members read sigma =
+    theta[1] unchecked: a field over the box sigma > 0 keeps it positive.
     """
-    denom = sigma**2 * (1.0 - r**2)
-    return np.array([[1.0 / denom, 0.0], [0.0, 4.0 / denom]])
 
+    k: float
+    e: float
 
-def christoffel_2d_closed(sigma: float) -> np.ndarray:
-    """Closed-form connection of the correlated model; independent of r."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    gam = np.zeros((2, 2, 2))
-    gam[0, 0, 1] = gam[0, 1, 0] = -1.0 / sigma
-    gam[1, 0, 0] = 1.0 / (4.0 * sigma)
-    gam[1, 1, 1] = -1.0 / sigma
-    return gam
+    def __post_init__(self):
+        if not 0.0 <= self.k < math.inf:
+            raise ValueError("k must be finite and >= 0")
+        if not 0.0 < self.e < math.inf:
+            raise ValueError("e must be finite and positive")
 
+    @classmethod
+    def correlated(cls, r: float) -> "HalfPlane":
+        """The correlated model's (mu_x, sigma) slice: k = (1 - r^2)/4, e = 1/4."""
+        if not abs(r) <= 1.0:
+            raise ValueError("correlation coefficient must lie in [-1, 1]")
+        return cls((1.0 - r**2) / 4.0, 0.25)
 
-def ricci_2d_closed(sigma: float) -> np.ndarray:
-    """Closed-form Ricci tensor diag(-1/(4 sigma^2), -1/sigma^2)."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    return np.diag([-1.0 / (4.0 * sigma**2), -1.0 / sigma**2])
+    @classmethod
+    def oscillator(cls, T: float, T0: float) -> "HalfPlane":
+        """The reduced oscillator pair at 0 <= T <= T0, where 1 - r_eff^2 = T/T0: k = T/(4 T0)."""
+        if not (0.0 <= T and T0 > 0.0):  # written so that NaN fails it
+            raise TemperatureRangeError("need 0 <= T and T0 > 0")
+        if not T <= T0:
+            raise TemperatureRangeError("curvature law is derived for T <= T0")
+        return cls(T / (4.0 * T0), 0.25)
 
+    @property
+    def scalar_curvature(self) -> float:
+        return -2.0 * self.k
 
-def curvature_2d_closed(r: float) -> float:
-    """Scalar curvature R(r) = -(1 - r^2)/2; minimum -1/2 at r = 0, 0 at |r| = 1."""
-    if not abs(r) <= 1.0:
-        raise ValueError("correlation coefficient must lie in [-1, 1]")
-    return -0.5 * (1.0 - r**2)
+    def metric(self, theta) -> np.ndarray:
+        if self.k == 0.0:
+            raise DegenerateCorrelationError("k = 0: the metric diverges")
+        ks2 = theta[1] ** 2 * self.k
+        return np.array([[self.e / ks2, 0.0], [0.0, 1.0 / ks2]])
+
+    def christoffel(self, theta) -> np.ndarray:
+        """Gamma[k, i, j] = Gamma^k_ij, the layout of :func:`manifold.christoffel`."""
+        gam = np.zeros((2, 2, 2))
+        gam[0, 0, 1] = gam[0, 1, 0] = gam[1, 1, 1] = -1.0 / theta[1]
+        gam[1, 0, 0] = self.e / theta[1]
+        return gam
+
+    def ricci(self, theta) -> np.ndarray:
+        return np.diag([-self.e / theta[1] ** 2, -1.0 / theta[1] ** 2])
 
 
 def correlated_2d_family(r: float, sigma_c: float = 1.0) -> ModelFamily:
@@ -179,18 +168,6 @@ def correlated_2d_family(r: float, sigma_c: float = 1.0) -> ModelFamily:
 
     domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
     return ModelFamily(moments, domain, name=f"correlated2d(r={r}, sigma_c={sigma_c})")
-
-
-def univariate_gaussian_family() -> ModelFamily:
-    """N(mu, sigma^2) over theta = (mu, sigma); Fisher metric diag(1, 2)/sigma^2."""
-    d_mean = np.array([[1.0], [0.0]])
-
-    def moments(theta):
-        mu, s = theta
-        return np.array([mu]), np.array([[s * s]]), d_mean, np.array([[[0.0]], [[2.0 * s]]])
-
-    domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
-    return ModelFamily(moments, domain, name="gaussian1d")
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,9 +233,3 @@ def mvn_pdf(x, g: MultivariateGaussian):
     vals = g.normalizer * np.exp(-0.5 * quad)
     return float(vals) if vals.ndim == 0 else vals
 
-
-def mvn_marginal(g: MultivariateGaussian, i: int) -> UnivariateGaussian:
-    """i-th coordinate marginal N(mean_i, cov_ii)."""
-    if not 0 <= i < g.dim:
-        raise IndexError(f"marginal index {i} out of range for dim {g.dim}")
-    return UnivariateGaussian(float(g.mean[i]), float(g.covariance[i, i]))

@@ -19,6 +19,7 @@ from statmanifold import (
     CorrelationTrace,
     GaussianBump,
     GeodesicState,
+    HalfPlane,
     HeatBath,
     IgehLevel,
     MetricField,
@@ -30,7 +31,6 @@ from statmanifold import (
     correlated_2d_family,
     correlation_upper_bound,
     covariance_hessian_law,
-    curvature_2d_closed,
     distinguishability_F_closed,
     distinguishability_F_numeric,
     effective_correlation,
@@ -38,14 +38,13 @@ from statmanifold import (
     geometry_report,
     goe_model,
     ig_correlation_2d,
-    marginals_2d,
-    metric_2d_closed,
     metric_speed,
     mvn_ig_correlation,
     mvn_upper_bound,
-    oscillator_curvature,
     oscillator_mixing_trace,
 )
+
+from gaussians import marginals_2d
 
 # F(0.5) from the closed form, confirmed by the grid-maximization oracle
 # (the two agree to ~1e-15)
@@ -143,7 +142,8 @@ def test_criterion_4_oscillator_transition():
         # two derivations of the scalar curvature agree exactly
         for ratio in (0.0, 0.25, 0.5, 0.75, 1.0):
             r_eff = effective_correlation(ratio, 1.0)
-            assert abs(curvature_2d_closed(r_eff) - oscillator_curvature(ratio, 1.0)) <= 1e-12
+            assert abs(HalfPlane.correlated(r_eff).scalar_curvature
+                       - HalfPlane.oscillator(ratio, 1.0).scalar_curvature) <= 1e-12
 
         o = OscillatorPair(m1=1.0, m2=1.0, omega1=1.0, omega2=1.0, T0=1.0, r=0.5)
         schedule = [1.0 - 0.5**k for k in range(1, 21)]
@@ -170,7 +170,7 @@ def test_criterion_5_goe_report():
             - p1.pdf(H11) * p2.pdf(H22) * gauss(H12) * gauss(H21)
         ).max()
         assert err <= 1e-12
-        assert model.curvature() == pytest.approx(-0.5, abs=1e-15)
+        assert HalfPlane.correlated(reduced.r).scalar_curvature == pytest.approx(-0.5, abs=1e-15)
 
         # uncorrelated ensemble is at the strongest level: C vanishes along
         # any parameter path, here a drift of the mean
@@ -185,7 +185,8 @@ def test_criterion_5_goe_report():
 
         # curvature rises toward 0 with increasing |r|
         rs = np.linspace(0.0, 0.99, 12)
-        curv = [goe_model(0.0, 1.0, r, 1.0).curvature() for r in rs]
+        curv = [HalfPlane.correlated(goe_model(0.0, 1.0, r, 1.0).reduced.r).scalar_curvature
+                for r in rs]
         assert all(b > a for a, b in zip(curv, curv[1:]))
         assert curv[-1] > -0.01
 
@@ -231,13 +232,11 @@ def test_criterion_6_property_suites():
         assert not outcome.evidence["mixing"]
 
         # geodesic speed conservation within 1e-6 relative
-        def closed_metric(th):
-            return metric_2d_closed(Correlated2DParams(th[0], th[1], 0.5, 1.0))
-
         from statmanifold import ParameterDomain
 
         field = MetricField.from_function(
-            2, closed_metric, domain=ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
+            2, HalfPlane.correlated(0.5).metric,
+            domain=ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf]),
         )
         init = GeodesicState(np.array([0.0, 1.0]), np.array([0.4, 0.2]), 0.0)
         res = geodesic_integrate(field, init, 10.0, 1e-3)

@@ -8,6 +8,7 @@ from statmanifold import canonical, ergodic
 from statmanifold import (
     Correlated2DParams,
     GaussianBump,
+    HalfPlane,
     HeatBath,
     IgehLevel,
     IntegrationSpec,
@@ -23,24 +24,22 @@ from statmanifold import (
     ce_fisher_metric,
     ce_upper_bound,
     covariance_hessian_law,
-    curvature_2d_closed,
     distinguishability_F_closed,
     effective_correlation,
     goe_model,
     hessian_of_energy,
     ig_correlation_2d,
     integrate,
-    marginals_2d,
-    metric_2d_closed,
     mvn_ig_correlation,
     mvn_pdf,
-    oscillator_curvature,
     oscillator_mixing_trace,
     oscillator_reduce,
     pdf_2d,
     phase_space_spec,
     temperature_to_tau,
 )
+
+from gaussians import marginals_2d
 
 
 def random_quadratic(rng, n):
@@ -320,7 +319,7 @@ def test_ce_fisher_reduced_oscillator_matches_model_metric():
     params = Correlated2DParams(mu0, sigma0, r, sigma_c)
     spec = IntegrationSpec.for_gaussian([mu0, 0.0], params.covariance(), 64)
     general = ce_fisher_metric(potential, [mu0, sigma0], bath, spec)
-    assert np.abs(general - metric_2d_closed(params)).max() < 1e-4
+    assert np.abs(general - HalfPlane.correlated(r).metric([mu0, sigma0])).max() < 1e-4
 
 
 @pytest.mark.parametrize("z_depends_on_theta", [False, True])
@@ -496,10 +495,15 @@ def test_temperature_to_tau():
         temperature_to_tau(-0.5, 1.0)
 
 
+def oscillator_curvature(T, T0):
+    return HalfPlane.oscillator(T, T0).scalar_curvature
+
+
 def test_oscillator_curvature_values():
     assert oscillator_curvature(1.0, 1.0) == pytest.approx(-0.5)
     assert oscillator_curvature(0.0, 1.0) == 0.0
     assert oscillator_curvature(0.5, 1.0) == pytest.approx(-0.25)
+    assert oscillator_curvature(1.5, 3.0) == pytest.approx(-0.25)
     with pytest.raises(TemperatureRangeError):
         oscillator_curvature(2.0, 1.0)
 
@@ -508,7 +512,7 @@ def test_curvature_routes_agree():
     # R = -T/(2 T0) equals R(r_eff) = -(1 - r_eff^2)/2 with 1 - r_eff^2 = T/T0
     for ratio in (0.0, 0.25, 0.5, 0.75, 1.0):
         r_eff = effective_correlation(ratio, 1.0)
-        assert abs(curvature_2d_closed(r_eff) - oscillator_curvature(ratio, 1.0)) < 1e-12
+        assert abs(HalfPlane.correlated(r_eff).scalar_curvature - oscillator_curvature(ratio, 1.0)) < 1e-12
 
 
 def test_oscillator_curvature_monotone_decreasing():
@@ -666,12 +670,14 @@ def test_goe_marginalization_reproduces_reduced_density():
 
 
 def test_goe_curvature():
-    assert goe_model(0.0, 1.0, 0.0, 1.0).curvature() == pytest.approx(-0.5)
-    assert goe_model(0.0, 1.0, 0.99, 1.0).curvature() == pytest.approx(
-        curvature_2d_closed(0.99)
-    )
+    # the diagonal block's macrospace is the correlated slice's plane
+    def curvature(r):
+        return HalfPlane.correlated(goe_model(0.0, 1.0, r, 1.0).reduced.r).scalar_curvature
+
+    assert curvature(0.0) == pytest.approx(-0.5)
+    assert curvature(0.99) == pytest.approx(-0.5 * (1.0 - 0.99**2))
     rs = np.linspace(0.0, 0.99, 12)
-    curv = [goe_model(0.0, 1.0, r, 1.0).curvature() for r in rs]
+    curv = [curvature(r) for r in rs]
     assert all(b > a for a, b in zip(curv, curv[1:]))
 
 

@@ -498,8 +498,8 @@ def _two_pass_christoffel(field, theta):
 
 
 def test_geodesic_stdout_is_that_of_the_two_pass_route(monkeypatch, capsys):
-    # one checked sweep per stage and the shared closed form print what two checks per
-    # stage and a Correlated2DParams per metric printed, breaches and exit codes included
+    # one checked sweep per stage and the plane's metric print what two checks per stage
+    # and the metric as written before the plane printed, breaches and exit codes included
     rng = np.random.default_rng(28)
     argvs = [["geodesic"],
              ["geodesic", "--theta0=0,0.002", "--v0=0,-0.002", "--step=0.01"],  # drift breach
@@ -526,8 +526,14 @@ def test_geodesic_stdout_is_that_of_the_two_pass_route(monkeypatch, capsys):
     assert [code for code, _, _ in swept[:4]] == [EXIT_OK] + 3 * [EXIT_TOLERANCE]
     assert all(code in (EXIT_OK, EXIT_TOLERANCE) for code, _, _ in swept)  # no argv is refused
     monkeypatch.setattr(manifold, "christoffel", _two_pass_christoffel)
-    monkeypatch.setattr(cli, "correlated_2d_metric", lambda sigma, r: models.metric_2d_closed(
-        models.Correlated2DParams(0.0, sigma, r, 1.0)))
+
+    def pre_plane_metric(plane, theta):
+        # diag(1, 4) / (sigma^2 (1 - r^2)) as the correlated metric was written before
+        # the plane; 1 - r^2 is 4k exactly
+        denom = theta[1] ** 2 * (4.0 * plane.k)
+        return np.array([[1.0 / denom, 0.0], [0.0, 4.0 / denom]])
+
+    monkeypatch.setattr(models.HalfPlane, "metric", pre_plane_metric)
     assert run() == swept
 
 

@@ -25,10 +25,8 @@ from statmanifold import (
     distinguishability_F_sup,
     ig_correlation,
     ig_correlation_2d,
-    marginals_2d,
     mvn_distinguishability,
     mvn_ig_correlation,
-    mvn_marginal,
     mvn_pdf,
     mvn_upper_bound,
     pdf_2d,
@@ -39,6 +37,8 @@ from statmanifold.ergodic import (
     _principal_gap,
     factorization_sup_2d,
 )
+
+from gaussians import marginals_2d, mvn_marginal
 
 # frozen reference values, computed from the closed form and confirmed by the
 # independent grid-maximization oracle (they agree to ~1e-15)

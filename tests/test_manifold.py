@@ -11,6 +11,7 @@ from statmanifold import (
     Correlated2DParams,
     DomainError,
     GeodesicState,
+    HalfPlane,
     MetricField,
     MultivariateGaussian,
     NonPositiveDefiniteError,
@@ -19,31 +20,26 @@ from statmanifold import (
     SingularMetricError,
     christoffel,
     correlated_2d_family,
-    curvature_2d_closed,
     fisher_metric,
     geodesic_integrate,
     geometry_report,
     inverse_metric,
-    metric_2d_closed,
     metric_derivatives,
     metric_speed,
     mvn_pdf,
     pdf_2d,
     ricci,
-    ricci_2d_closed,
     riemann,
     scalar_curvature,
-    univariate_gaussian_family,
 )
+
+from gaussians import univariate_gaussian_family
 
 HALF_PLANE = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
 
 
-def closed_form_field(r: float, sigma_c: float = 1.0) -> MetricField:
-    def g(theta):
-        return metric_2d_closed(Correlated2DParams(theta[0], theta[1], r, sigma_c))
-
-    return MetricField.from_function(2, g, domain=HALF_PLANE)
+def closed_form_field(r: float) -> MetricField:
+    return MetricField.from_function(2, HalfPlane.correlated(r).metric, domain=HALF_PLANE)
 
 
 # ---------------------------------------------------------------- fisher metric
@@ -141,7 +137,7 @@ def test_order_2_table_reads_1_for_the_fourth_moment():
 def test_fisher_matches_closed_form_on_grid(sigma, r):
     fam = correlated_2d_family(r)
     g = fisher_metric(fam, [0.3, sigma])
-    expected = metric_2d_closed(Correlated2DParams(0.3, sigma, r, 1.0))
+    expected = HalfPlane.correlated(r).metric([0.3, sigma])
     assert np.abs(g - expected).max() < 1e-6
     # symmetric positive definite
     assert np.allclose(g, g.T)
@@ -575,7 +571,7 @@ def test_ricci_closed_model():
     field = closed_form_field(0.0)
     for sigma in (1.0, 2.0):
         ric = ricci(field, [0.0, sigma])
-        assert ric == pytest.approx(ricci_2d_closed(sigma), abs=5e-6)
+        assert ric == pytest.approx(HalfPlane.correlated(0.0).ricci([0.0, sigma]), abs=5e-6)
 
 
 def test_ricci_from_warped_diagonal_field():
@@ -584,7 +580,7 @@ def test_ricci_from_warped_diagonal_field():
         2, lambda th: np.diag([1.0 / th[1] ** 2, 4.0 / th[1] ** 2]), domain=HALF_PLANE
     )
     ric = ricci(field, [0.0, 1.5])
-    assert ric == pytest.approx(ricci_2d_closed(1.5), abs=5e-6)
+    assert ric == pytest.approx(HalfPlane(1.0, 0.25).ricci([0.0, 1.5]), abs=5e-6)
     assert np.abs(ric - ric.T).max() < 1e-10
 
 
@@ -602,8 +598,9 @@ def test_quadrature_pipeline_matches_closed_forms(sigma, r):
     assert rep.christoffel[0, 0, 1] == pytest.approx(-1.0 / sigma, abs=1e-4)
     assert rep.christoffel[1, 0, 0] == pytest.approx(0.25 / sigma, abs=1e-4)
     assert rep.christoffel[1, 1, 1] == pytest.approx(-1.0 / sigma, abs=1e-4)
-    assert np.abs(rep.ricci - ricci_2d_closed(sigma)).max() < 1e-4
-    assert rep.scalar == pytest.approx(curvature_2d_closed(r), abs=1e-4)
+    plane = HalfPlane.correlated(r)
+    assert np.abs(rep.ricci - plane.ricci([0.3, sigma])).max() < 1e-4
+    assert rep.scalar == pytest.approx(plane.scalar_curvature, abs=1e-4)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.6, 0.95])
@@ -615,7 +612,8 @@ def test_curvature_raises_where_the_step_is_coarse_against_sigma(r):
         with pytest.raises(NumericalError, match="FD_MAX_REL_CHANGE"):
             scalar_curvature(field, [0.0, sigma])
     for sigma in (2.1e-3, 1e-2, 1.0, 1e3):
-        assert scalar_curvature(field, [0.0, sigma]) == pytest.approx(curvature_2d_closed(r), rel=1e-4)
+        assert scalar_curvature(field, [0.0, sigma]) == pytest.approx(
+            HalfPlane.correlated(r).scalar_curvature, rel=1e-4)
 
 
 # ------------------------------------------------------- per-field metric cache
@@ -889,36 +887,39 @@ def test_geodesic_exit_reasons():
     assert len(res.states) == 1
 
 
-def half_plane_geodesic(r, theta0, v0, taus):
-    """Closed-form geodesic of the correlated metric through theta0 with velocity v0.
+def half_plane_geodesic(plane, theta0, v0, taus):
+    """Closed-form geodesic of ``plane`` through theta0 with velocity v0.
 
-    With u = mu_x / 2 the metric is 4 (du^2 + dsigma^2) / (sigma^2 (1 - r^2)),
-    a Poincare half-plane scaled by 4 / (1 - r^2).  A geodesic that is not
-    vertical is the semicircle u = c + rho tanh s, sigma = rho / cosh s, run at
-    the hyperbolic speed omega = sqrt(v.g.v (1 - r^2) / 4): s = s0 ± omega tau.
+    With u = sqrt(e) mu the metric (e dmu^2 + dsigma^2) / (k sigma^2) is
+    (du^2 + dsigma^2) / (k sigma^2), a Poincare half-plane scaled by 1/k.  A
+    geodesic that is not vertical is the semicircle u = c + rho tanh s,
+    sigma = rho / cosh s, run at the hyperbolic speed omega = sqrt(k v.g.v):
+    s = s0 ± omega tau.
     """
-    u0, sigma0 = theta0[0] / 2.0, theta0[1]
-    du, dsigma = v0[0] / 2.0, v0[1]
-    g = metric_2d_closed(Correlated2DParams(theta0[0], sigma0, r, 1.0))
-    omega = np.sqrt(v0 @ g @ v0 * (1.0 - r * r) / 4.0)
+    root_e = np.sqrt(plane.e)
+    u0, sigma0 = root_e * theta0[0], theta0[1]
+    du, dsigma = root_e * v0[0], v0[1]
+    omega = np.sqrt(v0 @ plane.metric(theta0) @ v0 * plane.k)
     c = u0 + sigma0 * dsigma / du  # the radius through theta0 is normal to v0
     rho = np.hypot(u0 - c, sigma0)
     s = np.arctanh((u0 - c) / rho) + np.sign(du) * omega * taus
-    return np.stack([2.0 * (c + rho * np.tanh(s)), rho / np.cosh(s)], axis=1)
+    return np.stack([(c + rho * np.tanh(s)) / root_e, rho / np.cosh(s)], axis=1)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("sigma0", [0.2, 1.0, 1e3])
 def test_geodesic_positions_match_closed_form(sigma0, sign):
-    r = 0.3
     theta0 = np.array([0.0, sigma0])
     v0 = sign * sigma0 * np.array([0.4, 0.2])
-    res = geodesic_integrate(closed_form_field(r), GeodesicState(theta0, v0, 0.0), 2.0, 1e-2)
-    assert res.exit_reason == "completed"
-    taus = np.array([state.tau for state in res.states])
-    positions = np.array([state.position for state in res.states])
-    assert taus[-1] == pytest.approx(2.0)
-    assert np.abs(positions - half_plane_geodesic(r, theta0, v0, taus)).max() <= 1e-8 * sigma0
+    # the correlated slice at r = 0.3, and N(mu, sigma^2)
+    for plane in (HalfPlane.correlated(0.3), HalfPlane(0.5, 0.5)):
+        field = MetricField.from_function(2, plane.metric, domain=HALF_PLANE)
+        res = geodesic_integrate(field, GeodesicState(theta0, v0, 0.0), 2.0, 1e-2)
+        assert res.exit_reason == "completed"
+        taus = np.array([state.tau for state in res.states])
+        positions = np.array([state.position for state in res.states])
+        assert taus[-1] == pytest.approx(2.0)
+        assert np.abs(positions - half_plane_geodesic(plane, theta0, v0, taus)).max() <= 1e-8 * sigma0
 
 
 def test_geodesic_rejects_bad_step():
@@ -984,6 +985,17 @@ def test_fisher_metric_rejects_invalid_model():
     )
     with pytest.raises(NonPositiveDefiniteError):
         fisher_metric(broken, [0.0, 1.0])
+
+
+def test_fisher_metric_rejects_a_nan_metric():
+    # Sigma = diag(1, NaN) has a Cholesky factor, and its all-NaN metric used to be returned
+    fam = univariate_gaussian_family()
+    nan_variance = type(fam)(
+        lambda th: (np.zeros(2), np.diag([1.0, np.nan]), np.eye(2), np.zeros((2, 2, 2))),
+        fam.domain,
+    )
+    with pytest.raises(NonPositiveDefiniteError, match="Fisher metric"):
+        fisher_metric(nan_variance, [0.0, 1.0])
 
 
 def test_fisher_metric_rejects_a_covariance_without_cholesky_factor():

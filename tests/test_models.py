@@ -17,20 +17,19 @@ from statmanifold import (
     ParameterDomain,
     QuadraticHamiltonian,
     NonPositiveDefiniteError,
-    christoffel_2d_closed,
+    HalfPlane,
+    christoffel,
     correlated_2d_family,
-    curvature_2d_closed,
     distinguishability_F_closed,
     fisher_metric,
     integrate,
-    marginals_2d,
-    metric_2d_closed,
-    mvn_marginal,
     mvn_pdf,
     pdf_2d,
-    ricci_2d_closed,
+    ricci,
     scalar_curvature,
 )
+
+from gaussians import marginals_2d, mvn_marginal, univariate_gaussian_family
 
 
 def bivariate_reference(x, y, mu_x, mu_y, sx, sy, r):
@@ -103,17 +102,17 @@ def test_second_marginal_variance():
 # ---------------------------------------------------------------- closed forms
 
 def test_metric_closed_examples():
-    assert metric_2d_closed(Correlated2DParams(0.0, 1.0, 0.0, 1.0)) == pytest.approx(
-        np.diag([1.0, 4.0])
-    )
-    g = metric_2d_closed(Correlated2DParams(0.0, 2.0, 0.5, 1.0))
+    assert HalfPlane.correlated(0.0).metric([0.0, 1.0]) == pytest.approx(np.diag([1.0, 4.0]))
+    g = HalfPlane.correlated(0.5).metric([0.0, 2.0])
     denom = 4.0 * 0.75
     assert g == pytest.approx(np.diag([1.0 / denom, 4.0 / denom]))
 
 
 def test_metric_closed_diverges_at_unit_correlation():
-    with pytest.raises(DegenerateCorrelationError):
-        metric_2d_closed(Correlated2DParams(0.0, 1.0, 1.0, 1.0))
+    # k = 0: |r| = 1, or the oscillator at T = 0
+    for plane in (HalfPlane.correlated(1.0), HalfPlane.correlated(-1.0), HalfPlane.oscillator(0.0, 2.0)):
+        with pytest.raises(DegenerateCorrelationError):
+            plane.metric([0.0, 1.0])
 
 
 @pytest.mark.parametrize("name", ["mu_x", "sigma", "sigma_c"])
@@ -143,10 +142,10 @@ def test_family_covariance_is_that_of_the_params():
 
 @pytest.mark.parametrize("guard", [
     lambda r: Correlated2DParams(0.0, 1.0, r),
-    curvature_2d_closed,
+    HalfPlane.correlated,
     correlated_2d_family,
     distinguishability_F_closed,
-], ids=["params", "curvature_2d_closed", "correlated_2d_family", "distinguishability_F_closed"])
+], ids=["params", "HalfPlane.correlated", "correlated_2d_family", "distinguishability_F_closed"])
 def test_every_r_guard_rejects_nan(guard):
     for r in (np.nan, -np.inf, 1.5):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
@@ -155,26 +154,84 @@ def test_every_r_guard_rejects_nan(guard):
 
 def test_unit_r_keeps_its_meaning():
     assert Correlated2DParams(0.0, 1.0, -1.0).r == -1.0
-    assert curvature_2d_closed(1.0) == 0.0
+    assert HalfPlane.correlated(1.0).scalar_curvature == HalfPlane.correlated(-1.0).scalar_curvature == 0.0
     assert distinguishability_F_closed(-1.0) == np.inf
     with pytest.raises(DegenerateCorrelationError):
         correlated_2d_family(1.0)
 
 
 def test_curvature_closed_values():
-    assert curvature_2d_closed(0.0) == pytest.approx(-0.5)
-    assert curvature_2d_closed(0.999) == pytest.approx(-0.5 * (1 - 0.999**2))
-    assert abs(curvature_2d_closed(0.9999999)) < 1e-6  # R -> 0 as |r| -> 1
-    assert curvature_2d_closed(-0.6) == curvature_2d_closed(0.6)
+    def curvature(r):
+        return HalfPlane.correlated(r).scalar_curvature
+
+    assert curvature(0.0) == pytest.approx(-0.5)
+    assert curvature(0.999) == pytest.approx(-0.5 * (1 - 0.999**2))
+    assert abs(curvature(0.9999999)) < 1e-6  # R -> 0 as |r| -> 1
+    assert curvature(-0.6) == curvature(0.6)
 
 
 def test_christoffel_and_ricci_closed_scaling():
-    gam = christoffel_2d_closed(2.0)
-    assert gam[0, 0, 1] == pytest.approx(-0.5)
+    plane = HalfPlane.correlated(0.3)  # neither depends on r
+    gam = plane.christoffel([0.0, 2.0])
+    assert gam[0, 0, 1] == gam[0, 1, 0] == pytest.approx(-0.5)
     assert gam[1, 0, 0] == pytest.approx(0.125)
     assert gam[1, 1, 1] == pytest.approx(-0.5)
-    ric = ricci_2d_closed(2.0)
+    assert np.count_nonzero(gam) == 4
+    ric = plane.ricci([0.0, 2.0])
     assert ric == pytest.approx(np.diag([-1.0 / 16.0, -0.25]))
+
+
+def test_half_plane_metric_is_the_fisher_metric():
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        r, sigma_c = rng.uniform(-0.99, 0.99), 10.0 ** rng.uniform(-2, 2)
+        theta = np.array([rng.normal(), 10.0 ** rng.uniform(-3, 3)])
+        closed = HalfPlane.correlated(r).metric(theta)
+        g = fisher_metric(correlated_2d_family(r, sigma_c), theta)
+        assert np.abs(g - closed).max() <= 1e-13 * np.abs(closed).max()
+    # N(mu, sigma^2) is the plane (k, e) = (1/2, 1/2): diag(1, 2)/sigma^2
+    for _ in range(100):
+        theta = np.array([rng.normal(), 10.0 ** rng.uniform(-3, 3)])
+        closed = HalfPlane(0.5, 0.5).metric(theta)
+        g = fisher_metric(univariate_gaussian_family(), theta)
+        assert np.abs(g - closed).max() <= 1e-13 * np.abs(closed).max()
+
+
+def test_half_plane_geometry_is_that_of_its_metric():
+    # the closed Gamma, Ricci and R against finite differences of the plane's own metric
+    rng = np.random.default_rng(37)
+    half_plane = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
+    for _ in range(50):
+        plane = HalfPlane(*rng.uniform(0.1, 10.0, 2))
+        field = MetricField.from_function(2, plane.metric, domain=half_plane)
+        theta = np.array([rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1, 1)])
+        for closed, numeric in ((plane.christoffel(theta), christoffel(field, theta)),
+                                (plane.ricci(theta), ricci(field, theta))):
+            assert np.abs(numeric - closed).max() <= 1e-5 * np.abs(closed).max()
+        assert scalar_curvature(field, theta) == pytest.approx(plane.scalar_curvature, rel=1e-5)
+
+
+def test_half_plane_keeps_the_arithmetic_of_the_closed_forms_it_replaced():
+    # the pre-plane formulas, bit for bit: diag(1, 4)/(sigma^2 (1 - r^2)),
+    # R = -0.5 (1 - r^2) and, for the oscillator, R = -T/(2 T0)
+    rng = np.random.default_rng(38)
+    for _ in range(10_000):
+        r = rng.uniform(-1.0, 1.0)
+        theta = np.array([rng.normal(), 10.0 ** rng.uniform(-50, 50)])
+        denom = theta[1] ** 2 * (1.0 - r**2)
+        plane = HalfPlane.correlated(r)
+        assert plane.metric(theta).tobytes() == np.array(
+            [[1.0 / denom, 0.0], [0.0, 4.0 / denom]]).tobytes()
+        assert plane.scalar_curvature == -0.5 * (1.0 - r**2)
+        T0 = 10.0 ** rng.uniform(-6, 6)
+        T = rng.uniform(0.0, 1.0) * T0
+        assert HalfPlane.oscillator(T, T0).scalar_curvature == -T / (2.0 * T0)
+
+
+def test_half_plane_rejects_a_bad_k_or_e():
+    for k, e in ((-0.1, 0.25), (np.nan, 0.25), (np.inf, 0.25), (0.1, 0.0), (0.1, np.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            HalfPlane(k, e)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -182,7 +239,7 @@ def test_christoffel_and_ricci_closed_scaling():
 def test_closed_metric_matches_quadrature(sigma, r):
     fam = correlated_2d_family(r)
     g = fisher_metric(fam, [0.0, sigma])
-    expected = metric_2d_closed(Correlated2DParams(0.0, sigma, r, 1.0))
+    expected = HalfPlane.correlated(r).metric([0.0, sigma])
     assert np.abs(g - expected).max() < 1e-6
 
 
@@ -195,7 +252,7 @@ def test_numeric_curvature_independent_of_sigma_and_mu():
         for sigma in (0.5, 1.0, 2.0)
     ]
     assert max(values) - min(values) < 1e-4
-    assert values[0] == pytest.approx(curvature_2d_closed(r), abs=1e-4)
+    assert values[0] == pytest.approx(HalfPlane.correlated(r).scalar_curvature, abs=1e-4)
 
 
 # -------------------------------------------------------- multivariate Gaussian
