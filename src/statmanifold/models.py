@@ -83,34 +83,30 @@ def pdf_2d(x, y, params: Correlated2DParams):
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """The Poincare half-plane g = diag(e, 1) / (k sigma^2) over theta = (mu, sigma).
+    """The Poincare half-plane g = diag(1/4, 1) / (k sigma^2) over theta = (mu, sigma).
 
-    Its Gaussian curvature is -k, so its scalar curvature is R = -2k, and e
-    only stretches the mu axis:
+    Its Gaussian curvature is -k, so its scalar curvature is R = -2k:
 
-        Gamma^1_12 = Gamma^1_21 = -1/sigma,  Gamma^2_11 = e/sigma,  Gamma^2_22 = -1/sigma
-        R_11 = -e/sigma^2,  R_22 = -1/sigma^2
+        Gamma^1_12 = Gamma^1_21 = -1/sigma,  Gamma^2_11 = 1/(4 sigma),  Gamma^2_22 = -1/sigma
+        R_11 = -1/(4 sigma^2),  R_22 = -1/sigma^2
 
-    k >= 0 and e > 0.  At k = 0 (|r| = 1, or T = 0) R is 0 and :meth:`metric`
-    raises :class:`DegenerateCorrelationError`.  The members read sigma =
-    theta[1] unchecked: a field over the box sigma > 0 keeps it positive.
+    k >= 0.  At k = 0 (|r| = 1, or T = 0) R is 0 and :meth:`metric` raises
+    :class:`DegenerateCorrelationError`.  The members read sigma = theta[1]
+    unchecked: a field over the box sigma > 0 keeps it positive.
     """
 
     k: float
-    e: float
 
     def __post_init__(self):
         if not 0.0 <= self.k < math.inf:
             raise ValueError("k must be finite and >= 0")
-        if not 0.0 < self.e < math.inf:
-            raise ValueError("e must be finite and positive")
 
     @classmethod
     def correlated(cls, r: float) -> "HalfPlane":
-        """The correlated model's (mu_x, sigma) slice: k = (1 - r^2)/4, e = 1/4."""
+        """The correlated model's (mu_x, sigma) slice: k = (1 - r^2)/4."""
         if not abs(r) <= 1.0:
             raise ValueError("correlation coefficient must lie in [-1, 1]")
-        return cls((1.0 - r**2) / 4.0, 0.25)
+        return cls((1.0 - r**2) / 4.0)
 
     @classmethod
     def oscillator(cls, T: float, T0: float) -> "HalfPlane":
@@ -119,7 +115,7 @@ class HalfPlane:
             raise TemperatureRangeError("need 0 <= T and T0 > 0")
         if not T <= T0:
             raise TemperatureRangeError("curvature law is derived for T <= T0")
-        return cls(T / (4.0 * T0), 0.25)
+        return cls(T / (4.0 * T0))
 
     @property
     def scalar_curvature(self) -> float:
@@ -129,17 +125,17 @@ class HalfPlane:
         if self.k == 0.0:
             raise DegenerateCorrelationError("k = 0: the metric diverges")
         ks2 = theta[1] ** 2 * self.k
-        return np.array([[self.e / ks2, 0.0], [0.0, 1.0 / ks2]])
+        return np.array([[0.25 / ks2, 0.0], [0.0, 1.0 / ks2]])
 
     def christoffel(self, theta) -> np.ndarray:
         """Gamma[k, i, j] = Gamma^k_ij, the layout of :func:`manifold.christoffel`."""
         gam = np.zeros((2, 2, 2))
         gam[0, 0, 1] = gam[0, 1, 0] = gam[1, 1, 1] = -1.0 / theta[1]
-        gam[1, 0, 0] = self.e / theta[1]
+        gam[1, 0, 0] = 0.25 / theta[1]
         return gam
 
     def ricci(self, theta) -> np.ndarray:
-        return np.diag([-self.e / theta[1] ** 2, -1.0 / theta[1] ** 2])
+        return np.diag([-0.25 / theta[1] ** 2, -1.0 / theta[1] ** 2])
 
 
 def correlated_2d_family(r: float, sigma_c: float = 1.0) -> ModelFamily:

@@ -42,7 +42,7 @@ def mvn_marginal(g: MultivariateGaussian, i: int) -> UnivariateGaussian:
 
 
 def univariate_gaussian_family() -> ModelFamily:
-    """N(mu, sigma^2) over theta = (mu, sigma); Fisher metric diag(1, 2)/sigma^2, HalfPlane(1/2, 1/2)."""
+    """N(mu, sigma^2) over theta = (mu, sigma); Fisher metric diag(1, 2)/sigma^2."""
     d_mean = np.array([[1.0], [0.0]])
 
     def moments(theta):

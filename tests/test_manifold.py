@@ -580,7 +580,7 @@ def test_ricci_from_warped_diagonal_field():
         2, lambda th: np.diag([1.0 / th[1] ** 2, 4.0 / th[1] ** 2]), domain=HALF_PLANE
     )
     ric = ricci(field, [0.0, 1.5])
-    assert ric == pytest.approx(HalfPlane(1.0, 0.25).ricci([0.0, 1.5]), abs=5e-6)
+    assert ric == pytest.approx(HalfPlane(0.25).ricci([0.0, 1.5]), abs=5e-6)
     assert np.abs(ric - ric.T).max() < 1e-10
 
 
@@ -890,20 +890,19 @@ def test_geodesic_exit_reasons():
 def half_plane_geodesic(plane, theta0, v0, taus):
     """Closed-form geodesic of ``plane`` through theta0 with velocity v0.
 
-    With u = sqrt(e) mu the metric (e dmu^2 + dsigma^2) / (k sigma^2) is
+    With u = mu / 2 the metric (dmu^2 / 4 + dsigma^2) / (k sigma^2) is
     (du^2 + dsigma^2) / (k sigma^2), a Poincare half-plane scaled by 1/k.  A
     geodesic that is not vertical is the semicircle u = c + rho tanh s,
     sigma = rho / cosh s, run at the hyperbolic speed omega = sqrt(k v.g.v):
     s = s0 ± omega tau.
     """
-    root_e = np.sqrt(plane.e)
-    u0, sigma0 = root_e * theta0[0], theta0[1]
-    du, dsigma = root_e * v0[0], v0[1]
+    u0, sigma0 = theta0[0] / 2.0, theta0[1]
+    du, dsigma = v0[0] / 2.0, v0[1]
     omega = np.sqrt(v0 @ plane.metric(theta0) @ v0 * plane.k)
     c = u0 + sigma0 * dsigma / du  # the radius through theta0 is normal to v0
     rho = np.hypot(u0 - c, sigma0)
     s = np.arctanh((u0 - c) / rho) + np.sign(du) * omega * taus
-    return np.stack([(c + rho * np.tanh(s)) / root_e, rho / np.cosh(s)], axis=1)
+    return np.stack([2.0 * (c + rho * np.tanh(s)), rho / np.cosh(s)], axis=1)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -911,15 +910,14 @@ def half_plane_geodesic(plane, theta0, v0, taus):
 def test_geodesic_positions_match_closed_form(sigma0, sign):
     theta0 = np.array([0.0, sigma0])
     v0 = sign * sigma0 * np.array([0.4, 0.2])
-    # the correlated slice at r = 0.3, and N(mu, sigma^2)
-    for plane in (HalfPlane.correlated(0.3), HalfPlane(0.5, 0.5)):
-        field = MetricField.from_function(2, plane.metric, domain=HALF_PLANE)
-        res = geodesic_integrate(field, GeodesicState(theta0, v0, 0.0), 2.0, 1e-2)
-        assert res.exit_reason == "completed"
-        taus = np.array([state.tau for state in res.states])
-        positions = np.array([state.position for state in res.states])
-        assert taus[-1] == pytest.approx(2.0)
-        assert np.abs(positions - half_plane_geodesic(plane, theta0, v0, taus)).max() <= 1e-8 * sigma0
+    plane = HalfPlane.correlated(0.3)
+    field = MetricField.from_function(2, plane.metric, domain=HALF_PLANE)
+    res = geodesic_integrate(field, GeodesicState(theta0, v0, 0.0), 2.0, 1e-2)
+    assert res.exit_reason == "completed"
+    taus = np.array([state.tau for state in res.states])
+    positions = np.array([state.position for state in res.states])
+    assert taus[-1] == pytest.approx(2.0)
+    assert np.abs(positions - half_plane_geodesic(plane, theta0, v0, taus)).max() <= 1e-8 * sigma0
 
 
 def test_geodesic_rejects_bad_step():
