@@ -7,17 +7,14 @@ from .canonical import (
     OscillatorPair,
     OscillatorTraceResult,
     QuadraticHamiltonian,
-    canonical_covariance_quadrature,
     canonical_to_gaussian,
     ce_fisher_metric,
     ce_upper_bound,
     covariance_hessian_law,
     effective_correlation,
     goe_model,
-    hessian_of_energy,
     oscillator_mixing_trace,
     oscillator_reduce,
-    phase_space_spec,
     temperature_to_tau,
 )
 from .ergodic import (
@@ -42,7 +39,6 @@ from .errors import (
     DegenerateCorrelationError,
     DomainError,
     NonPositiveDefiniteError,
-    NonSmoothEnergyError,
     NumericalError,
     QuadratureError,
     SingularMetricError,

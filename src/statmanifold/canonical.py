@@ -9,7 +9,11 @@ which yields the determinant law
     det(covariance) * det(Hessian) = (kB T)^(2n):
 
 the covariance determinant grows as a power of the bath temperature with
-exponent equal to the phase-space dimension.
+exponent equal to the phase-space dimension.  The canonical covariance is
+that inverse Hessian in closed form, with no quadrature route around it;
+quadrature enters only where no closed form exists, in :func:`ce_fisher_metric`
+for a general energy E(x; theta) and in the correlations of test functions
+other than Gaussian bumps.
 
 Two worked scenarios build on this bridge: a pair of linearly coupled
 harmonic oscillators whose position marginal reduces to the correlated
@@ -28,12 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    NonPositiveDefiniteError,
-    NonSmoothEnergyError,
-    NumericalError,
-    TemperatureRangeError,
-)
+from .errors import NonPositiveDefiniteError, NumericalError, TemperatureRangeError
 from .ergodic import (
     CorrelationTrace,
     IgehClass,
@@ -117,48 +116,6 @@ class QuadraticHamiltonian:
         return float(vals[0]) if x.ndim == 1 else vals
 
 
-def hessian_of_energy(energy: Callable, point, step: float = 1e-4,
-                      smooth_tol: float = 1e-3) -> np.ndarray:
-    """Finite-difference Hessian of a scalar energy, symmetrized.
-
-    Steps are ``max(step, step·|x_k|)``.  Off-diagonal entries use the
-    centered four-corner stencil, which is symmetric by construction;
-    non-smoothness is therefore detected by comparing against an independent
-    diagonal-direction stencil, and a disagreement beyond ``smooth_tol``
-    (relative to the Hessian scale) raises :class:`NonSmoothEnergyError`; a
-    non-finite energy at any stencil point raises :class:`NumericalError`.
-    Each of the 1 + 2d^2 stencil points is evaluated once.
-    """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step}")
-    if not 0.0 <= smooth_tol < math.inf:  # a NaN or infinite tolerance passes any stencil
-        raise ValueError(f"smooth_tol must be finite and nonnegative, got {smooth_tol}")
-    x = np.atleast_1d(np.asarray(point, dtype=float))
-    d = x.shape[0]
-    h = _fd_steps(x, step)
-    values = [float(energy(p)) for p in _stencil(x, h, 2)]
-    if not np.isfinite(values).all():  # a NaN would pass the stencil comparison below
-        raise NumericalError(f"energy is not finite on the Hessian stencil around {x.tolist()}")
-    d2 = _fd_derivatives(values, h, 2)
-    e0 = values[2 * d]
-    hess = np.diag(np.diagonal(d2))
-    r = 2 * d + 1  # the ++ corner of the first pair; the -- corner is 3 rows on
-    for i in range(d):
-        for j in range(i + 1, d):
-            corner = d2[i, j]
-            diag2 = (values[r] - 2.0 * e0 + values[r + 3]) / (h[i] * h[j])
-            alt = 0.5 * (diag2 - hess[i, i] * h[i] / h[j] - hess[j, j] * h[j] / h[i])
-            scale = max(1.0, float(np.abs(hess).max()), abs(corner))
-            if abs(corner - alt) > smooth_tol * scale:
-                raise NonSmoothEnergyError(
-                    f"Hessian stencils disagree at ({i}, {j}): "
-                    f"{corner:.6g} vs {alt:.6g}"
-                )
-            hess[i, j] = hess[j, i] = corner
-            r += 4
-    return 0.5 * (hess + hess.T)
-
-
 def canonical_to_gaussian(h: QuadraticHamiltonian, bath: HeatBath) -> MultivariateGaussian:
     """Gaussian equal to the canonical density of a quadratic energy.
 
@@ -174,44 +131,6 @@ def covariance_hessian_law(h: QuadraticHamiltonian, bath: HeatBath):
     lhs = float(np.linalg.det(g.covariance) * np.linalg.det(h.hessian))
     rhs = float((bath.kB * bath.temperature) ** (2 * h.n))
     return lhs, rhs
-
-
-def phase_space_spec(h: QuadraticHamiltonian, bath: HeatBath,
-                     order: int | None = None) -> IntegrationSpec:
-    """``IntegrationSpec.for_gaussian``'s rule for the canonical Gaussian, on its own factor."""
-    g = canonical_to_gaussian(h, bath)
-    return IntegrationSpec(g.mean, g.cholesky, order)
-
-
-def canonical_covariance_quadrature(h: QuadraticHamiltonian, bath: HeatBath,
-                                    order: int = 96) -> np.ndarray:
-    """Covariance of exp(-beta E)/Z by midpoint-rule quadrature.
-
-    Independent of the matrix-inverse route: the box is placed from the
-    marginal standard deviations only, and no whitening is used.
-    """
-    g = canonical_to_gaussian(h, bath)
-    spec = IntegrationSpec.axes(g.mean, np.sqrt(np.diag(g.covariance)), order, "rectangle")
-    return _canonical_covariance(lambda x: x - h.equilibrium[:, None], h.energy, bath, spec)
-
-
-def _canonical_covariance(values: Callable, energy: Callable, bath: HeatBath,
-                          spec: IntegrationSpec) -> np.ndarray:
-    """Covariance of ``values(x)`` (m, k) under exp(-beta E)/Z, from one quadrature pass.
-
-    The Gram matrix of a = [values; 1] weighted by exp(-beta E) holds the
-    second moments, Z times the means in its last column and Z in its corner.
-    """
-
-    def moments(x):
-        return np.vstack([values(x), np.ones(x.shape[1])]), np.exp(-bath.beta * energy(x))
-
-    gram = integrate(moments, spec)
-    z = gram[-1, -1]
-    if not (np.isfinite(z) and z > 0.0):
-        raise ValueError("partition function is not finite; energy is not confining")
-    mean = gram[:-1, -1] / z
-    return gram[:-1, :-1] / z - np.outer(mean, mean)
 
 
 def _theta_energy_gradient(energy: Callable, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -235,12 +154,19 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
 
-    def grads(x):
+    def moments(x):  # the Gram matrix of [dE/dtheta; 1] holds Z, Z <dE> and Z <dE dE^T>
         if grad_theta is not None:
-            return np.asarray(grad_theta(x, theta))
-        return _theta_energy_gradient(energy, x, theta)
+            grads = np.asarray(grad_theta(x, theta))
+        else:
+            grads = _theta_energy_gradient(energy, x, theta)
+        return np.vstack([grads, np.ones(x.shape[1])]), np.exp(-bath.beta * energy(x, theta))
 
-    return bath.beta**2 * _canonical_covariance(grads, lambda x: energy(x, theta), bath, spec)
+    gram = integrate(moments, spec)
+    z = gram[-1, -1]
+    if not (np.isfinite(z) and z > 0.0):
+        raise ValueError("partition function is not finite; energy is not confining")
+    mean = gram[:-1, -1] / z
+    return bath.beta**2 * (gram[:-1, :-1] / z - np.outer(mean, mean))
 
 
 def ce_upper_bound(h: QuadraticHamiltonian, bath: HeatBath, fs: TestFunctionSet) -> float:
@@ -314,8 +240,8 @@ def effective_correlation(T: float, T0: float, coupling_sign: float = 1.0) -> fl
     Valid for 0 <= T <= T0; T = 0 gives the maximally correlated boundary
     |r_eff| = 1 and T = T0 gives r_eff = 0.
     """
-    if not T0 > 0.0:
-        raise TemperatureRangeError("need T0 > 0")
+    if not 0.0 < T0 < math.inf:
+        raise TemperatureRangeError("need a finite T0 > 0")
     if not 0.0 <= T <= T0:
         raise TemperatureRangeError(
             f"T = {T} lies outside [0, T0 = {T0}]; "
@@ -347,8 +273,8 @@ def oscillator_reduce(o: OscillatorPair, bath: HeatBath) -> Correlated2DParams:
 
 def temperature_to_tau(T: float, T0: float) -> float:
     """Time-like parameter tau = 1/(1 - T/T0); diverges as T -> T0."""
-    if not (0.0 < T and T0 > 0.0):
-        raise TemperatureRangeError("need T > 0 and T0 > 0")
+    if not (0.0 < T and 0.0 < T0 < math.inf):
+        raise TemperatureRangeError("need T > 0 and a finite T0 > 0")
     if T >= T0:
         raise TemperatureRangeError(
             "tau = 1/(1 - T/T0) diverges at T = T0 (asymptotic regime)"

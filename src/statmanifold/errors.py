@@ -7,9 +7,9 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numeric result failed its own check.  QuadratureError,
-    SingularMetricError and NonSmoothEnergyError derive from it; it is raised
-    as is when a correlation exceeds its envelope, or when one
+    """A numeric result failed its own check.  QuadratureError and
+    SingularMetricError derive from it; it is raised as is when a correlation
+    exceeds its envelope, when a geodesic position turns NaN, or when one
     finite-difference step changes the metric too much for second
     differences."""
 
@@ -35,9 +35,5 @@ class DegenerateCorrelationError(ValueError):
 
 class TemperatureRangeError(ValueError):
     """Temperature outside the validity range of the requested mapping
-    (e.g. T > T0 for the oscillator reduction, or T = T0 where tau diverges)."""
-
-
-class NonSmoothEnergyError(NumericalError):
-    """Independent finite-difference stencils for the energy Hessian disagree,
-    which signals a non-smooth energy function."""
+    (e.g. T > T0 for the oscillator reduction, T = T0 where tau diverges, or
+    an infinite T0, which would read every T/T0 as 0)."""

@@ -22,6 +22,7 @@ for the canonical-ensemble bridge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +112,8 @@ class HalfPlane:
     @classmethod
     def oscillator(cls, T: float, T0: float) -> "HalfPlane":
         """The reduced oscillator pair at 0 <= T <= T0, where 1 - r_eff^2 = T/T0: k = T/(4 T0)."""
-        if not (0.0 <= T and T0 > 0.0):  # written so that NaN fails it
-            raise TemperatureRangeError("need 0 <= T and T0 > 0")
+        if not (0.0 <= T and 0.0 < T0 < math.inf):  # written so that NaN fails it
+            raise TemperatureRangeError("need 0 <= T and a finite T0 > 0")
         if not T <= T0:
             raise TemperatureRangeError("curvature law is derived for T <= T0")
         return cls(T / (4.0 * T0))
@@ -144,14 +145,16 @@ def correlated_2d_family(r: float, sigma_c: float = 1.0) -> ModelFamily:
     r and sigma_c are external parameters held fixed; geometry is computed on
     the two-dimensional macrospace.  The mean is (mu_x, 0) and the covariance
     that of :class:`Correlated2DParams`, whose off-diagonal r sigma_c^2 does
-    not depend on theta.
+    not depend on theta.  The domain bounds sigma to where sigma^3 and the
+    2 sigma_c^4 / sigma^3 of d Sigma are normal floats, and so every moment
+    entry; sigma_c must lie in [1e-76, 1e76], where sigma_c^4 and 2 sigma_c^4 are.
     """
     if not abs(r) <= 1.0:
         raise ValueError("correlation coefficient must lie in [-1, 1]")
     if abs(r) == 1.0:
         raise DegenerateCorrelationError("|r| = 1 is a boundary of the family")
-    if not 0.0 < sigma_c < math.inf:
-        raise ValueError("sigma_c must be finite and positive")
+    if not 1e-76 <= sigma_c <= 1e76:
+        raise ValueError(f"sigma_c must be finite and positive, in [1e-76, 1e76], got {sigma_c!r}")
     d_mean = np.array([[1.0, 0.0], [0.0, 0.0]])
 
     def moments(theta):  # Correlated2DParams.covariance()'s arithmetic, without its checks
@@ -162,7 +165,9 @@ def correlated_2d_family(r: float, sigma_c: float = 1.0) -> ModelFamily:
         d_cov[1] = np.diag([2.0 * s, -2.0 * sigma_c**4 / s**3])
         return np.array([mu, 0.0]), np.array([[s**2, c], [c, sy**2]]), d_mean, d_cov
 
-    domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
+    tiny, huge, two_sc4 = sys.float_info.min, sys.float_info.max, 2.0 * sigma_c**4
+    lower, upper = max(tiny, two_sc4 / huge) ** (1 / 3), min(huge, two_sc4 / tiny) ** (1 / 3)
+    domain = ParameterDomain.box([-np.inf, lower], [np.inf, upper])
     return ModelFamily(moments, domain, name=f"correlated2d(r={r}, sigma_c={sigma_c})")
 
 

@@ -1,23 +1,17 @@
 """Quadrature over unbounded microspaces.
 
-Two rules are provided for Gaussian-dominated integrands:
+One rule serves every Gaussian-dominated integrand: the reweighted
+Gauss-Hermite product rule.  Nodes are mapped through an affine transform
+``x = center + sqrt(2) * L @ t``; when ``L`` is a Cholesky factor of the
+covariance of the dominant Gaussian the reweighted integrand is
+polynomial-like and the rule is exact to machine precision at modest orders.
 
-* ``gauss_hermite`` -- reweighted Gauss-Hermite product rule.  Nodes are
-  mapped through an affine transform ``x = center + sqrt(2) * L @ t``; when
-  ``L`` is a Cholesky factor of the covariance of the dominant Gaussian the
-  reweighted integrand is polynomial-like and the rule is exact to machine
-  precision at modest orders.
-* ``rectangle`` -- midpoint rule on a box of +-8 axis standard deviations.
-  Used as an independent cross-check: for smooth integrands that decay like
-  Gaussians the midpoint rule converges exponentially.
-
-The rules differ in their 1-D nodes, their weights and their box (the
-transform, or only its axis scales).  They share the cached node blocks and
-the chunk walk, which the tests check against a full meshgrid of each rule.
-``integrate`` sums an integrand chunk by chunk into a float, a vector, or the
-Gram matrix of a weighted second moment, the form every second moment in the
-toolkit takes; ``integrate_with_error`` adds the difference to the half-order
-rule as the error estimate.
+The product nodes are cached in blocks and walked chunk by chunk, which the
+tests check against a full meshgrid of the rule.  ``integrate`` sums an
+integrand chunk by chunk into a float, a vector, or the Gram matrix of a
+weighted second moment, the form every second moment in the toolkit takes;
+``integrate_with_error`` adds the difference to the half-order rule as the
+error estimate.
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ import numpy as np
 
 DEFAULT_ORDER = 64
 _CHUNK = 1 << 14  # max nodes in a cached block and in one vectorized call
-_HALF_WIDTH = 8.0  # half-width of the rectangle rule's box, in axis standard deviations
+_SQRT2 = math.sqrt(2.0)
 
 
 def default_order(dim: int) -> int:
@@ -40,22 +34,17 @@ def default_order(dim: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def node_block(rule: str, order: int, dim: int):
-    """1-D rule of ``rule`` and its node block, cached per (rule, order, dim).
+def node_block(order: int, dim: int):
+    """1-D Gauss-Hermite rule and its node block, cached per (order, dim).
 
     Returns ``(t, w, T, W)``: the standard 1-D nodes ``t`` and weights ``w``,
     and the product nodes ``T`` (k, order**k) and weights ``W`` of the
     trailing ``k`` axes (all ``dim`` axes when ``order**dim <= _CHUNK``).
-    Gauss-Hermite weights absorb the factor exp(-t^2), so plain integrands can
-    be summed; the midpoints split [-_HALF_WIDTH, _HALF_WIDTH] into ``order``
-    equal cells.  The arrays are shared by every caller and so read-only.
+    The weights absorb the factor exp(-t^2), so plain integrands can be
+    summed.  The arrays are shared by every caller and so read-only.
     """
-    if rule == "gauss_hermite":
-        t, w = np.polynomial.hermite.hermgauss(order)
-        w = w * np.exp(t**2)
-    else:
-        t = _HALF_WIDTH * ((2 * np.arange(order) + 1) / order - 1)
-        w = np.full(order, 2 * _HALF_WIDTH / order)
+    t, w = np.polynomial.hermite.hermgauss(order)
+    w = w * np.exp(t**2)
     k = dim
     while k > 1 and order**k > _CHUNK:
         k -= 1
@@ -66,16 +55,12 @@ def node_block(rule: str, order: int, dim: int):
     return t, w, T, W
 
 
-def _node_map(spec: IntegrationSpec):
-    """``(s, M, jac)`` of the map x = center + s M t; jac = s^d |det M|, inf where it overflows."""
-    if spec.rule == "gauss_hermite":
-        s, M = math.sqrt(2.0), spec.transform
-    else:
-        s, M = 1.0, np.diag(spec.axis_scales)
+def _jacobian(spec: IntegrationSpec) -> float:
+    """Jacobian sqrt(2)^d |det transform| of the node map; inf where it overflows."""
     try:  # exp(slogdet) is the float abs(det) gives, but det warns where it overflows
-        return s, M, s**spec.dim * math.exp(np.linalg.slogdet(M)[1])
+        return _SQRT2**spec.dim * math.exp(np.linalg.slogdet(spec.transform)[1])
     except OverflowError:
-        return s, M, math.inf
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +75,12 @@ class IntegrationSpec:
     center: np.ndarray
     transform: np.ndarray
     order: int | None = None
-    rule: str = "gauss_hermite"
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.atleast_1d(np.asarray(self.center, dtype=float)))
         object.__setattr__(self, "transform", np.atleast_2d(np.asarray(self.transform, dtype=float)))
         if self.transform.shape != (self.dim, self.dim):
             raise ValueError("transform must be (d, d) matching the center length")
-        if self.rule not in ("gauss_hermite", "rectangle"):
-            raise ValueError(f"unknown rule {self.rule!r}")
         try:
             order = default_order(self.dim) if self.order is None else operator.index(self.order)
         except TypeError:
@@ -107,30 +89,24 @@ class IntegrationSpec:
             raise ValueError("order must be >= 2")
         object.__setattr__(self, "order", order)
         finite = np.isfinite(self.center).all() and np.isfinite(self.transform).all()
-        if not (finite and 0.0 < _node_map(self)[2] < math.inf):
-            raise ValueError(f"the {self.rule} node map needs a finite center and transform "
+        if not (finite and 0.0 < _jacobian(self) < math.inf):
+            raise ValueError("the node map needs a finite center and transform "
                              "and a finite, positive Jacobian")
 
     @property
     def dim(self) -> int:
         return self.center.shape[0]
 
-    @property
-    def axis_scales(self) -> np.ndarray:
-        """Per-axis effective standard deviations sqrt(diag(L L^T))."""
-        return np.sqrt(np.sum(self.transform**2, axis=1))
-
     @classmethod
-    def axes(cls, center, scales, order: int | None = None,
-             rule: str = "gauss_hermite") -> "IntegrationSpec":
+    def axes(cls, center, scales, order: int | None = None) -> "IntegrationSpec":
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
-        return cls(np.asarray(center, dtype=float), np.diag(scales), order, rule)
+        return cls(np.asarray(center, dtype=float), np.diag(scales), order)
 
     @classmethod
     def for_gaussian(cls, mean, covariance, order: int | None = None) -> "IntegrationSpec":
         """Whitened rule matched to a Gaussian with the given mean/covariance."""
         L = np.linalg.cholesky(np.atleast_2d(np.asarray(covariance, dtype=float)))
-        return cls(np.asarray(mean, dtype=float), L, order, "gauss_hermite")
+        return cls(np.asarray(mean, dtype=float), L, order)
 
     @cached_property
     def coarse(self) -> "IntegrationSpec":
@@ -144,16 +120,16 @@ def _node_chunks(spec: IntegrationSpec):
     A rule larger than one block is walked along its leading axes, one block
     of the trailing axes per chunk; a rule that fits is one chunk.
     """
-    t, w, T, W = node_block(spec.rule, spec.order, spec.dim)
-    s, M, jac = _node_map(spec)
+    t, w, T, W = node_block(spec.order, spec.dim)
+    jac = _jacobian(spec)
     lead = spec.dim - T.shape[0]
     T_k = np.vstack([np.empty((lead, T.shape[1])), T]) if lead else T  # head rows set per chunk
     shift = np.repeat(spec.center[:, None], T.shape[1], axis=1)  # faster to add than a broadcast
     for idx in np.ndindex(*(spec.order,) * lead):
         if lead:
             T_k[:lead] = t[list(idx)][:, None]
-        pts, wts = M @ T_k, math.prod(w[j] for j in idx) * W
-        pts *= s  # in place, with the roundings of center + s * (M @ T_k)
+        pts, wts = spec.transform @ T_k, math.prod(w[j] for j in idx) * W
+        pts *= _SQRT2  # in place, with the roundings of center + sqrt(2) * (transform @ T_k)
         pts += shift
         wts *= jac
         yield pts, wts

@@ -1,4 +1,5 @@
-"""Univariate Gaussians that the tests use as oracles; the library has no use for them."""
+"""Univariate Gaussians and a midpoint rule that the tests use as oracles; the library
+has no use for them."""
 
 from dataclasses import dataclass
 
@@ -51,3 +52,16 @@ def univariate_gaussian_family() -> ModelFamily:
 
     domain = ParameterDomain.box([-np.inf, 0.0], [np.inf, np.inf])
     return ModelFamily(moments, domain, name="gaussian1d")
+
+
+def midpoint_rule(center, scales, order):
+    """Nodes (d, order**d) and weights of the midpoint rule on the box of +-8 ``scales``.
+
+    The box is placed from per-axis scales alone, with no whitening: a cross-check
+    independent of the library's Gauss-Hermite rule, which for smooth integrands
+    decaying like Gaussians converges exponentially.
+    """
+    h = 16.0 * np.asarray(scales, dtype=float) / order
+    axes = [c - 8.0 * s + (np.arange(order) + 0.5) * hi for c, s, hi in zip(center, scales, h)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return pts, np.full(pts.shape[1], np.prod(h))

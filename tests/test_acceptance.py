@@ -26,7 +26,7 @@ from statmanifold import (
     OscillatorPair,
     QuadraticHamiltonian,
     TestFunctionSet,
-    canonical_covariance_quadrature,
+    canonical_to_gaussian,
     classify,
     correlated_2d_family,
     correlation_upper_bound,
@@ -44,7 +44,7 @@ from statmanifold import (
     oscillator_mixing_trace,
 )
 
-from gaussians import marginals_2d
+from gaussians import marginals_2d, midpoint_rule
 
 # F(0.5) from the closed form, confirmed by the grid-maximization oracle
 # (the two agree to ~1e-15)
@@ -128,11 +128,14 @@ def test_criterion_3_covariance_hessian_law():
             bath = HeatBath(rng.uniform(0.2, 5.0), kB=rng.uniform(0.5, 2.0))
             lhs, rhs = covariance_hessian_law(h, bath)
             assert abs(lhs - rhs) / rhs <= 1e-10
-        # n = 1: covariance by quadrature of the canonical density
+        # n = 1: covariance by midpoint quadrature of the canonical density, on a
+        # box placed from the marginal standard deviations alone
         a = rng.normal(size=(2, 2))
         h = QuadraticHamiltonian(1, rng.normal(size=2), a @ a.T + 0.2 * np.eye(2))
         bath = HeatBath(1.7)
-        cov = canonical_covariance_quadrature(h, bath)
+        g = canonical_to_gaussian(h, bath)
+        pts, w = midpoint_rule(g.mean, np.sqrt(np.diag(g.covariance)), 96)
+        cov = np.cov(pts, aweights=w * np.exp(-bath.beta * h.energy(pts)), bias=True)
         expected = np.linalg.inv(bath.beta * h.hessian)
         assert np.abs(cov - expected).max() <= 1e-4
 

@@ -13,13 +13,11 @@ from statmanifold import (
     IgehLevel,
     IntegrationSpec,
     NonPositiveDefiniteError,
-    NonSmoothEnergyError,
     NumericalError,
     OscillatorPair,
     QuadraticHamiltonian,
     TemperatureRangeError,
     TestFunctionSet,
-    canonical_covariance_quadrature,
     canonical_to_gaussian,
     ce_fisher_metric,
     ce_upper_bound,
@@ -27,7 +25,6 @@ from statmanifold import (
     distinguishability_F_closed,
     effective_correlation,
     goe_model,
-    hessian_of_energy,
     ig_correlation_2d,
     integrate,
     mvn_ig_correlation,
@@ -35,11 +32,10 @@ from statmanifold import (
     oscillator_mixing_trace,
     oscillator_reduce,
     pdf_2d,
-    phase_space_spec,
     temperature_to_tau,
 )
 
-from gaussians import marginals_2d
+from gaussians import marginals_2d, midpoint_rule
 
 
 def random_quadratic(rng, n):
@@ -51,70 +47,33 @@ def random_quadratic(rng, n):
 
 # ------------------------------------------------------------------- Hessians
 
-def test_hessian_of_isotropic_oscillator():
-    energy = lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2)
-    hess = hessian_of_energy(energy, [0.0, 0.0])
-    assert hess == pytest.approx(np.eye(2), abs=1e-8)
-
-
 def test_hessian_of_oscillator_pair_energy():
-    o = OscillatorPair(m1=1.0, m2=4.0, omega1=2.0, omega2=0.5, T0=1.0, r=0.3, q10=0.7)
-    hess = hessian_of_energy(o.energy, [0.7, 0.0, 0.0, 0.0])
-    assert hess == pytest.approx(o.hessian(), abs=1e-7)
-    cross = -0.3 * math.sqrt(1.0 * 4.0) * 2.0 * 0.5
-    assert hess[0, 1] == pytest.approx(cross, abs=1e-8)
     # the energy written out: p1^2/2m1 + p2^2/2m2 + m1 w1^2 d1^2/2 + m2 w2^2 q2^2/2 + cross d1 q2
-    q1, q2, p1, p2 = 1.2, -0.4, 0.5, 2.0
-    d1 = q1 - 0.7
-    expected = p1**2 / 2.0 + p2**2 / 8.0 + 2.0 * d1**2 + 0.5 * q2**2 + cross * d1 * q2
-    assert o.energy([q1, q2, p1, p2]) == pytest.approx(expected, rel=1e-14)
-    assert o.energy(np.array([[q1], [q2], [p1], [p2]])) == pytest.approx([expected], rel=1e-14)
-
-
-def test_hessian_of_linear_energy_rejected_downstream():
-    energy = lambda x: 3.0 * x[0] - x[1]
-    hess = hessian_of_energy(energy, [0.0, 0.0])
-    assert np.abs(hess).max() < 1e-6
-    with pytest.raises(NonPositiveDefiniteError):
-        QuadraticHamiltonian(1, [0.0, 0.0], np.zeros((2, 2)))
-
-
-def test_hessian_detects_non_smooth_energy():
-    # a kink along coordinates i and j shows in their corner stencil alone
-    for d, i, j in [(2, 0, 1), (3, 1, 2)]:
-        energy = lambda x: abs(x[i] * x[j]) + 0.5 * float(x @ x)
-        with pytest.raises(NonSmoothEnergyError, match=rf"\({i}, {j}\)"):
-            hessian_of_energy(energy, np.zeros(d))
-
-
-def test_hessian_rejects_a_step_or_tolerance_that_switches_it_off():
-    # step 0 gave an all-NaN Hessian; a NaN or infinite smooth_tol passed the kink below
-    kinked = lambda x: abs(x[0] * x[1]) + 0.5 * float(x @ x)
-    for step in [0.0, -1e-4, np.nan, np.inf]:
-        with pytest.raises(ValueError, match="step must be finite and positive"):
-            hessian_of_energy(lambda x: 0.5 * float(x @ x), np.zeros(2), step=step)
-    for smooth_tol in [np.nan, np.inf, -1e-3]:
-        with pytest.raises(ValueError, match="smooth_tol must be finite and nonnegative"):
-            hessian_of_energy(kinked, np.zeros(2), smooth_tol=smooth_tol)
-    with pytest.raises(NonSmoothEnergyError):
-        hessian_of_energy(kinked, np.zeros(2), smooth_tol=0.0)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_hessian_evaluates_each_stencil_point_once(d):
-    points = []
+    o = OscillatorPair(m1=1.0, m2=4.0, omega1=2.0, omega2=0.5, T0=1.0, r=0.3, q10=0.7)
+    cross = -0.3 * math.sqrt(1.0 * 4.0) * 2.0 * 0.5
 
     def energy(x):
-        points.append(tuple(x))
-        return 0.5 * float(x @ x)
+        q1, q2, p1, p2 = x
+        d1 = q1 - 0.7
+        return p1**2 / 2.0 + p2**2 / 8.0 + 2.0 * d1**2 + 0.5 * q2**2 + cross * d1 * q2
 
-    assert hessian_of_energy(energy, np.full(d, 0.5)) == pytest.approx(np.eye(d), abs=1e-6)
-    assert len(points) == len(set(points)) == 1 + 2 * d + 2 * d * (d - 1)
+    # a quadratic's Hessian by polarization, exact up to the rounding of its sums:
+    # H_ij = E(x0 + e_i + e_j) - E(x0 + e_i) - E(x0 + e_j) + E(x0)
+    x0, e = np.array([0.7, 0.0, 0.0, 0.0]), np.eye(4)
+    polarized = np.array([[energy(x0 + e[i] + e[j]) - energy(x0 + e[i]) - energy(x0 + e[j])
+                           + energy(x0) for j in range(4)] for i in range(4)])
+    np.testing.assert_allclose(o.hessian(), polarized, rtol=0.0, atol=1e-15)
+    q1, q2, p1, p2 = 1.2, -0.4, 0.5, 2.0
+    expected = energy([q1, q2, p1, p2])
+    assert o.energy([q1, q2, p1, p2]) == pytest.approx(expected, rel=1e-14)
+    assert o.energy(np.array([[q1], [q2], [p1], [p2]])) == pytest.approx([expected], rel=1e-14)
 
 
 def test_quadratic_hamiltonian_validation():
     with pytest.raises(NonPositiveDefiniteError):
         QuadraticHamiltonian(1, [0.0, 0.0], np.array([[1.0, 0.2], [0.1, 1.0]]))
+    with pytest.raises(NonPositiveDefiniteError):  # a linear energy has no stable equilibrium
+        QuadraticHamiltonian(1, [0.0, 0.0], np.zeros((2, 2)))
     with pytest.raises(ValueError):
         QuadraticHamiltonian(1, [0.0], np.eye(2))
 
@@ -134,16 +93,6 @@ def test_quadratic_hamiltonian_rejects_non_finite_input(equilibrium, hessian):
     # a NaN equilibrium was accepted, and every energy was NaN
     with pytest.raises(ValueError, match="must be finite"):
         QuadraticHamiltonian(1, equilibrium, hessian)
-
-
-def test_hessian_rejects_a_non_finite_energy():
-    # a NaN fails no stencil comparison, so the Hessian came back all NaN without a raise
-    shift = np.array([math.nan, 0.0])
-    with pytest.raises(NumericalError, match="energy is not finite"):
-        hessian_of_energy(lambda x: 0.5 * float((x - shift) @ (x - shift)), [0.0, 0.0])
-    # one stencil point is enough
-    with pytest.raises(NumericalError, match="energy is not finite"):
-        hessian_of_energy(lambda x: math.inf if x[0] > 0.0 else 0.5 * float(x @ x), [0.0, 0.0])
 
 
 # ------------------------------------------------------- canonical <-> Gaussian
@@ -167,8 +116,8 @@ def test_canonical_density_matches_gaussian_pointwise():
     bath = HeatBath(0.8)
     g = canonical_to_gaussian(h, bath)
     sds = np.sqrt(np.diag(g.covariance))
-    spec = IntegrationSpec.axes(g.mean, sds, 128, "rectangle")
-    z = integrate(lambda x: np.exp(-bath.beta * h.energy(x)), spec)
+    nodes, w = midpoint_rule(g.mean, sds, 128)
+    z = w @ np.exp(-bath.beta * h.energy(nodes))
     grid = np.linspace(-3.0, 3.0, 13)
     pts = np.stack([h.equilibrium[0] + grid * sds[0], h.equilibrium[1] + grid * sds[1]])
     canonical = np.exp(-bath.beta * h.energy(pts)) / z
@@ -255,7 +204,10 @@ def test_covariance_by_quadrature_matches_inverse():
     rng = np.random.default_rng(23)
     h = random_quadratic(rng, 1)
     bath = HeatBath(1.3)
-    cov = canonical_covariance_quadrature(h, bath)
+    # the midpoint box is placed from the marginal standard deviations alone
+    g = canonical_to_gaussian(h, bath)
+    pts, w = midpoint_rule(g.mean, np.sqrt(np.diag(g.covariance)), 96)
+    cov = np.cov(pts, aweights=w * np.exp(-bath.beta * h.energy(pts)), bias=True)
     expected = np.linalg.inv(bath.beta * h.hessian)
     assert np.abs(cov - expected).max() < 1e-10
 
@@ -279,7 +231,8 @@ def test_ce_fisher_oscillator_equilibrium_parameter():
 
     hess = np.diag([m_ * w**2, 1.0 / m_])
     h = QuadraticHamiltonian(1, [0.0, 0.0], hess)
-    spec = phase_space_spec(h, bath, order=64)
+    g = canonical_to_gaussian(h, bath)
+    spec = IntegrationSpec(g.mean, g.cholesky, 64)
     g = ce_fisher_metric(energy, [0.0], bath, spec)
     assert g[0, 0] == pytest.approx(bath.beta * m_ * w**2, rel=1e-6)
 
@@ -432,8 +385,9 @@ def test_effective_correlation_boundaries():
 
 
 @pytest.mark.parametrize("T,T0", [(np.nan, 1.0), (0.5, np.nan), (np.inf, 1.0), (-0.1, 1.0),
-                                  (1.5, 1.0), (0.0, 0.0)])
+                                  (1.5, 1.0), (0.0, 0.0), (1.0, np.inf)])
 def test_effective_correlation_requires_t_in_0_t0(T, T0):
+    # T0 = inf gave r_eff = 1, as if T/T0 were 0
     with pytest.raises(TemperatureRangeError):
         effective_correlation(T, T0)
 
@@ -464,8 +418,7 @@ def test_reduced_density_matches_position_marginal():
     T = T0 * (1.0 - r**2)
     bath = HeatBath(T, kB)
     params = oscillator_reduce(o, bath)
-    h = QuadraticHamiltonian(2, [o.q10, 0.0, 0.0, 0.0],
-                             hessian_of_energy(o.energy, [o.q10, 0.0, 0.0, 0.0]))
+    h = QuadraticHamiltonian(2, [o.q10, 0.0, 0.0, 0.0], o.hessian())
     gauss = canonical_to_gaussian(h, bath)
     # position block of the full canonical covariance vs model covariance
     assert np.abs(gauss.covariance[:2, :2] - params.covariance()).max() < 1e-6
@@ -493,6 +446,8 @@ def test_temperature_to_tau():
         temperature_to_tau(1.0, 1.0)
     with pytest.raises(TemperatureRangeError):
         temperature_to_tau(-0.5, 1.0)
+    with pytest.raises(TemperatureRangeError):  # T0 = inf gave tau = 1, as if T/T0 were 0
+        temperature_to_tau(1.0, np.inf)
 
 
 def oscillator_curvature(T, T0):
@@ -506,6 +461,8 @@ def test_oscillator_curvature_values():
     assert oscillator_curvature(1.5, 3.0) == pytest.approx(-0.25)
     with pytest.raises(TemperatureRangeError):
         oscillator_curvature(2.0, 1.0)
+    with pytest.raises(TemperatureRangeError):  # T0 = inf gave R = -0.0
+        oscillator_curvature(1.0, np.inf)
 
 
 def test_curvature_routes_agree():

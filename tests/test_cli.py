@@ -12,7 +12,7 @@ import pytest
 
 from statmanifold import canonical, cli, distinguishability_F_sup, ergodic, manifold, models
 from statmanifold.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main
-from statmanifold.errors import NonSmoothEnergyError, NumericalError, SingularMetricError
+from statmanifold.errors import NumericalError, SingularMetricError
 
 
 def read_csv(path):
@@ -628,11 +628,9 @@ def test_a_nan_result_is_a_breach(monkeypatch, capsys, argv, target):
 @pytest.mark.parametrize("error,argv,target", [
     (SingularMetricError("metric condition number 1e+13 exceeds 1e+12"),
      ["curvature-scan", "--sigma-count", "2", "--r-count", "2"], "scalar_curvature"),
-    (NonSmoothEnergyError("Hessian stencils disagree at (0, 1)"),
-     ["oscillator", "--steps", "16"], "oscillator_mixing_trace"),
     (NumericalError("correlation 1.000e-03 exceeds its envelope 1.000e-04"),
      ["oscillator", "--steps", "16"], "oscillator_mixing_trace"),
-], ids=["SingularMetricError", "NonSmoothEnergyError", "NumericalError"])
+], ids=["SingularMetricError", "NumericalError"])
 def test_library_errors_exit_3(monkeypatch, capsys, error, argv, target):
     def fail(*args, **kwargs):
         raise error

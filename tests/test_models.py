@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from statmanifold import (
     Correlated2DParams,
     CorrelationTrace,
     DegenerateCorrelationError,
+    DomainError,
     GeodesicResult,
     GeodesicState,
     GeometryReport,
@@ -123,10 +126,11 @@ def test_params_reject_non_finite_values(name, bad):
         Correlated2DParams(**values)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, 1e80, 1e-80])
 def test_family_rejects_a_bad_sigma_c_once(bad):
     # the family's moments form Sigma without building Correlated2DParams, so the
-    # family checks sigma_c itself
+    # family checks sigma_c itself; 1e80 raised a bare OverflowError at sigma_c**4,
+    # and at 1e-80 a subnormal sigma_c**4 left g_22 1.1e-5 low without a warning
     with pytest.raises(ValueError, match="^sigma_c must be finite and positive"):
         correlated_2d_family(0.3, bad)
 
@@ -179,6 +183,31 @@ def test_christoffel_and_ricci_closed_scaling():
     assert np.count_nonzero(gam) == 4
     ric = plane.ricci([0.0, 2.0])
     assert ric == pytest.approx(np.diag([-1.0 / 16.0, -0.25]))
+
+
+@pytest.mark.parametrize("sigma_c", [1e-70, 1.0, 1e70])
+def test_family_domain_is_where_the_moments_are_normal(sigma_c):
+    # sigma = 1e150 and 1e200 overflowed sigma**3, and 1e-110 divided by zero; the box
+    # stops sigma within a factor of 2 of where sigma**3 or the d Sigma entry
+    # -2 sigma_c**4 / sigma**3 stops being a normal float, and is exact up to its edges
+    def normal(x):
+        return bool(sys.float_info.min <= abs(x) <= sys.float_info.max)
+
+    for r in (0.0, 0.5, -0.9, 0.99):
+        family, plane = correlated_2d_family(r, sigma_c), HalfPlane.correlated(r)
+        lower, upper = family.domain.lower[1], family.domain.upper[1]
+        for s in np.geomspace(np.nextafter(lower, 1.0), np.nextafter(upper, 0.0), 41):
+            closed = plane.metric([0.3, s])
+            g = fisher_metric(family, [0.3, s])
+            assert np.abs(g - closed).max() <= 1e-12 * np.abs(closed).max()
+        for s in (lower, upper):
+            with pytest.raises(DomainError):
+                fisher_metric(family, [0.3, s])
+        with np.errstate(all="ignore"):
+            for s, inside in [(2 * lower, True), (upper / 2, True),
+                              (lower / 2, False), (2 * upper, False)]:
+                entry = family.moments(np.array([0.3, s]))[3][1, 1, 1]
+                assert (normal(s**3) and normal(entry)) is inside
 
 
 def test_half_plane_metric_is_the_fisher_metric():

@@ -7,22 +7,19 @@ import pytest
 from statmanifold import (
     Correlated2DParams,
     GaussianBump,
-    HeatBath,
     IntegrationSpec,
     MultivariateGaussian,
-    QuadraticHamiltonian,
     TestFunctionSet,
-    canonical_covariance_quadrature,
-    canonical_to_gaussian,
     ig_correlation,
     ig_correlation_2d,
     integrate,
     integrate_with_error,
     mvn_ig_correlation,
     mvn_pdf,
-    phase_space_spec,
 )
 from statmanifold.quadrature import _CHUNK, node_block
+
+from gaussians import midpoint_rule
 
 
 def gaussian_1d(mu, sigma):
@@ -56,9 +53,9 @@ def test_whitened_rule_handles_correlation():
 def test_rectangle_rule_matches_gauss_hermite():
     mu, sigma = 0.5, 1.3
     gh = IntegrationSpec.axes([mu], [sigma], order=48)
-    rect = IntegrationSpec.axes([mu], [sigma], order=128, rule="rectangle")
+    nodes, w = midpoint_rule([mu], [sigma], 128)
     f = lambda x: gaussian_1d(mu, sigma)(x) * np.cos(x[0])
-    assert integrate(f, gh) == pytest.approx(integrate(f, rect), abs=1e-10)
+    assert integrate(f, gh) == pytest.approx(w @ f(nodes), abs=1e-10)
 
 
 def test_vector_valued_integrand():
@@ -100,7 +97,7 @@ def mvn_density(mean, cov):
 
 def test_chunked_correlated_rule_second_moments():
     # 20^4 nodes exceed one block: 20 chunks of the cached 20^3-node block
-    assert 20**4 > _CHUNK and node_block("gauss_hermite", 20, 4)[2].shape == (3, 20**3)
+    assert 20**4 > _CHUNK and node_block(20, 4)[2].shape == (3, 20**3)
     spec = IntegrationSpec.for_gaussian(MEAN_4D, COV_4D, order=20)
     density = mvn_density(MEAN_4D, COV_4D)
     f = lambda x: (density(x) * (x[:, None, :] * x[None, :, :]).reshape(16, -1)).T
@@ -111,25 +108,24 @@ def test_chunked_correlated_rule_second_moments():
     gram = integrate(lambda x: (x, density(x)), spec)
     np.testing.assert_allclose(gram, exact, rtol=1e-12)
     assert np.array_equal(gram, gram.T)
-    rect = IntegrationSpec.axes(MEAN_4D, np.sqrt(np.diag(COV_4D)), order=20, rule="rectangle")
-    np.testing.assert_allclose(integrate(lambda x: (x, density(x)), rect),
-                               integrate(f, rect).reshape(4, 4), rtol=1e-13)
+    axes = IntegrationSpec.axes(MEAN_4D, np.sqrt(np.diag(COV_4D)), order=20)
+    np.testing.assert_allclose(integrate(lambda x: (x, density(x)), axes),
+                               integrate(f, axes).reshape(4, 4), rtol=1e-13)
 
 
-@pytest.mark.parametrize("rule", ["gauss_hermite", "rectangle"])
-def test_chunked_2d_rule_matches_one_block(rule):
+def test_chunked_2d_rule_matches_one_block():
     # 160^2 nodes are summed in chunks of 160; 64^2 fit in one block
     assert 160**2 > _CHUNK >= 64**2
     cov = COV_4D[:2, :2]
     f = lambda x: mvn_density(MEAN_4D[:2], cov)(x) * np.cos(x[0]) * (1.0 + x[1] ** 2)
-    chunked = integrate(f, IntegrationSpec.axes(MEAN_4D[:2], [1.5, 1.3], order=160, rule=rule))
+    chunked = integrate(f, IntegrationSpec.axes(MEAN_4D[:2], [1.5, 1.3], order=160))
     one_block = integrate(f, IntegrationSpec.for_gaussian(MEAN_4D[:2], cov, order=64))
     assert chunked == pytest.approx(one_block, rel=1e-13)
 
 
 @pytest.mark.parametrize("order, dim", [(16, 2), (20, 4)])
 def test_cached_blocks_survive_in_place_integrands(order, dim):
-    assert not any(a.flags.writeable for a in node_block("gauss_hermite", order, dim))
+    assert not any(a.flags.writeable for a in node_block(order, dim))
     spec = IntegrationSpec.for_gaussian(MEAN_4D[:dim], COV_4D[:dim, :dim], order=order)
     f = lambda x: mvn_density(MEAN_4D[:dim], COV_4D[:dim, :dim])(x) * x[0] ** 2
     before = integrate(f, spec)
@@ -149,14 +145,13 @@ def test_error_estimate_small_for_smooth_gaussian():
     assert err < 1e-10
 
 
-@pytest.mark.parametrize("rule", ["gauss_hermite", "rectangle"])
-def test_error_estimate_reuses_one_coarse_rule(rule):
+def test_error_estimate_reuses_one_coarse_rule():
     cov = np.array([[2.0, 0.6], [0.6, 0.5]])
-    spec = IntegrationSpec(np.array([0.4, -1.0]), np.linalg.cholesky(cov), 20, rule)
+    spec = IntegrationSpec(np.array([0.4, -1.0]), np.linalg.cholesky(cov), 20)
     fn = lambda x: np.exp(-0.5 * (x[0] ** 2 + x[1] ** 2)) * (1.0 + x[0] * x[1])
     coarse = spec.coarse
     assert spec.coarse is coarse
-    assert (coarse.order, coarse.rule) == (10, rule)
+    assert coarse.order == 10
     assert coarse.center is spec.center and coarse.transform is spec.transform
     val, err = integrate_with_error(fn, spec)
     fine, ref = integrate(fn, replace(spec, order=20)), integrate(fn, replace(spec, order=10))
@@ -168,22 +163,18 @@ def test_spec_validation():
         IntegrationSpec.axes([0.0], [1.0], order=1)
     with pytest.raises(ValueError):
         IntegrationSpec([0.0, 0.0], np.eye(3))
-    with pytest.raises(ValueError):
-        IntegrationSpec.axes([0.0], [1.0], rule="simpson")
+    assert type(IntegrationSpec.axes([0.0], [1.0], order=np.int64(8)).order) is int
+    assert IntegrationSpec.axes([0.0], [1.0], order=5).coarse.order == 4
 
 
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: IntegrationSpec.axes([0.0], [0.0]), id="zero-scale"),
-    pytest.param(lambda: IntegrationSpec.axes([0.0], [0.0], rule="rectangle"), id="zero-box"),
-    pytest.param(lambda: IntegrationSpec.axes([0.0, 1.0], [1.0, 0.0], 8, "rectangle"),
-                 id="zero-box-axis"),
+    pytest.param(lambda: IntegrationSpec.axes([0.0, 1.0], [1.0, 0.0], 8), id="zero-axis"),
     pytest.param(lambda: IntegrationSpec([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]]), id="singular"),
     pytest.param(lambda: IntegrationSpec.axes([np.nan], [1.0]), id="nan-center"),
-    pytest.param(lambda: IntegrationSpec.axes([np.nan], [1.0], rule="rectangle"),
-                 id="nan-center-box"),
     pytest.param(lambda: IntegrationSpec.axes([0.0], [np.inf]), id="inf-scale"),
-    pytest.param(lambda: IntegrationSpec([0.0, 0.0], [[1.0, 0.0], [np.nan, 1.0]], 8, "rectangle"),
-                 id="nan-transform-box"),
+    pytest.param(lambda: IntegrationSpec([0.0, 0.0], [[1.0, 0.0], [np.nan, 1.0]], 8),
+                 id="nan-transform"),
     pytest.param(lambda: IntegrationSpec.for_gaussian([0.0, np.inf], np.eye(2)), id="inf-mean"),
     pytest.param(lambda: IntegrationSpec.axes([0.0, 0.0], [1e200, 1e200], order=8),
                  id="overflowing-jacobian"),
@@ -199,39 +190,24 @@ def test_spec_checks_its_node_map(build):
         build()
 
 
-def test_spec_node_map_needs_only_axis_scales_for_the_box():
-    # a singular transform still has a box of nonzero axis scales
-    spec = IntegrationSpec([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], 64, "rectangle")
-    pdf = lambda x: np.exp(-0.5 * np.sum(x**2, axis=0)) / (2 * np.pi)
-    assert integrate(pdf, spec) == pytest.approx(1.0, rel=1e-12)
-    assert type(IntegrationSpec.axes([0.0], [1.0], order=np.int64(8)).order) is int
-    assert IntegrationSpec.axes([0.0], [1.0], order=5).coarse.order == 4
-
-
 def naive_rule(spec):
     """Every node (d, n**d) and weight of ``spec`` from one meshgrid: no chunks, no cache."""
     n, d = spec.order, spec.dim
-    if spec.rule == "gauss_hermite":
-        t, w = np.polynomial.hermite.hermgauss(n)
-        grid = np.stack([g.ravel() for g in np.meshgrid(*[t] * d, indexing="ij")])
-        weights = np.prod(np.meshgrid(*[w * np.exp(t**2)] * d, indexing="ij"), axis=0).ravel()
-        jac = math.sqrt(2.0) ** d * abs(np.linalg.det(spec.transform))
-        return spec.center[:, None] + math.sqrt(2.0) * spec.transform @ grid, weights * jac
-    scales = np.sqrt(np.sum(spec.transform**2, axis=1))
-    h = 16.0 * scales / n
-    axes = [c - 8.0 * s + (np.arange(n) + 0.5) * hi for c, s, hi in zip(spec.center, scales, h)]
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    return pts, np.prod(h) * np.ones(pts.shape[1])
+    t, w = np.polynomial.hermite.hermgauss(n)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*[t] * d, indexing="ij")])
+    weights = np.prod(np.meshgrid(*[w * np.exp(t**2)] * d, indexing="ij"), axis=0).ravel()
+    jac = math.sqrt(2.0) ** d * abs(np.linalg.det(spec.transform))
+    return spec.center[:, None] + math.sqrt(2.0) * spec.transform @ grid, weights * jac
 
 
-@pytest.mark.parametrize("rule", ["gauss_hermite", "rectangle"])
+@pytest.mark.parametrize("transform", ["whitened", "axes"])
 @pytest.mark.parametrize("dim, order", [(1, 160), (2, 64), (2, 160), (3, 20), (3, 32), (4, 20)])
-def test_shared_chunk_walk_matches_a_naive_tensor_rule(rule, dim, order):
+def test_shared_chunk_walk_matches_a_naive_tensor_rule(transform, dim, order):
     mean, cov = MEAN_4D[:dim], COV_4D[:dim, :dim]
-    if rule == "gauss_hermite":
+    if transform == "whitened":
         spec = IntegrationSpec.for_gaussian(mean, cov, order)
     else:
-        spec = IntegrationSpec.axes(mean, np.sqrt(np.diag(cov)), order, rule)
+        spec = IntegrationSpec.axes(mean, np.sqrt(np.diag(cov)), order)
     density = mvn_density(mean, cov)
     vector = lambda x: (density(x) * np.vstack([np.ones(x.shape[1]), x, np.cos(x[0])])).T
     gram = lambda x: (np.vstack([x, np.sin(x[-1])]), density(x) * (1.0 + 0.5 * np.cos(x[0])))
@@ -249,19 +225,15 @@ def test_order_zero_reaches_the_spec_check():
     fs = TestFunctionSet(tuple(lambda x, b=b: b(x) for b in bumps), tuple(b.l1_norm for b in bumps))
     params = Correlated2DParams(0.3, 1.1, 0.6, 0.9)
     g = MultivariateGaussian([0.3, 0.0], params.covariance())
-    h, bath = QuadraticHamiltonian(1, [0.1, -0.2], [[2.0, 0.3], [0.3, 0.7]]), HeatBath(1.3)
     for call in [lambda: ig_correlation_2d(params, fs, order=0),
-                 lambda: mvn_ig_correlation(g, fs, order=0),
-                 lambda: phase_space_spec(h, bath, order=0),
-                 lambda: canonical_covariance_quadrature(h, bath, order=0)]:
+                 lambda: mvn_ig_correlation(g, fs, order=0)]:
         with pytest.raises(ValueError, match="order must be >= 2"):
             call()
     # order=None is the spec's default_order(dim) on each route
     assert ig_correlation_2d(params, fs) == ig_correlation_2d(params, fs, order=64)
     assert mvn_ig_correlation(g, fs) == mvn_ig_correlation(g, fs, order=64)
-    h2 = QuadraticHamiltonian(2, MEAN_4D, np.linalg.inv(COV_4D))
-    assert phase_space_spec(h2, bath).order == 20
     assert IntegrationSpec.axes([0.0] * 3, [1.0] * 3).order == 20
+    assert IntegrationSpec.for_gaussian(MEAN_4D, COV_4D).order == 20
 
 
 def test_a_quadrature_gaussian_is_factored_once(monkeypatch):
@@ -273,14 +245,8 @@ def test_a_quadrature_gaussian_is_factored_once(monkeypatch):
     g = MultivariateGaussian([0.3, 0.0], params.covariance())
     expected = ig_correlation(lambda x: mvn_pdf(x, g), fs,
                               IntegrationSpec.for_gaussian(g.mean, g.covariance, 64))
-    h, bath = QuadraticHamiltonian(1, [0.1, -0.2], [[2.0, 0.3], [0.3, 0.7]]), HeatBath(1.3)
-    reference = IntegrationSpec.for_gaussian(h.equilibrium, canonical_to_gaussian(h, bath).covariance)
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
     assert ig_correlation_2d(params, fs).hex() == expected.hex()
     assert len(calls) == 1
-    spec = phase_space_spec(h, bath)
-    assert len(calls) == 2
-    assert spec.center.tobytes() == reference.center.tobytes()
-    assert spec.transform.tobytes() == reference.transform.tobytes()
