@@ -69,11 +69,20 @@ def test_hessian_of_oscillator_pair_energy():
     assert o.energy(np.array([[q1], [q2], [p1], [p2]])) == pytest.approx([expected], rel=1e-14)
 
 
+def test_hessian_of_linear_energy_rejected_downstream():
+    # a linear energy's Hessian, by polarization, is zero: it has no stable equilibrium
+    energy = lambda x: 3.0 * x[0] - x[1]
+    x0, e = np.zeros(2), np.eye(2)
+    hess = np.array([[energy(x0 + e[i] + e[j]) - energy(x0 + e[i]) - energy(x0 + e[j])
+                      + energy(x0) for j in range(2)] for i in range(2)])
+    assert np.abs(hess).max() < 1e-6
+    with pytest.raises(NonPositiveDefiniteError):
+        QuadraticHamiltonian(1, [0.0, 0.0], hess)
+
+
 def test_quadratic_hamiltonian_validation():
     with pytest.raises(NonPositiveDefiniteError):
         QuadraticHamiltonian(1, [0.0, 0.0], np.array([[1.0, 0.2], [0.1, 1.0]]))
-    with pytest.raises(NonPositiveDefiniteError):  # a linear energy has no stable equilibrium
-        QuadraticHamiltonian(1, [0.0, 0.0], np.zeros((2, 2)))
     with pytest.raises(ValueError):
         QuadraticHamiltonian(1, [0.0], np.eye(2))
 

@@ -163,6 +163,13 @@ def test_spec_validation():
         IntegrationSpec.axes([0.0], [1.0], order=1)
     with pytest.raises(ValueError):
         IntegrationSpec([0.0, 0.0], np.eye(3))
+
+
+def test_spec_node_map_needs_only_axis_scales_for_the_box():
+    # a spec built from axis scales alone, no full transform, integrates a unit Gaussian
+    spec = IntegrationSpec.axes([0.0, 0.0], [1.0, 1.0], 64)
+    pdf = lambda x: np.exp(-0.5 * np.sum(x**2, axis=0)) / (2 * np.pi)
+    assert integrate(pdf, spec) == pytest.approx(1.0, rel=1e-12)
     assert type(IntegrationSpec.axes([0.0], [1.0], order=np.int64(8)).order) is int
     assert IntegrationSpec.axes([0.0], [1.0], order=5).coarse.order == 4
 
