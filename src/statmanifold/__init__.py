@@ -2,7 +2,6 @@
 bridges for Gaussian statistical models."""
 
 from .canonical import (
-    GoeModel,
     HeatBath,
     OscillatorPair,
     OscillatorTraceResult,

@@ -6,7 +6,7 @@ exp(-beta E)/Z over its 2n-dimensional phase space.  That density is exactly
 the multivariate Gaussian with mean x0 and inverse covariance beta * Hessian,
 which yields the determinant law
 
-    det(covariance) * det(Hessian) = (kB T)^(2n):
+    det(covariance) * det(Hessian) = T^(2n):
 
 the covariance determinant grows as a power of the bath temperature with
 exponent equal to the phase-space dimension.  The canonical covariance is
@@ -19,15 +19,15 @@ Two worked scenarios build on this bridge: a pair of linearly coupled
 harmonic oscillators whose position marginal reduces to the correlated
 bivariate model (with 1 - r^2 = T/T0 against a reference temperature T0), and
 a 2x2 real-symmetric random-matrix ensemble whose diagonal entries carry the
-correlation.
+correlation.  Temperatures are in energy units (k_B = 1): a caller in other
+units passes k_B T.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .ergodic import (
     mvn_upper_bound,
 )
 from .manifold import _fd_derivatives, _fd_steps, _stencil
-from .models import Correlated2DParams, MultivariateGaussian, mvn_pdf
+from .models import Correlated2DParams, MultivariateGaussian
 from .quadrature import IntegrationSpec, integrate
 
 
@@ -56,46 +56,40 @@ def _positive_product(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class HeatBath:
-    """Heat bath at fixed temperature; kB defaults to natural units."""
+    """Heat bath at a fixed temperature in energy units (k_B T)."""
 
     temperature: float
-    kB: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.temperature < math.inf:
             raise ValueError("temperature must be finite and positive")
-        if not 0.0 < self.kB < math.inf:
-            raise ValueError("kB must be finite and positive")
-        kt = _positive_product("kB temperature", self.kB * self.temperature)
-        _positive_product("beta = 1 / (kB temperature)", 1.0 / kt)
+        _positive_product("beta = 1 / temperature", 1.0 / self.temperature)
 
     @property
     def beta(self) -> float:
-        return 1.0 / (self.kB * self.temperature)
+        return 1.0 / self.temperature
 
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Quadratic energy around an equilibrium point of a 2n-dim phase space.
 
-    ``hessian`` is the full matrix of second derivatives of E at the
-    equilibrium; the quadratic-form tensor is hessian / 2.
+    The phase-space dimension 2n is the length of ``equilibrium``, which must
+    be even and at least 2.  ``hessian`` is the full matrix of second
+    derivatives of E at the equilibrium; the quadratic-form tensor is hessian / 2.
     """
 
-    n: int
     equilibrium: np.ndarray
     hessian: np.ndarray
 
     def __post_init__(self):
-        if operator.index(self.n) < 1:  # a float n, even 2.0, raises TypeError
-            raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        eq = np.atleast_1d(np.asarray(self.equilibrium, dtype=float))
+        eq = np.asarray(self.equilibrium, dtype=float)
         hess = np.atleast_2d(np.asarray(self.hessian, dtype=float))
         object.__setattr__(self, "equilibrium", eq)
         object.__setattr__(self, "hessian", hess)
-        d = 2 * self.n
-        if eq.shape != (d,):
-            raise ValueError(f"equilibrium must have length 2n = {d}")
+        d = eq.shape[0] if eq.ndim == 1 else 0
+        if d < 2 or d % 2:
+            raise ValueError(f"equilibrium must have even length 2n >= 2, got shape {eq.shape}")
         if hess.shape != (d, d):
             raise ValueError(f"hessian must be ({d}, {d})")
         if not (np.isfinite(eq).all() and np.isfinite(hess).all()):
@@ -126,10 +120,20 @@ def canonical_to_gaussian(h: QuadraticHamiltonian, bath: HeatBath) -> Multivaria
 
 
 def covariance_hessian_law(h: QuadraticHamiltonian, bath: HeatBath):
-    """Both sides of det(cov) * det(Hessian) = (kB T)^(2n)."""
+    """Both sides of det(cov) * det(Hessian) = T^(2n).
+
+    The left side sums log-determinants, so it holds where either determinant
+    alone overflows or underflows; a T^(2n) that is not a normal float raises.
+    """
+    d = len(h.equilibrium)
+    try:
+        rhs = bath.temperature**d
+    except OverflowError:
+        rhs = math.inf
+    if not sys.float_info.min <= rhs < math.inf:
+        raise ValueError(f"T^(2n) = {bath.temperature!r}^{d} is not a finite, normal float")
     g = canonical_to_gaussian(h, bath)
-    lhs = float(np.linalg.det(g.covariance) * np.linalg.det(h.hessian))
-    rhs = float((bath.kB * bath.temperature) ** (2 * h.n))
+    lhs = math.exp(np.linalg.slogdet(g.covariance)[1] + np.linalg.slogdet(h.hessian)[1])
     return lhs, rhs
 
 
@@ -180,8 +184,8 @@ class OscillatorPair:
 
     The coupling term is -r sqrt(m1 m2) w1 w2 (q1 - q10) q2 with strength
     |r| < 1 so the potential stays confining; q20 is fixed at zero.  T0 is
-    the reference temperature entering the constraint
-    sigma_c^2 = kB T0 / (sqrt(m1 m2) w1 w2).
+    the reference temperature, in energy units, entering the constraint
+    sigma_c^2 = T0 / (sqrt(m1 m2) w1 w2).
     """
 
     m1: float
@@ -198,9 +202,8 @@ class OscillatorPair:
                 raise ValueError(f"{name} must be finite and positive")
         if not abs(self.r) < 1.0:
             raise ValueError("coupling strength must satisfy |r| < 1")
-        # the products the methods form, sigma_c and position_sigma at kB = 1, each
-        # checked before it divides; w * w is inf wherever their w**2 would raise
-        # OverflowError
+        # the products the methods form, each checked before it divides; w * w is
+        # inf wherever their w**2 would raise OverflowError
         m1, m2, w1, w2 = self.m1, self.m2, self.omega1, self.omega2
         scale = math.sqrt(_positive_product("m1 m2", m1 * m2)) * w1 * w2
         _positive_product("sqrt(m1 m2) omega1 omega2", scale)
@@ -211,16 +214,16 @@ class OscillatorPair:
         _positive_product("T0 / (sqrt(m1 m2) omega1 omega2)", self.T0 / scale)
         _positive_product("T0 / (m1 omega1^2)", self.T0 / k1)
 
-    def sigma_c(self, kB: float = 1.0) -> float:
-        return math.sqrt(kB * self.T0 / (math.sqrt(self.m1 * self.m2) * self.omega1 * self.omega2))
+    def sigma_c(self) -> float:
+        return math.sqrt(self.T0 / (math.sqrt(self.m1 * self.m2) * self.omega1 * self.omega2))
 
-    def position_sigma(self, kB: float = 1.0) -> float:
-        """Scale sqrt(kB T0 / (m1 w1^2)) of the q1 coordinate."""
-        return math.sqrt(kB * self.T0 / (self.m1 * self.omega1**2))
+    def position_sigma(self) -> float:
+        """Scale sqrt(T0 / (m1 w1^2)) of the q1 coordinate."""
+        return math.sqrt(self.T0 / (self.m1 * self.omega1**2))
 
     def energy(self, x) -> np.ndarray:
         """Quadratic energy of ``hessian()`` at phase points (q1, q2, p1, p2), (4,) or (4, k)."""
-        return QuadraticHamiltonian(2, [self.q10, 0.0, 0.0, 0.0], self.hessian()).energy(x)
+        return QuadraticHamiltonian([self.q10, 0.0, 0.0, 0.0], self.hessian()).energy(x)
 
     def hessian(self) -> np.ndarray:
         """Analytic phase-space Hessian in (q1, q2, p1, p2) order."""
@@ -257,18 +260,13 @@ def oscillator_reduce(o: OscillatorPair, bath: HeatBath) -> Correlated2DParams:
     A canonical pair lies in the constrained family only when its coupling
     satisfies 1 - r^2 = T/T0.  The reduction is therefore the position
     marginal of the pair rebuilt at coupling r_eff(T), signed like ``o.r``:
-    the correlated model with sigma = sqrt(kB T0/(m1 w1^2)),
-    sigma_c^2 = kB T0/(sqrt(m1 m2) w1 w2) and correlation r_eff.  It equals
+    the correlated model with sigma = sqrt(T0/(m1 w1^2)),
+    sigma_c^2 = T0/(sqrt(m1 m2) w1 w2) and correlation r_eff.  It equals
     the position marginal of ``o`` itself only at T = T0 (1 - o.r^2); only
     the sign of ``o.r`` is used.
     """
     r_eff = effective_correlation(bath.temperature, o.T0, 1.0 if o.r >= 0.0 else -1.0)
-    return Correlated2DParams(
-        mu_x=o.q10,
-        sigma=o.position_sigma(bath.kB),
-        r=r_eff,
-        sigma_c=o.sigma_c(bath.kB),
-    )
+    return Correlated2DParams(o.q10, o.position_sigma(), r_eff, o.sigma_c())
 
 
 def temperature_to_tau(T: float, T0: float) -> float:
@@ -293,8 +291,7 @@ class OscillatorTraceResult:
 
 
 def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
-                            fs: TestFunctionSet | None = None,
-                            kB: float = 1.0, tol: float = 1e-6,
+                            fs: TestFunctionSet | None = None, tol: float = 1e-6,
                             order: int | None = None) -> OscillatorTraceResult:
     """Correlation trace of the reduced oscillator model along a T schedule.
 
@@ -327,7 +324,7 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
     else:
         taus = np.arange(temps.size, dtype=float)
 
-    params = [oscillator_reduce(o, HeatBath(t, kB)) for t in temps.tolist()]
+    params = [oscillator_reduce(o, HeatBath(t)) for t in temps.tolist()]
     for p in params:
         p.require_nondegenerate()
     r_eff = np.array([p.r for p in params])
@@ -346,37 +343,16 @@ def oscillator_mixing_trace(o: OscillatorPair, T_schedule: Sequence[float],
     return OscillatorTraceResult(trace, classify(trace, tol=tol), r_eff, envelope)
 
 
-@dataclass(frozen=True)
-class GoeModel:
-    """Correlated ensemble of 2x2 real symmetric matrices.
+def goe_model(mu: float, sigma: float, r: float, sigma_c: float) -> MultivariateGaussian:
+    """Joint Gaussian over the entries (H11, H22, H12, H21) of a 2x2 real matrix.
 
-    The diagonal entries follow the correlated bivariate model; the
-    off-diagonal entries are independent zero-mean Gaussians of variance
-    sigma^2 (both retained so the flat measure over all four entries
-    normalizes the density).  The uncorrelated case r = 0, sigma_c = sigma
-    factorizes completely.
+    The diagonal block is the correlated bivariate model; the off-diagonal
+    entries are independent zero-mean Gaussians of variance sigma^2 (both
+    retained so the flat measure over all four entries normalizes the
+    density).  The uncorrelated case r = 0, sigma_c = sigma factorizes completely.
     """
-
-    reduced: Correlated2DParams
-
-    @property
-    def off_diag_sigma(self) -> float:
-        return self.reduced.sigma
-
-    @cached_property
-    def gaussian(self) -> MultivariateGaussian:
-        """The joint: the diagonal block's covariance and two independent entries."""
-        cov = np.diag([0.0, 0.0, self.off_diag_sigma**2, self.off_diag_sigma**2])
-        cov[:2, :2] = self.reduced.covariance()
-        return MultivariateGaussian([self.reduced.mu_x, 0.0, 0.0, 0.0], cov)
-
-    def joint_pdf(self, h11, h22, h12, h21):
-        """Joint density; the four entries broadcast together."""
-        return mvn_pdf((h11, h22, h12, h21), self.gaussian)
-
-
-def goe_model(mu: float, sigma: float, r: float, sigma_c: float) -> GoeModel:
-    """Joint over (H11, H22, H12, H21) and its reduction to the diagonal block."""
     params = Correlated2DParams(mu, sigma, r, sigma_c)
     params.require_nondegenerate()
-    return GoeModel(params)
+    cov = np.diag([0.0, 0.0, sigma**2, sigma**2])
+    cov[:2, :2] = params.covariance()
+    return MultivariateGaussian([mu, 0.0, 0.0, 0.0], cov)

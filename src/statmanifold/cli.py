@@ -32,11 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .canonical import (
-    OscillatorPair,
-    goe_model,
-    oscillator_mixing_trace,
-)
+from .canonical import OscillatorPair, oscillator_mixing_trace
 from .ergodic import (
     MIN_TRACE_SAMPLES,
     distinguishability_F_closed,
@@ -53,7 +49,7 @@ from .manifold import (
     metric_speed,
     scalar_curvature,
 )
-from .models import HalfPlane, correlated_2d_family
+from .models import Correlated2DParams, HalfPlane, correlated_2d_family
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -191,12 +187,12 @@ def cmd_oscillator(args) -> int:
 
 def cmd_goe(args) -> int:
     def row(r):
-        model = goe_model(args.mu, args.sigma, r, args.sigma)
+        block = Correlated2DParams(args.mu, args.sigma, r, args.sigma)  # the joint's diagonal block
         return {
             "r": r,
             "R": HalfPlane.correlated(r).scalar_curvature,
             # sup |p - p1 p2| of the diagonal block against its marginals
-            "factorization_error": factorization_sup_2d(model.reduced),
+            "factorization_error": factorization_sup_2d(block),
             "note": "R_min" if r == 0.0 else "",
         }
 

@@ -51,6 +51,13 @@ class Correlated2DParams:
             raise ValueError("sigma_c must be finite and positive")
         if not abs(self.r) <= 1.0:
             raise ValueError("correlation coefficient must lie in [-1, 1]")
+        try:  # the covariance's diagonal; float ** raises OverflowError past max
+            squares = (self.sigma**2, self.sigma_y**2)
+        except OverflowError:
+            squares = (math.inf,)
+        if not all(sys.float_info.min <= v < math.inf for v in squares):
+            raise ValueError(f"sigma^2 and sigma_y^2 = (sigma_c^2 / sigma)^2 must be normal floats, "
+                             f"got sigma = {self.sigma!r}, sigma_c = {self.sigma_c!r}")
 
     @property
     def sigma_y(self) -> float:

@@ -40,6 +40,7 @@ from statmanifold import (
     ig_correlation_2d,
     metric_speed,
     mvn_ig_correlation,
+    mvn_pdf,
     mvn_upper_bound,
     oscillator_mixing_trace,
 )
@@ -124,14 +125,14 @@ def test_criterion_3_covariance_hessian_law():
             n = 1 + k % 3
             d = 2 * n
             a = rng.normal(size=(d, d))
-            h = QuadraticHamiltonian(n, rng.normal(size=d), a @ a.T + 0.2 * np.eye(d))
-            bath = HeatBath(rng.uniform(0.2, 5.0), kB=rng.uniform(0.5, 2.0))
+            h = QuadraticHamiltonian(rng.normal(size=d), a @ a.T + 0.2 * np.eye(d))
+            bath = HeatBath(rng.uniform(0.2, 5.0) * rng.uniform(0.5, 2.0))  # k_B T
             lhs, rhs = covariance_hessian_law(h, bath)
             assert abs(lhs - rhs) / rhs <= 1e-10
         # n = 1: covariance by midpoint quadrature of the canonical density, on a
         # box placed from the marginal standard deviations alone
         a = rng.normal(size=(2, 2))
-        h = QuadraticHamiltonian(1, rng.normal(size=2), a @ a.T + 0.2 * np.eye(2))
+        h = QuadraticHamiltonian(rng.normal(size=2), a @ a.T + 0.2 * np.eye(2))
         bath = HeatBath(1.7)
         g = canonical_to_gaussian(h, bath)
         pts, w = midpoint_rule(g.mean, np.sqrt(np.diag(g.covariance)), 96)
@@ -161,15 +162,16 @@ def test_criterion_4_oscillator_transition():
 
 def test_criterion_5_goe_report():
     with criterion(5, "2x2 random-matrix ensemble report"):
-        model = goe_model(0.0, 1.0, 0.0, 1.0)
-        reduced = model.reduced
+        joint = goe_model(0.0, 1.0, 0.0, 1.0)
+        reduced = Correlated2DParams(0.0, 1.0, 0.0, 1.0)
+        assert np.array_equal(joint.covariance[:2, :2], reduced.covariance())
         p1, p2 = marginals_2d(reduced)
         grid = np.linspace(-4.0, 4.0, 41)
         H11, H22, H12, H21 = np.meshgrid(grid, grid, grid[::4], grid[::4], indexing="ij")
-        s = model.off_diag_sigma
+        s = reduced.sigma  # the off-diagonal entries' scale
         gauss = lambda v: np.exp(-(v**2) / (2 * s**2)) / math.sqrt(2 * math.pi * s**2)
         err = np.abs(
-            model.joint_pdf(H11, H22, H12, H21)
+            mvn_pdf((H11, H22, H12, H21), joint)
             - p1.pdf(H11) * p2.pdf(H22) * gauss(H12) * gauss(H21)
         ).max()
         assert err <= 1e-12
@@ -188,8 +190,9 @@ def test_criterion_5_goe_report():
 
         # curvature rises toward 0 with increasing |r|
         rs = np.linspace(0.0, 0.99, 12)
-        curv = [HalfPlane.correlated(goe_model(0.0, 1.0, r, 1.0).reduced.r).scalar_curvature
-                for r in rs]
+        covs = [goe_model(0.0, 1.0, r, 1.0).covariance for r in rs]
+        curv = [HalfPlane.correlated(c[0, 1] / math.sqrt(c[0, 0] * c[1, 1])).scalar_curvature
+                for c in covs]
         assert all(b > a for a, b in zip(curv, curv[1:]))
         assert curv[-1] > -0.01
 

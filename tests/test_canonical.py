@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -42,7 +43,7 @@ def random_quadratic(rng, n):
     d = 2 * n
     a = rng.normal(size=(d, d))
     hess = a @ a.T + 0.2 * np.eye(d)
-    return QuadraticHamiltonian(n, rng.normal(size=d), hess)
+    return QuadraticHamiltonian(rng.normal(size=d), hess)
 
 
 # ------------------------------------------------------------------- Hessians
@@ -77,23 +78,35 @@ def test_hessian_of_linear_energy_rejected_downstream():
                       + energy(x0) for j in range(2)] for i in range(2)])
     assert np.abs(hess).max() < 1e-6
     with pytest.raises(NonPositiveDefiniteError):
-        QuadraticHamiltonian(1, [0.0, 0.0], hess)
+        QuadraticHamiltonian([0.0, 0.0], hess)
 
 
 def test_quadratic_hamiltonian_validation():
     with pytest.raises(NonPositiveDefiniteError):
-        QuadraticHamiltonian(1, [0.0, 0.0], np.array([[1.0, 0.2], [0.1, 1.0]]))
+        QuadraticHamiltonian([0.0, 0.0], np.array([[1.0, 0.2], [0.1, 1.0]]))
     with pytest.raises(ValueError):
-        QuadraticHamiltonian(1, [0.0], np.eye(2))
+        QuadraticHamiltonian([0.0], np.eye(2))
 
 
-@pytest.mark.parametrize("n,error", [(1.5, TypeError), (2.0, TypeError), (0, ValueError)])
-def test_quadratic_hamiltonian_requires_an_integer_n_of_at_least_1(n, error):
-    # the arrays are 2n-dimensional, so only n itself is wrong; n = 1.5 built a
-    # 3-D "phase space", for which covariance_hessian_law reported (kB T)^3
-    with pytest.raises(error):
-        QuadraticHamiltonian(n, np.zeros(round(2 * n)), np.eye(round(2 * n)))
-    assert QuadraticHamiltonian(np.int64(1), [0.0, 0.0], np.eye(2)).n == 1
+@pytest.mark.parametrize("shape", [(0,), (1,), (3,), (2, 2)], ids=["0", "1", "3", "2x2"])
+def test_quadratic_hamiltonian_requires_an_even_phase_space_dimension(shape):
+    # the phase-space dimension 2n is the equilibrium's length; a 3-D "phase
+    # space" would have the law report T^3.  The Hessian matches the length,
+    # so only the equilibrium is wrong
+    d = shape[0]
+    with pytest.raises(ValueError, match="even length 2n >= 2"):
+        QuadraticHamiltonian(np.zeros(shape), np.eye(d))
+
+
+def test_canonical_types_hold_no_units_or_dimension_setting():
+    assert [f.name for f in dataclasses.fields(HeatBath)] == ["temperature"]
+    assert [f.name for f in dataclasses.fields(QuadraticHamiltonian)] == ["equilibrium", "hessian"]
+    o = OscillatorPair(1.0, 1.0, 1.0, 1.0, 1.0)
+    for method in (o.sigma_c, o.position_sigma):
+        with pytest.raises(TypeError):
+            method(1.0)
+    with pytest.raises(TypeError):
+        oscillator_mixing_trace(o, [0.5, 0.9], kB=1.0)
 
 
 @pytest.mark.parametrize("equilibrium,hessian", [([math.nan, 0.0], np.eye(2)),
@@ -101,19 +114,19 @@ def test_quadratic_hamiltonian_requires_an_integer_n_of_at_least_1(n, error):
 def test_quadratic_hamiltonian_rejects_non_finite_input(equilibrium, hessian):
     # a NaN equilibrium was accepted, and every energy was NaN
     with pytest.raises(ValueError, match="must be finite"):
-        QuadraticHamiltonian(1, equilibrium, hessian)
+        QuadraticHamiltonian(equilibrium, hessian)
 
 
 # ------------------------------------------------------- canonical <-> Gaussian
 
 def test_canonical_to_gaussian_identity():
-    h = QuadraticHamiltonian(1, [0.0, 0.0], np.eye(2))
+    h = QuadraticHamiltonian([0.0, 0.0], np.eye(2))
     g = canonical_to_gaussian(h, HeatBath(1.0))
     assert g.covariance == pytest.approx(np.eye(2))
 
 
 def test_canonical_to_gaussian_diagonal_example():
-    h = QuadraticHamiltonian(1, [0.0, 0.0], np.diag([2.0, 8.0]))
+    h = QuadraticHamiltonian([0.0, 0.0], np.diag([2.0, 8.0]))
     g = canonical_to_gaussian(h, HeatBath(3.0))
     assert g.covariance == pytest.approx(np.diag([1.5, 0.375]))
     assert np.linalg.det(g.covariance) == pytest.approx(9.0 / 16.0)
@@ -137,15 +150,15 @@ def test_heat_bath_validation():
     with pytest.raises(ValueError):
         HeatBath(0.0)
     with pytest.raises(ValueError):
-        HeatBath(1.0, kB=-1.0)
-    assert HeatBath(2.0, kB=0.5).beta == pytest.approx(1.0)
+        HeatBath(-1.0)
+    assert HeatBath(0.5).beta == 2.0
 
 
-@pytest.mark.parametrize("temperature,kB", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
-def test_heat_bath_rejects_non_finite_input(temperature, kB):
-    # an infinite temperature or kB gave beta = 0, and covariance_hessian_law a LinAlgError
+@pytest.mark.parametrize("temperature", [math.inf, math.nan])
+def test_heat_bath_rejects_non_finite_input(temperature):
+    # an infinite temperature gave beta = 0, and covariance_hessian_law a LinAlgError
     with pytest.raises(ValueError, match="must be finite"):
-        HeatBath(temperature, kB)
+        HeatBath(temperature)
 
 
 @pytest.mark.parametrize("name", ["m1", "m2", "omega1", "omega2", "T0"])
@@ -158,13 +171,11 @@ def test_oscillator_pair_rejects_infinite_scales(name):
 
 
 def test_heat_bath_rejects_a_product_that_overflows():
-    # kB T = inf gave beta == 0.0, and covariance_hessian_law a LinAlgError
-    with pytest.raises(ValueError, match="kB temperature must be finite and positive, got inf"):
-        HeatBath(1e200, kB=1e200)
-    with pytest.raises(ValueError, match="kB temperature must be finite and positive, got 0.0"):
-        HeatBath(1e-200, kB=1e-200)
-    with pytest.raises(ValueError, match=re.escape("beta = 1 / (kB temperature) must be finite")):
-        HeatBath(1e-300, kB=1e-10)
+    # a subnormal temperature is positive, but beta = 1 / T overflows to inf
+    with pytest.raises(ValueError, match="^beta = 1 / temperature must be finite and positive"):
+        HeatBath(1e-310)
+    assert HeatBath(1e-300).beta == 1.0 / 1e-300
+    assert 0.0 < HeatBath(1.7e308).beta < 1e-308
 
 
 @pytest.mark.parametrize("scales, product", [
@@ -186,14 +197,14 @@ def test_oscillator_pair_rejects_a_product_that_overflows(scales, product):
 # ----------------------------------------------------- covariance-Hessian law
 
 def test_law_identity_case():
-    h = QuadraticHamiltonian(1, [0.0, 0.0], np.eye(2))
+    h = QuadraticHamiltonian([0.0, 0.0], np.eye(2))
     lhs, rhs = covariance_hessian_law(h, HeatBath(1.0))
     assert lhs == pytest.approx(1.0)
     assert rhs == pytest.approx(1.0)
 
 
 def test_law_diagonal_example():
-    h = QuadraticHamiltonian(1, [0.0, 0.0], np.diag([2.0, 8.0]))
+    h = QuadraticHamiltonian([0.0, 0.0], np.diag([2.0, 8.0]))
     lhs, rhs = covariance_hessian_law(h, HeatBath(3.0))
     assert rhs == pytest.approx(9.0)
     assert lhs == pytest.approx(9.0, rel=1e-12)
@@ -204,9 +215,27 @@ def test_law_on_random_hamiltonians():
     for k in range(100):
         n = 1 + k % 3
         h = random_quadratic(rng, n)
-        bath = HeatBath(rng.uniform(0.2, 5.0), kB=rng.uniform(0.5, 2.0))
+        bath = HeatBath(rng.uniform(0.2, 5.0) * rng.uniform(0.5, 2.0))  # k_B T
         lhs, rhs = covariance_hessian_law(h, bath)
         assert abs(lhs - rhs) / rhs <= 1e-10
+
+
+@pytest.mark.parametrize("hessian", [1e100 * np.eye(4), 1e-170 * np.eye(2)],
+                         ids=["1e100", "1e-170"])
+def test_law_holds_where_either_determinant_alone_is_not_a_float(hessian):
+    # det(cov) and det(H) underflowed and overflowed apart, and the law read (nan, 1.0)
+    h = QuadraticHamiltonian(np.zeros(len(hessian)), hessian)
+    lhs, rhs = covariance_hessian_law(h, HeatBath(1.0))
+    assert rhs == 1.0
+    assert abs(lhs - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("temperature", [1e-100, 1e80])
+def test_law_refuses_a_power_of_t_that_is_not_a_normal_float(temperature):
+    # T = 1e-100 at n = 2 read (0.0, 0.0), an empty 0 = 0; T = 1e80 warned on overflow
+    h = QuadraticHamiltonian(np.zeros(4), np.eye(4))
+    with pytest.raises(ValueError, match=r"T\^\(2n\) = .* is not a finite, normal float"):
+        covariance_hessian_law(h, HeatBath(temperature))
 
 
 def test_covariance_by_quadrature_matches_inverse():
@@ -239,7 +268,7 @@ def test_ce_fisher_oscillator_equilibrium_parameter():
         return 0.5 * m_ * w**2 * (x[0] - theta[0]) ** 2 + x[1] ** 2 / (2.0 * m_)
 
     hess = np.diag([m_ * w**2, 1.0 / m_])
-    h = QuadraticHamiltonian(1, [0.0, 0.0], hess)
+    h = QuadraticHamiltonian([0.0, 0.0], hess)
     g = canonical_to_gaussian(h, bath)
     spec = IntegrationSpec(g.mean, g.cholesky, 64)
     g = ce_fisher_metric(energy, [0.0], bath, spec)
@@ -264,17 +293,17 @@ def test_ce_fisher_forms_differ_for_theta_dependent_partition():
 def test_ce_fisher_reduced_oscillator_matches_model_metric():
     # potential-only canonical family at 1 - r^2 = T/T0 is the correlated
     # bivariate model; its Fisher metric must match the closed form
-    kB, T0 = 1.0, 1.0
+    T0 = 1.0
     r = math.sqrt(0.5)
     T = T0 * (1.0 - r**2)
-    bath = HeatBath(T, kB)
+    bath = HeatBath(T)
     sigma_c = 1.0
     mu0, sigma0 = 0.4, 1.2
 
     def potential(x, theta):
         mu, s = theta
         d = x[0] - mu
-        return 0.5 * kB * T0 * (
+        return 0.5 * T0 * (
             d**2 / s**2 + x[1] ** 2 * s**2 / sigma_c**4 - 2.0 * r * d * x[1] / sigma_c**2
         )
 
@@ -332,7 +361,7 @@ def test_ce_fisher_analytic_gradient_path():
 # -------------------------------------------------------------- upper bounds
 
 def test_ce_upper_bound_zero_for_diagonal_hessian():
-    h = QuadraticHamiltonian(1, [0.0, 0.0], np.diag([1.0, 2.0]))
+    h = QuadraticHamiltonian([0.0, 0.0], np.diag([1.0, 2.0]))
     fs = TestFunctionSet.unit_l1_bumps([0.0, 0.0])
     assert ce_upper_bound(h, HeatBath(1.0), fs) < 1e-10
 
@@ -340,17 +369,17 @@ def test_ce_upper_bound_zero_for_diagonal_hessian():
 def test_ce_upper_bound_two_path_oscillator():
     # with sigma_c^2 = 1/(2 pi) the closed-form envelope and the maximizer
     # bound coincide exactly
-    kB, T0 = 1.0, 1.0
+    T0 = 1.0
     omega = math.sqrt(2.0 * math.pi)
     o = OscillatorPair(m1=1.0, m2=1.0, omega1=omega, omega2=omega, T0=T0,
                        r=math.sqrt(0.5))
     T = T0 / 2.0
-    bath = HeatBath(T, kB)
+    bath = HeatBath(T)
     hess = np.array([
         [o.m1 * o.omega1**2, -o.r * math.sqrt(o.m1 * o.m2) * o.omega1 * o.omega2],
         [-o.r * math.sqrt(o.m1 * o.m2) * o.omega1 * o.omega2, o.m2 * o.omega2**2],
     ])
-    h = QuadraticHamiltonian(1, [o.q10, 0.0], hess)
+    h = QuadraticHamiltonian([o.q10, 0.0], hess)
     fs = TestFunctionSet.unit_l1_bumps([0.0, 0.0])
     bound = ce_upper_bound(h, bath, fs)
     envelope = distinguishability_F_closed(o.r) * fs.product_l1
@@ -403,11 +432,11 @@ def test_effective_correlation_requires_t_in_0_t0(T, T0):
 
 def test_oscillator_reduce_parameters():
     o = OscillatorPair(m1=2.0, m2=0.5, omega1=1.5, omega2=3.0, T0=2.0, r=0.4, q10=0.9)
-    bath = HeatBath(1.0, kB=1.0)
+    bath = HeatBath(1.0)
     params = oscillator_reduce(o, bath)
     assert params.mu_x == pytest.approx(0.9)
     assert params.sigma == pytest.approx(math.sqrt(2.0 / (2.0 * 1.5**2)))
-    assert params.sigma_c == pytest.approx(o.sigma_c(1.0))
+    assert params.sigma_c == pytest.approx(o.sigma_c())
     assert params.r == pytest.approx(math.sqrt(1.0 - 0.5))
     neg = OscillatorPair(m1=2.0, m2=0.5, omega1=1.5, omega2=3.0, T0=2.0, r=-0.4)
     assert oscillator_reduce(neg, bath).r < 0.0
@@ -421,13 +450,13 @@ def test_oscillator_reduce_rejects_high_temperature():
 
 def test_reduced_density_matches_position_marginal():
     # integrating the canonical density over momenta leaves the correlated model
-    kB, T0 = 1.0, 1.0
+    T0 = 1.0
     r = math.sqrt(0.5)
     o = OscillatorPair(m1=1.0, m2=2.0, omega1=1.0, omega2=0.7, T0=T0, r=r, q10=0.3)
     T = T0 * (1.0 - r**2)
-    bath = HeatBath(T, kB)
+    bath = HeatBath(T)
     params = oscillator_reduce(o, bath)
-    h = QuadraticHamiltonian(2, [o.q10, 0.0, 0.0, 0.0], o.hessian())
+    h = QuadraticHamiltonian([o.q10, 0.0, 0.0, 0.0], o.hessian())
     gauss = canonical_to_gaussian(h, bath)
     # position block of the full canonical covariance vs model covariance
     assert np.abs(gauss.covariance[:2, :2] - params.covariance()).max() < 1e-6
@@ -442,7 +471,7 @@ def test_reduction_is_the_marginal_of_the_pair_rebuilt_at_r_eff(coupling):
         bath = HeatBath(T)
         r_eff = effective_correlation(T, o.T0, coupling)
         rebuilt = OscillatorPair(o.m1, o.m2, o.omega1, o.omega2, o.T0, r=r_eff, q10=o.q10)
-        h = QuadraticHamiltonian(2, (o.q10, 0.0, 0.0, 0.0), rebuilt.hessian())
+        h = QuadraticHamiltonian((o.q10, 0.0, 0.0, 0.0), rebuilt.hessian())
         block = canonical_to_gaussian(h, bath).covariance[:2, :2]
         reduced = oscillator_reduce(o, bath).covariance()
         assert np.abs(block - reduced).max() <= 1e-13 * np.abs(reduced).max()
@@ -601,44 +630,51 @@ def test_envelope_breach_names_the_first_sample_above_it(monkeypatch):
 
 # ----------------------------------------------------------------- 2x2 matrices
 
+def goe_joint_and_block(mu, sigma, r, sigma_c):
+    """goe_model's joint and the correlated model that is its diagonal block, bit for bit."""
+    joint, block = goe_model(mu, sigma, r, sigma_c), Correlated2DParams(mu, sigma, r, sigma_c)
+    assert np.array_equal(joint.covariance[:2, :2], block.covariance())
+    return joint, block
+
+
 def test_goe_joint_factorizes_at_zero_correlation():
-    model = goe_model(0.0, 1.0, 0.0, 1.0)
-    reduced = model.reduced
-    p1, p2 = marginals_2d(reduced)
+    joint, block = goe_joint_and_block(0.0, 1.0, 0.0, 1.0)
+    p1, p2 = marginals_2d(block)
     grid = np.linspace(-4.0, 4.0, 21)
     H11, H22, H12, H21 = np.meshgrid(grid, grid, grid, grid, indexing="ij")
-    joint = model.joint_pdf(H11, H22, H12, H21)
-    s = model.off_diag_sigma
+    density = mvn_pdf((H11, H22, H12, H21), joint)
+    s = block.sigma  # the off-diagonal entries' scale
     gauss = lambda v: np.exp(-(v**2) / (2 * s**2)) / math.sqrt(2 * math.pi * s**2)
     product = p1.pdf(H11) * p2.pdf(H22) * gauss(H12) * gauss(H21)
-    assert np.abs(joint - product).max() < 1e-12
+    assert np.abs(density - product).max() < 1e-12
 
 
 def test_goe_joint_normalizes():
-    model = goe_model(0.3, 1.2, 0.5, 1.0)
-    spec = IntegrationSpec.for_gaussian(model.gaussian.mean, model.gaussian.covariance, 20)
-    total = integrate(lambda x: model.joint_pdf(*x), spec)
+    joint, _ = goe_joint_and_block(0.3, 1.2, 0.5, 1.0)
+    spec = IntegrationSpec.for_gaussian(joint.mean, joint.covariance, 20)
+    total = integrate(lambda x: mvn_pdf(x, joint), spec)
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_goe_marginalization_reproduces_reduced_density():
-    model = goe_model(0.2, 1.0, 0.4, 1.1)
-    reduced = model.reduced
-    s = model.off_diag_sigma
+    joint, block = goe_joint_and_block(0.2, 1.0, 0.4, 1.1)
+    s = block.sigma
     off_spec = IntegrationSpec.axes([0.0, 0.0], [s, s], 48)
     grid = np.linspace(-3.0, 3.0, 7)
     for h11 in 0.2 + grid:
-        for h22 in grid * reduced.sigma_y:
+        for h22 in grid * block.sigma_y:
             marg = integrate(
-                lambda x: model.joint_pdf(h11, h22, x[0], x[1]), off_spec
+                lambda x: mvn_pdf((h11, h22, x[0], x[1]), joint), off_spec
             )
-            assert marg == pytest.approx(pdf_2d(h11, h22, reduced), abs=1e-6)
+            assert marg == pytest.approx(pdf_2d(h11, h22, block), abs=1e-6)
 
 
 def test_goe_curvature():
-    # the diagonal block's macrospace is the correlated slice's plane
+    # the diagonal block's macrospace is the correlated slice's plane, at the
+    # correlation the joint's covariance carries
     def curvature(r):
-        return HalfPlane.correlated(goe_model(0.0, 1.0, r, 1.0).reduced.r).scalar_curvature
+        c = goe_joint_and_block(0.0, 1.0, r, 1.0)[0].covariance
+        return HalfPlane.correlated(c[0, 1] / math.sqrt(c[0, 0] * c[1, 1])).scalar_curvature
 
     assert curvature(0.0) == pytest.approx(-0.5)
     assert curvature(0.99) == pytest.approx(-0.5 * (1.0 - 0.99**2))

@@ -126,6 +126,19 @@ def test_params_reject_non_finite_values(name, bad):
         Correlated2DParams(**values)
 
 
+def test_params_refuse_a_scale_the_covariance_cannot_hold():
+    # each was accepted, and covariance() (so ig_correlation_2d) raised a bare
+    # OverflowError at sigma**2, sigma_y**2 or the sigma_c**2 of sigma_y
+    for sigma, sigma_c in [(1e200, 1.0), (1e-200, 1.0), (1.0, 1e160)]:
+        with pytest.raises(ValueError, match=r"sigma\^2 and sigma_y\^2 = .* must be normal floats"):
+            Correlated2DParams(0.0, sigma, 0.5, sigma_c)
+    # squares that are normal floats are kept, with the covariance's arithmetic unchanged
+    for sigma in (1e-150, 1.0, 1e150):
+        sy = 1.0 / sigma
+        expected = np.array([[sigma**2, 0.5 * sigma * sy], [0.5 * sigma * sy, sy**2]])
+        assert Correlated2DParams(0.0, sigma, 0.5).covariance().tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, 1e80, 1e-80])
 def test_family_rejects_a_bad_sigma_c_once(bad):
     # the family's moments form Sigma without building Correlated2DParams, so the
@@ -395,7 +408,7 @@ ARRAY_HOLDERS = {
     "IntegrationSpec": lambda: IntegrationSpec([0.0], [[1.0]]),
     "MultivariateGaussian": lambda: MultivariateGaussian([0.0], [[1.0]]),
     "CorrelationTrace": _trace,
-    "QuadraticHamiltonian": lambda: QuadraticHamiltonian(1, [0.0, 0.0], np.eye(2)),
+    "QuadraticHamiltonian": lambda: QuadraticHamiltonian([0.0, 0.0], np.eye(2)),
     "GeodesicState": lambda: GeodesicState(np.zeros(2), np.ones(2), 0.0),
     "GeodesicResult": lambda: GeodesicResult((GeodesicState(np.zeros(2), np.ones(2), 0.0),),
                                              "completed"),
