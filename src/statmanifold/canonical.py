@@ -13,7 +13,9 @@ exponent equal to the phase-space dimension.  The canonical covariance is
 that inverse Hessian in closed form, with no quadrature route around it;
 quadrature enters only where no closed form exists, in :func:`ce_fisher_metric`
 for a general energy E(x; theta) and in the correlations of test functions
-other than Gaussian bumps.
+other than Gaussian bumps.  :func:`ce_fisher_metric` takes dE/dtheta from its
+caller, so nothing here is differenced: the canonical metric is exact up to
+its quadrature.
 
 Two worked scenarios build on this bridge: a pair of linearly coupled
 harmonic oscillators whose position marginal reduces to the correlated
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .ergodic import (
     factorization_sup_2d,
     mvn_upper_bound,
 )
-from .manifold import _fd_derivatives, _fd_steps, _stencil
 from .models import Correlated2DParams, MultivariateGaussian
 from .quadrature import IntegrationSpec, integrate
 
@@ -137,15 +138,8 @@ def covariance_hessian_law(h: QuadraticHamiltonian, bath: HeatBath):
     return lhs, rhs
 
 
-def _theta_energy_gradient(energy: Callable, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of E(x; theta) in theta, shape (m, k) per phase point."""
-    h = _fd_steps(theta)
-    values = [energy(x, t) for t in _stencil(theta, h, 1)]
-    return _fd_derivatives(values, h, 1).T
-
-
-def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationSpec,
-                     grad_theta: Optional[Callable] = None) -> np.ndarray:
+def ce_fisher_metric(energy: Callable, grad_theta: Callable, theta, bath: HeatBath,
+                     spec: IntegrationSpec) -> np.ndarray:
     """Fisher matrix of the canonical family exp(-beta E(.; theta))/Z(theta).
 
     This is beta^2 times the canonical covariance of dE/dtheta, the Fisher
@@ -153,16 +147,14 @@ def ce_fisher_metric(energy: Callable, theta, bath: HeatBath, spec: IntegrationS
     moment beta^2 <dE/dtheta_i dE/dtheta_j> equals it only when
     <dE/dtheta> = 0.
 
-    ``energy`` maps (phase points (2n, k), theta) to (k,); ``spec`` must cover
-    the canonical density at theta.
+    ``energy`` maps (phase points (2n, k), theta) to (k,) and ``grad_theta``
+    maps the same arguments to dE/dtheta, (m, k); ``spec`` must cover the
+    canonical density at theta.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
 
     def moments(x):  # the Gram matrix of [dE/dtheta; 1] holds Z, Z <dE> and Z <dE dE^T>
-        if grad_theta is not None:
-            grads = np.asarray(grad_theta(x, theta))
-        else:
-            grads = _theta_energy_gradient(energy, x, theta)
+        grads = np.asarray(grad_theta(x, theta))
         return np.vstack([grads, np.ones(x.shape[1])]), np.exp(-bath.beta * energy(x, theta))
 
     gram = integrate(moments, spec)

@@ -178,11 +178,11 @@ def ig_correlation(joint: Callable, fs: TestFunctionSet, spec: IntegrationSpec) 
         return block.T
 
     fine, coarse = integrate(moments, spec).tolist(), integrate(moments, spec.coarse).tolist()
-    if abs(fine[-1] - 1.0) > QUAD_RTOL:
+    if not abs(fine[-1] - 1.0) <= QUAD_RTOL:  # written so that NaN fails it, as below
         raise QuadratureError(f"joint density normalization off by {fine[-1] - 1.0:.3e}")
     joint_term, prod_term = fine[0], math.prod(fine[1:-1])
     err = abs(joint_term - prod_term - (coarse[0] - math.prod(coarse[1:-1])))
-    if err > QUAD_RTOL * max(abs(joint_term), abs(prod_term)):
+    if not err <= QUAD_RTOL * max(abs(joint_term), abs(prod_term)):
         raise QuadratureError(f"correlation did not converge: error estimate {err:.3e}")
     return joint_term - prod_term
 

@@ -189,20 +189,15 @@ class MetricField:
         return cls(func, domain, d1, d2)
 
 
-def _fd_steps(x: np.ndarray, rel: float = FD_REL_STEP) -> np.ndarray:
-    """Per-coordinate central-difference steps ``max(rel, rel·|x_k|)``."""
-    return np.maximum(rel, rel * np.abs(x))
-
-
-def _stencil(x: np.ndarray, h: np.ndarray, order: int, centre: bool = False) -> np.ndarray:
+def _stencil(x: np.ndarray, h: np.ndarray, order: int) -> np.ndarray:
     """The central-difference points around ``x`` as one (k, m) array.
 
-    Rows 2k and 2k+1 are ``x + h_k e_k`` and ``x - h_k e_k``.  Order 2, or
-    ``centre`` at order 1, adds row 2m, ``x`` itself; order 2 then adds for
-    each k < l the four corners ``x ± h_k e_k ± h_l e_l`` (signs ++, +-, -+, --).
+    Rows 2k and 2k+1 are ``x + h_k e_k`` and ``x - h_k e_k``.  Order 2 adds
+    row 2m, ``x`` itself, and then for each k < l the four corners
+    ``x ± h_k e_k ± h_l e_l`` (signs ++, +-, -+, --).
     """
     m = x.shape[0]
-    points = np.empty((2 * m + centre if order == 1 else 1 + 2 * m * m, m))
+    points = np.empty((2 * m if order == 1 else 1 + 2 * m * m, m))
     points[:] = x
     flat = points[:2 * m].reshape(-1)  # row 2k holds entry k at k(2m+1), row 2k+1 at m + k(2m+1)
     flat[::2 * m + 1] += h
@@ -240,26 +235,38 @@ def _fd_derivatives(values, h: np.ndarray, order: int) -> np.ndarray:
 
 
 def metric_derivatives(field: MetricField, theta, order: int):
-    """Central finite-difference derivatives of the metric field.
+    """Derivatives of the metric field: the one place that finite-differences it.
 
-    order=1 returns d1[i,j,k] = g_ij,k; order=2 returns
-    d2[i,j,k,l] = g_ij,kl.  Analytic derivatives on the field take
-    precedence.  Raises :class:`DomainError` when a stencil point lies
-    outside the domain, before the metric is evaluated anywhere.  Order 2
-    raises :class:`NumericalError` when the metric's relative change across
-    one step, read off the stencil's rows, exceeds ``FD_MAX_REL_CHANGE``.
+    order=1 returns d1[i,j,k] = g_ij,k; order=2 returns d2[i,j,k,l] =
+    g_ij,kl.  Analytic derivatives on the field take precedence.  Otherwise
+    the field is evaluated at each row of :func:`_stencil`, with steps
+    ``max(FD_REL_STEP, FD_REL_STEP |theta_k|)``, and centrally differenced.
+    One ``ParameterDomain.contains`` call checks every row before the metric
+    is evaluated anywhere.  A theta of the wrong shape or outside the domain
+    raises the :meth:`ParameterDomain.require` error; otherwise the
+    :class:`DomainError` names the coordinate of the first row outside, an
+    axis row, since a corner repeats the floats ``x_k ± h_k`` of the axis
+    rows.  Order 2 raises :class:`NumericalError` when the metric's relative
+    change across one step, read off the stencil's rows, exceeds
+    ``FD_MAX_REL_CHANGE``.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    theta = field.domain.require(theta, "the metric field")
-    if order == 1 and field.d1 is not None:
-        return np.asarray(field.d1(theta), dtype=float)
-    if order == 2 and field.d2 is not None:
-        return np.asarray(field.d2(theta), dtype=float)
-
-    values, h = _sweep(field, theta, order)
+    domain, m = field.domain, field.domain.dim
+    analytic = field.d1 if order == 1 else field.d2
+    if analytic is not None:
+        return np.asarray(analytic(domain.require(theta, "the metric field")), dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (m,):
+        domain.require(theta, "the metric field")  # raises its shape error
+    h = np.maximum(FD_REL_STEP, FD_REL_STEP * np.abs(theta))
+    points = _stencil(theta, h, order)
+    if not domain.contains(points):
+        domain.require(theta, "the metric field")
+        i = next(i for i, row in enumerate(points) if not domain.contains(row))
+        raise DomainError(f"finite-difference stencil exits the domain at coordinate {i // 2}")
+    values = [field(p) for p in points]
     if order == 2:  # rows 2k and 2k + 1 are theta ± h_k e_k, row 2m is theta
-        m = h.shape[0]
         change = np.linalg.norm(np.subtract(values[:2 * m:2], values[1:2 * m:2]), axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = change.max() / (2.0 * np.linalg.norm(values[2 * m]))
@@ -268,28 +275,6 @@ def metric_derivatives(field: MetricField, theta, order: int):
                                  f"by {rel:.3e} of its norm, above FD_MAX_REL_CHANGE = "
                                  f"{FD_MAX_REL_CHANGE:g}")
     return _fd_derivatives(values, h, order)
-
-
-def _sweep(field: MetricField, theta, order: int, centre: bool = False):
-    """``(values, h)``: the field at each row of :func:`_stencil` around theta, and its steps.
-
-    One ``ParameterDomain.contains`` call checks every row before the metric
-    is evaluated anywhere.  A theta of the wrong shape or outside the domain
-    raises the :meth:`ParameterDomain.require` error; otherwise the error
-    names the coordinate of the first row outside, an axis row, since a
-    corner repeats the floats ``x_k ± h_k`` of the axis rows.
-    """
-    domain, m = field.domain, field.domain.dim
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (m,):
-        domain.require(theta, "the metric field")  # raises its shape error
-    h = _fd_steps(theta)
-    points = _stencil(theta, h, order, centre)
-    if not domain.contains(points):
-        domain.require(theta, "the metric field")
-        i = next(i for i, row in enumerate(points) if not domain.contains(row))
-        raise DomainError(f"finite-difference stencil exits the domain at coordinate {i // 2}")
-    return [field(p) for p in points], h
 
 
 def inverse_metric(g: np.ndarray) -> np.ndarray:
@@ -306,17 +291,11 @@ def inverse_metric(g: np.ndarray) -> np.ndarray:
 def christoffel(field: MetricField, theta) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[k, i, j], symmetric in (i, j).
 
-    Without an analytic ``d1`` the field is swept once (:func:`_sweep`): the
-    first-order stencil with theta itself as row 2m, whose 2m + 1 rows one
-    domain check covers, gives both g_ij,k and g(theta).
+    g_ij,k comes from :func:`metric_derivatives` and g(theta) from one more
+    request, after the stencil's domain check.
     """
-    if field.d1 is not None:
-        theta = field.domain.require(theta, "the metric field")
-        d1, g = np.asarray(field.d1(theta), dtype=float), field(theta)
-    else:
-        values, h = _sweep(field, theta, 1, centre=True)
-        d1, g = _fd_derivatives(values, h, 1), values[-1]
-    gi = inverse_metric(g)
+    d1 = metric_derivatives(field, theta, 1)
+    gi = inverse_metric(field(theta))
     # Gamma^k_ij = 1/2 g^{km} (g_mi,j + g_mj,i - g_ij,m); d1[i,j,k] = g_ij,k
     gam = 0.5 * np.einsum(
         "km,mij->kij",

@@ -77,16 +77,17 @@ class Correlated2DParams:
 
 
 def pdf_2d(x, y, params: Correlated2DParams):
-    """Density of the correlated model; vectorized over x, y."""
+    """Density of the correlated model; vectorized over x, y.
+
+    The quadratic is formed in the standard units u = (x - mu_x) / sigma and
+    v = y / sigma_y, so no power of a scale overflows or underflows.
+    """
     params.require_nondegenerate()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - params.mu_x
-    s, sc, r = params.sigma, params.sigma_c, params.r
-    quad = d**2 / s**2 + y**2 * s**2 / sc**4 - 2.0 * r * d * y / sc**2
-    return np.exp(-quad / (2.0 * (1.0 - r**2))) / (
-        TWO_PI * sc**2 * np.sqrt(1.0 - r**2)
-    )
+    s, sy, r = params.sigma, params.sigma_y, params.r
+    u = (np.asarray(x, dtype=float) - params.mu_x) / s
+    v = np.asarray(y, dtype=float) / sy
+    quad = u**2 + v**2 - 2.0 * r * u * v
+    return np.exp(-quad / (2.0 * (1.0 - r**2))) / (TWO_PI * s * sy * np.sqrt(1.0 - r**2))
 
 
 @dataclass(frozen=True)

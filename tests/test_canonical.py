@@ -13,9 +13,11 @@ from statmanifold import (
     HeatBath,
     IgehLevel,
     IntegrationSpec,
+    ModelFamily,
     NonPositiveDefiniteError,
     NumericalError,
     OscillatorPair,
+    ParameterDomain,
     QuadraticHamiltonian,
     TemperatureRangeError,
     TestFunctionSet,
@@ -25,6 +27,7 @@ from statmanifold import (
     covariance_hessian_law,
     distinguishability_F_closed,
     effective_correlation,
+    fisher_metric,
     goe_model,
     ig_correlation_2d,
     integrate,
@@ -254,8 +257,9 @@ def test_covariance_by_quadrature_matches_inverse():
 
 def test_ce_fisher_zero_for_theta_independent_energy():
     energy = lambda x, theta: 0.5 * np.sum(x**2, axis=0)
+    grad = lambda x, theta: np.zeros((1, x.shape[1]))
     spec = IntegrationSpec.axes([0.0, 0.0], [1.0, 1.0], 48)
-    g = ce_fisher_metric(energy, [0.3], HeatBath(1.0), spec)
+    g = ce_fisher_metric(energy, grad, [0.3], HeatBath(1.0), spec)
     assert np.abs(g).max() < 1e-12
 
 
@@ -267,11 +271,14 @@ def test_ce_fisher_oscillator_equilibrium_parameter():
     def energy(x, theta):
         return 0.5 * m_ * w**2 * (x[0] - theta[0]) ** 2 + x[1] ** 2 / (2.0 * m_)
 
+    def grad(x, theta):
+        return np.stack([-m_ * w**2 * (x[0] - theta[0])])
+
     hess = np.diag([m_ * w**2, 1.0 / m_])
     h = QuadraticHamiltonian([0.0, 0.0], hess)
     g = canonical_to_gaussian(h, bath)
     spec = IntegrationSpec(g.mean, g.cholesky, 64)
-    g = ce_fisher_metric(energy, [0.0], bath, spec)
+    g = ce_fisher_metric(energy, grad, [0.0], bath, spec)
     assert g[0, 0] == pytest.approx(bath.beta * m_ * w**2, rel=1e-6)
 
 
@@ -286,7 +293,7 @@ def test_ce_fisher_forms_differ_for_theta_dependent_partition():
 
     scales = [math.sqrt(1.0 / (2.0 * theta0)), 1.0]
     spec = IntegrationSpec.axes([0.0, 0.0], scales, 64)
-    g = ce_fisher_metric(energy, [theta0], bath, spec)
+    g = ce_fisher_metric(energy, lambda x, theta: np.stack([x[0] ** 2]), [theta0], bath, spec)
     assert g[0, 0] == pytest.approx(1.0 / (2.0 * theta0**2), rel=1e-6)
 
 
@@ -307,39 +314,97 @@ def test_ce_fisher_reduced_oscillator_matches_model_metric():
             d**2 / s**2 + x[1] ** 2 * s**2 / sigma_c**4 - 2.0 * r * d * x[1] / sigma_c**2
         )
 
+    def grad(x, theta):
+        mu, s = theta
+        d = x[0] - mu
+        return T0 * np.stack([-d / s**2 + r * x[1] / sigma_c**2,
+                              -d**2 / s**3 + x[1] ** 2 * s / sigma_c**4])
+
     params = Correlated2DParams(mu0, sigma0, r, sigma_c)
     spec = IntegrationSpec.for_gaussian([mu0, 0.0], params.covariance(), 64)
-    general = ce_fisher_metric(potential, [mu0, sigma0], bath, spec)
-    assert np.abs(general - HalfPlane.correlated(r).metric([mu0, sigma0])).max() < 1e-4
+    general = ce_fisher_metric(potential, grad, [mu0, sigma0], bath, spec)
+    assert np.abs(general - HalfPlane.correlated(r).metric([mu0, sigma0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ce_fisher_of_a_shifted_well_is_the_gaussian_fisher_metric(seed):
+    # E = (x - x0(theta))^T H (x - x0(theta)) / 2, theta the leading m entries of
+    # x0, has the canonical density N(x0(theta), T H^-1), whose Fisher metric is
+    # (H / T)[:m, :m]; dE/dtheta = -(H (x - x0))[:m]
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 3
+    m = int(rng.integers(1, d + 1))
+    a = rng.normal(size=(d, d))
+    hess = a @ a.T + 0.5 * np.eye(d)
+    x0, theta = rng.normal(size=d), rng.normal(size=m)
+    bath = HeatBath(rng.uniform(0.2, 5.0))
+
+    def centre(theta):
+        return np.concatenate([theta, x0[m:]])
+
+    def energy(x, theta):
+        dx = x - centre(theta)[:, None]
+        return 0.5 * np.sum(dx * (hess @ dx), axis=0)
+
+    def grad(x, theta):
+        return -(hess @ (x - centre(theta)[:, None]))[:m]
+
+    cov = bath.temperature * np.linalg.inv(hess)
+    family = ModelFamily(lambda t: (centre(t), cov, np.eye(d)[:m], np.zeros((m, d, d))),
+                         ParameterDomain(m))
+    expected = fisher_metric(family, theta)
+    spec = IntegrationSpec.for_gaussian(centre(theta), cov, 8)
+    g = ce_fisher_metric(energy, grad, theta, bath, spec)
+    assert np.abs(g - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_ce_fisher_of_a_scaled_energy_is_half_the_dimension(dim):
+    # E = theta E0 with E0 = x^T H x / 2: beta theta E0 is chi^2_D / 2, of
+    # variance D / 2, so g = beta^2 Var(E0) = D / (2 theta^2)
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim))
+    hess = a @ a.T + 0.5 * np.eye(dim)
+    theta, bath = rng.uniform(0.5, 2.0), HeatBath(rng.uniform(0.2, 5.0))
+    e0 = lambda x: 0.5 * np.sum(x * (hess @ x), axis=0)
+    cov = np.linalg.inv(bath.beta * theta * hess)
+    spec = IntegrationSpec.for_gaussian(np.zeros(dim), cov, 8)
+    g = ce_fisher_metric(lambda x, t: t[0] * e0(x), lambda x, t: e0(x)[None], [theta], bath, spec)
+    assert g[0, 0] == pytest.approx(dim / (2.0 * theta**2), rel=1e-12)
 
 
 @pytest.mark.parametrize("z_depends_on_theta", [False, True])
 def test_ce_fisher_calls_the_energy_once_per_role(z_depends_on_theta):
-    # one block of 32 x 32 nodes: the weight and the two gradient points, which
-    # serve the partition function, the means and the second moments in one
-    # pass, whether the means vanish (a shifted well) or not (a stiffened one)
+    # one block of 32 x 32 nodes: one energy call for the weight and one gradient
+    # call, which serve the partition function, the means and the second moments
+    # in one pass, whether the means vanish (a shifted well) or not (a stiffened one)
     calls = []
 
     def energy(x, theta):
-        calls.append(theta)
+        calls.append("energy")
         if z_depends_on_theta:
             return theta[0] * x[0] ** 2 + 0.5 * x[1] ** 2
         return (x[0] - theta[0]) ** 2 + 0.5 * x[1] ** 2
 
+    def grad(x, theta):
+        calls.append("gradient")
+        return np.stack([x[0] ** 2 if z_depends_on_theta else -2.0 * (x[0] - theta[0])])
+
     centre = 0.0 if z_depends_on_theta else 1.0
     spec = IntegrationSpec.axes([centre, 0.0], [math.sqrt(0.5), 1.0], 32)
-    ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec)
-    assert len(calls) == 3
+    ce_fisher_metric(energy, grad, [1.0], HeatBath(1.0), spec)
+    assert sorted(calls) == ["energy", "gradient"]
 
 
 def test_ce_fisher_rejects_a_non_confining_energy():
     # exp(theta |x|^2) overflows on the node cloud, so Z read off the Gram
     # matrix is not finite
     energy = lambda x, theta: -theta[0] * np.sum(x**2, axis=0)
+    grad = lambda x, theta: -np.sum(x**2, axis=0)[None]
     spec = IntegrationSpec.axes([0.0, 0.0], [3.0, 3.0], 32)
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="partition function is not finite"):
-            ce_fisher_metric(energy, [1.0], HeatBath(1.0), spec)
+            ce_fisher_metric(energy, grad, [1.0], HeatBath(1.0), spec)
 
 
 def test_ce_fisher_analytic_gradient_path():
@@ -352,10 +417,8 @@ def test_ce_fisher_analytic_gradient_path():
         return np.stack([-(x[0] - theta[0])])
 
     spec = IntegrationSpec.axes([0.0, 0.0], [1.0, 1.0], 48)
-    g_fd = ce_fisher_metric(energy, [0.0], bath, spec)
-    g_an = ce_fisher_metric(energy, [0.0], bath, spec, grad_theta=grad)
-    assert g_fd == pytest.approx(g_an, rel=1e-6)
-    assert g_an[0, 0] == pytest.approx(1.0, rel=1e-10)
+    g = ce_fisher_metric(energy, grad, [0.0], bath, spec)
+    assert g[0, 0] == pytest.approx(1.0, rel=1e-10)
 
 
 # -------------------------------------------------------------- upper bounds

@@ -126,6 +126,27 @@ def test_correlation_mass_check_catches_a_bad_joint():
                        TestFunctionSet((lambda x: x,), (1.0,)), spec)
 
 
+def _f1_nan_beyond_3(dim):
+    """``dim`` test functions: a bump that reads NaN beyond x = 3, then unit-L1 bumps."""
+    f1 = lambda x: np.where(x > 3.0, np.nan, np.exp(-0.5 * np.asarray(x) ** 2))
+    bumps = TestFunctionSet.unit_l1_bumps([0.0] * (dim - 1))
+    return TestFunctionSet((f1,) + bumps.fs, (math.sqrt(2.0 * math.pi),) + bumps.l1_norms)
+
+
+@pytest.mark.parametrize("case", ["f1 NaN, 2-D", "f1 NaN, 3-D", "joint NaN"])
+def test_correlation_checks_refuse_nan(case):
+    # NaN failed both > comparisons, so a NaN correlation came back with no error
+    with pytest.raises(QuadratureError):
+        if case == "f1 NaN, 2-D":
+            ig_correlation_2d(Correlated2DParams(0.0, 1.0, 0.5, 1.0), _f1_nan_beyond_3(2))
+        elif case == "f1 NaN, 3-D":
+            cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+            mvn_ig_correlation(MultivariateGaussian(np.zeros(3), cov), _f1_nan_beyond_3(3))
+        else:
+            spec = IntegrationSpec.axes([0.0, 0.0], [1.0, 1.0], 16)
+            ig_correlation(lambda x: np.full(x.shape[1], np.nan), unit_height_bumps(), spec)
+
+
 def test_correlation_bounded_by_distinguishability():
     rng = np.random.default_rng(42)
     for _ in range(200):

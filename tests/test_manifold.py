@@ -455,7 +455,7 @@ def _count_requests(monkeypatch):
 @pytest.mark.parametrize("kind", ["from_function", "from_model"])
 @pytest.mark.parametrize("seed", range(8))
 def test_christoffel_sweep_is_the_two_pass_connection(kind, seed, monkeypatch):
-    # one sweep of 2m + 1 rows gives the same bits as the stencil plus a separate g(theta)
+    # the connection is the first-order stencil of 2m rows plus a separate g(theta)
     m = 2 + seed % 3
     field, theta = _random_field(m, seed, kind)
     expected = _two_pass_christoffel(field, theta)
@@ -464,10 +464,10 @@ def test_christoffel_sweep_is_the_two_pass_connection(kind, seed, monkeypatch):
     gam = christoffel(field, theta)
     assert gam.tobytes() == expected.tobytes()
     assert len(requests) == 2 * m + 1 and np.array_equal(requests[-1], theta)
-    # one check of the whole sweep; a from_model field checks each request before it
-    # reads the moments, and fisher_metric checks again on a miss: every row here,
-    # since the random family's Sigma moves with every coordinate
-    assert [np.shape(c) for c in checks if np.ndim(c) == 2] == [(2 * m + 1, m)]
+    # one check of the whole stencil; a from_model field checks each request before
+    # it reads the moments, and fisher_metric checks again on a miss: every request
+    # here, since the random family's Sigma moves with every coordinate
+    assert [np.shape(c) for c in checks if np.ndim(c) == 2] == [(2 * m, m)]
     assert len(checks) == 1 + (2 * (2 * m + 1) if kind == "from_model" else 0)
 
 

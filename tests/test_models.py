@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def test_pdf_matches_generic_bivariate():
     p2 = Correlated2DParams(0.4, 2.0, -0.3, 1.5)
     expected2 = bivariate_reference(1.0, -1.0, 0.4, 0.0, 2.0, 1.5**2 / 2.0, -0.3)
     assert pdf_2d(1.0, -1.0, p2) == pytest.approx(expected2, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_pdf_at_extreme_scales_matches_mvn_pdf(scale):
+    # sigma = sigma_c = 1e100 raised OverflowError from sc**4, and 1e-100 gave NaN
+    # after a RuntimeWarning; in standard units neither power is formed
+    p = Correlated2DParams(0.3 * scale, scale, 0.6, scale)
+    u, v = np.meshgrid([-2.0, -0.5, 0.0, 1.5], [-1.0, 0.0, 0.7, 2.5], indexing="ij")
+    x, y = p.mu_x + u * p.sigma, v * p.sigma_y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pdf_2d(x, y, p)
+        expected = mvn_pdf((x, y), MultivariateGaussian([p.mu_x, 0.0], p.covariance()))
+    assert np.all(np.abs(got - expected) <= 1e-12 * expected)
 
 
 def test_pdf_degenerate_correlation():
